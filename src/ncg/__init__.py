@@ -8,27 +8,24 @@ implements the equivalences between the three presentations; and runs a
 
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                      frobenius, hermitian_spectrum, is_partial_isometry,
-                     matrix_from_json, matrix_to_json, operator_norm,
-                     span_residual)
+                     matrix_from_json, matrix_to_json, operator_norm)
 from .groupoid import (Bisection, LocalBisection, PairGroupoid,
                        all_bisections, all_local_bisections,
-                       compose_arrows, compose_bisections,
-                       is_local_bisection)
-from .fellbundle import (AxiomCheck, AxiomReport, BlockStructure,
-                         FellBundleFD, SemidirectBundle, UnitaryField,
-                         bundle_from_json, bundle_to_json, check_bundle,
-                         check_fell_axioms, check_saturated, check_unital,
-                         full_morita_bundle, linking_algebra,
+                       compose_bisections, is_local_bisection)
+from .report import AxiomCheck, AxiomReport
+from .fellbundle import (BlockStructure, FellBundleFD, SemidirectBundle,
+                         UnitaryField, bundle_from_json, bundle_to_json,
+                         check_bundle, check_fell_axioms, check_saturated,
+                         check_unital, full_morita_bundle, linking_algebra,
                          semidirect_bundle)
 from .cstarcat import (CStarCategoryFD, DomainSection, NormaliserClass,
                        bisection_to_normaliser, category_from_bundle,
                        conditional_expectation, is_domain_section,
                        is_normaliser_bruteforce, normaliser_support)
 from .sptriple import (FiniteSpectralTriple, build_triple_from_mass_matrix,
-                       check_even_axioms, check_geodesic_equation,
-                       check_poincare, check_real_axioms, check_so_real,
-                       extract_mass_matrix, standard_operators,
-                       triple_from_json, triple_to_json)
+                       check_even_axioms, check_poincare, check_real_axioms,
+                       check_so_real, check_triple, extract_mass_matrix,
+                       standard_operators, triple_from_json, triple_to_json)
 from .geometry import (FellBundleTriple, FluctuationTerm,
                        SpectralCStarCategoryFD, apply_path_lifting,
                        categorify, fell_bundle_triple,

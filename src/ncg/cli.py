@@ -15,14 +15,14 @@ from typing import Optional
 
 from .errors import (AxiomRefusalError, DomainSectionError, InputError,
                      NcgError, ShapeError)
-from .fellbundle import AxiomCheck, AxiomReport, bundle_from_json, check_bundle
+from .fellbundle import bundle_from_json, check_bundle
 from .geometry import (categorify, fell_triple_from_category, fluctuate,
                        fluctuation_terms_from_json,
                        spectral_category_from_json)
 from .climit import convergence_report, parse_profile
 from .matops import DEFAULT_TOL, Tolerance
-from .sptriple import (FiniteSpectralTriple, check_even_axioms, check_poincare,
-                       check_real_axioms, check_so_real, triple_from_json,
+from .report import AxiomReport
+from .sptriple import (FiniteSpectralTriple, check_triple, triple_from_json,
                        triple_to_json)
 
 
@@ -88,8 +88,7 @@ def _dump_json(path: str, obj) -> None:
 
 def _print_report(title: str, report: AxiomReport, fmt: str) -> None:
     if fmt == "json":
-        payload = {"command": title, "passed": report.all_passed,
-                   "checks": [c.to_json() for c in report.checks]}
+        payload = {"command": title, **report.to_json()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     print(title)
@@ -102,24 +101,10 @@ def _print_report(title: str, report: AxiomReport, fmt: str) -> None:
     print(f"result: {'PASS' if report.all_passed else 'FAIL'}")
 
 
-def _triple_report(t: FiniteSpectralTriple, tol: Tolerance) -> AxiomReport:
-    rows = list(check_even_axioms(t, tol).checks)
-    for prefix, battery in (("triple.real", check_real_axioms(t, tol)),
-                            ("triple.so_real", check_so_real(t, tol))):
-        if battery.checks:
-            rows.extend(battery.checks)
-        else:
-            rows.append(AxiomCheck(prefix, True, 0.0, battery.note,
-                                   advisory=True))
-    if t.gamma is not None:
-        rows.append(check_poincare(t, tol).as_check())
-    return AxiomReport(tuple(rows))
-
-
 def _cmd_check(args, tol: Tolerance) -> int:
     data = _load_json(args.path)
     if args.kind == "triple":
-        report = _triple_report(triple_from_json(data), tol)
+        report = check_triple(triple_from_json(data), tol)
         title = f"check triple {args.path}"
     else:
         report = check_bundle(bundle_from_json(data), tol)

@@ -59,6 +59,8 @@ class Profile:
                              f"choose from {PROFILE_KINDS}")
         if self.kind == "tabulated" and self.table is None:
             raise InputError("tabulated profile needs sample values")
+        if not math.isfinite(self.param):
+            raise InputError(f"profile parameter {self.param} is not finite")
 
     @classmethod
     def tabulated(cls, values) -> "Profile":
@@ -189,6 +191,8 @@ def convergence_report(profile: Profile, ns: Sequence[int],
     given, flat otherwise).
     """
     ns = [int(n) for n in ns]
+    if not ns:
+        raise InputError("no lattice sizes given")
     if any(n < 8 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise InputError("lattice sizes must be strictly increasing and >= 8")
     if not profile.has_derivative or (theta is not None

@@ -16,13 +16,14 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import (AxiomRefusalError, DomainSectionError, InputError,
-                     ShapeError, UnsupportedConfigurationError)
-from .fellbundle import (AxiomReport, BlockStructure, FellBundleFD,
-                         UnitaryField, check_fell_axioms, check_unital)
+from .errors import (DomainSectionError, InputError,
+                     UnsupportedConfigurationError)
+from .fellbundle import (BlockStructure, FellBundleFD, UnitaryField,
+                         check_fell_axioms, check_unital)
 from .groupoid import Arrow, Bisection
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                      as_matrix, frobenius, matrix_from_json, matrix_to_json)
+from .report import AxiomReport
 
 NORMALISER_KINDS = ("not_normaliser", "normaliser", "free", "invertible",
                     "unitary")
@@ -54,13 +55,8 @@ def category_from_bundle(b: FellBundleFD,
     then is a unital C*-algebra, giving the category its identities);
     otherwise the failing report is attached to the refusal.
     """
-    report = AxiomReport(check_fell_axioms(b, tol).checks
-                         + (check_unital(b, tol),))
-    if not report.all_passed:
-        failing = [c.axiom_id for c in report.checks
-                   if not c.advisory and not c.passed]
-        raise AxiomRefusalError(
-            f"bundle fails {', '.join(failing)}; not a C*-category", report)
+    AxiomReport(check_fell_axioms(b, tol).checks + (check_unital(b, tol),)
+                ).require("bundle fails {}; not a C*-category")
     return CStarCategoryFD(b.blocks, dict(b.fibres))
 
 
@@ -71,11 +67,8 @@ def conditional_expectation(bmat, blocks: BlockStructure) -> np.ndarray:
     ``P`` is an idempotent *-map fixing the diagonal algebra; its kernel
     is spanned by the free normalisers when all blocks have size one.
     """
-    m = as_matrix(bmat, "conditional_expectation")
     n = blocks.total
-    if m.shape != (n, n):
-        raise ShapeError(f"conditional_expectation: shape {m.shape}, "
-                         f"expected ({n}, {n})")
+    m = as_matrix(bmat, "conditional_expectation", (n, n))
     return blocks.block_diagonal_part(m)
 
 
@@ -86,11 +79,8 @@ def is_normaliser_bruteforce(bmat, blocks: BlockStructure,
     Runs over every matrix unit of the block-diagonal algebra and measures
     the off-block-diagonal leakage of the two sandwiches.
     """
-    m = as_matrix(bmat, "is_normaliser_bruteforce")
     n = blocks.total
-    if m.shape != (n, n):
-        raise ShapeError(f"is_normaliser_bruteforce: shape {m.shape}, "
-                         f"expected ({n}, {n})")
+    m = as_matrix(bmat, "is_normaliser_bruteforce", (n, n))
     madj = adjoint(m)
     scale = max(1.0, frobenius(m)) ** 2
     bound = tol.bound(scale)
@@ -133,11 +123,8 @@ def normaliser_support(bmat, blocks: BlockStructure,
     ``unitary`` needs those blocks unitary.  A block counts as nonzero
     when its Frobenius norm exceeds ``rel * ‖b‖_F``.
     """
-    m = as_matrix(bmat, "normaliser_support")
     n = blocks.total
-    if m.shape != (n, n):
-        raise ShapeError(f"normaliser_support: shape {m.shape}, "
-                         f"expected ({n}, {n})")
+    m = as_matrix(bmat, "normaliser_support", (n, n))
     threshold = tol.rel * frobenius(m)
     norms = blocks.block_norms(m)
     entries = [(i, j) for i in range(1, blocks.p + 1)
@@ -183,13 +170,13 @@ class DomainSection:
 
     ``blocks_data[j]`` is the block at row ``support[j-1]``, column ``j``;
     ``assembled`` is the full matrix with zeros elsewhere.  Self-adjoint
-    sections have involutive support and conjugate-paired blocks.
+    sections have involutive support and conjugate-paired blocks; every
+    section built by :func:`is_domain_section` is self-adjoint.
     """
 
     support: tuple[int, ...]
     blocks_data: Mapping[int, np.ndarray]
     assembled: np.ndarray
-    self_adjoint: bool
 
     @property
     def p(self) -> int:
@@ -206,21 +193,30 @@ class DomainSection:
 
 def domain_section_from_json(data, blocks: BlockStructure,
                              tol: Tolerance = DEFAULT_TOL) -> DomainSection:
-    if not isinstance(data, dict) or "perm" not in data or "blocks" not in data:
+    if (not isinstance(data, dict) or not isinstance(data.get("perm"), list)
+            or not isinstance(data.get("blocks"), dict)):
         raise InputError("domain section: expected {'perm': [...], "
                          "'blocks': {...}}")
-    perm = [int(x) for x in data["perm"]]
-    if sorted(perm) != list(range(1, blocks.p + 1)):
+    perm = data["perm"]
+    if (not all(type(x) is int for x in perm)
+            or sorted(perm) != list(range(1, blocks.p + 1))):
         raise InputError(f"domain section: perm {perm} is not a permutation "
                          f"of 1..{blocks.p}")
     assembled = np.zeros((blocks.total, blocks.total), dtype=complex)
+    seen = set()
     for key, mat in data["blocks"].items():
-        j = int(key)
-        if not 1 <= j <= blocks.p:
-            raise InputError(f"domain section: block key {key!r} out of range")
-        blk = matrix_from_json(mat, f"sigma block {key}")
+        try:
+            j = int(key)
+        except ValueError:
+            j = 0
+        if not 1 <= j <= blocks.p or j in seen:
+            raise InputError(f"domain section: block key {key!r} is not a "
+                             f"new object in 1..{blocks.p}")
+        seen.add(j)
         i = perm[j - 1]
-        assembled[blocks.block_slice(i), blocks.block_slice(j)] = blk
+        assembled[blocks.block_slice(i), blocks.block_slice(j)] = \
+            matrix_from_json(mat, f"sigma block {key}",
+                             (blocks.sizes[i - 1], blocks.sizes[j - 1]))
     return is_domain_section(assembled, blocks, tol)
 
 
@@ -233,11 +229,8 @@ def is_domain_section(sigma, blocks: BlockStructure,
     permutation to be an involution).  Rejections raise
     :class:`DomainSectionError` with the column or residual at fault.
     """
-    m = as_matrix(sigma, "is_domain_section")
     n = blocks.total
-    if m.shape != (n, n):
-        raise ShapeError(f"is_domain_section: shape {m.shape}, "
-                         f"expected ({n}, {n})")
+    m = as_matrix(sigma, "is_domain_section", (n, n))
     threshold = tol.rel * frobenius(m)
     norms = blocks.block_norms(m)
     support = []
@@ -273,7 +266,7 @@ def is_domain_section(sigma, blocks: BlockStructure,
     for j, blk in blocks_data.items():
         assembled[blocks.block_slice(support[j - 1]),
                   blocks.block_slice(j)] = blk
-    return DomainSection(tuple(support), blocks_data, assembled, True)
+    return DomainSection(tuple(support), blocks_data, assembled)
 
 
 def bisection_to_normaliser(x: Bisection, blocks: BlockStructure,

@@ -18,8 +18,9 @@ from .errors import (InputError, ShapeError,
                      UnsupportedConfigurationError)
 from .groupoid import Arrow, PairGroupoid
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
-                     as_matrix, frobenius, numerical_rank,
+                     as_matrix, frobenius, numerical_rank, require_unitary,
                      subspace_from_json, subspace_to_json)
+from .report import AxiomCheck, AxiomReport, WorstResidual
 
 # Samples drawn per associativity / involution spot check.  The checks are
 # theorems for matrix multiplication; sampling exists to catch encoding bugs.
@@ -73,12 +74,8 @@ class BlockStructure:
         return m[self.block_slice(i), self.block_slice(j)]
 
     def embed_block(self, i: int, j: int, blk: np.ndarray) -> np.ndarray:
-        blk = as_matrix(blk, f"block ({i},{j})")
-        if blk.shape != (self.sizes[i - 1], self.sizes[j - 1]):
-            raise ShapeError(
-                f"block ({i},{j}): shape {blk.shape} does not match "
-                f"({self.sizes[i - 1]}, {self.sizes[j - 1]})"
-            )
+        blk = as_matrix(blk, f"block ({i},{j})",
+                        (self.sizes[i - 1], self.sizes[j - 1]))
         out = np.zeros((self.total, self.total), dtype=complex)
         out[self.block_slice(i), self.block_slice(j)] = blk
         return out
@@ -99,16 +96,22 @@ class BlockStructure:
             out[sl, sl] = m[sl, sl]
         return out
 
+    def unit_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Global (row, column) index of every matrix unit of ``A``: block
+        by block, row-major within a block.  Witnesses name a unit by its
+        position ``k`` in this order (``algebra unit {k}``)."""
+        spans = tuple(zip(self.offsets, self.sizes))
+        rows = [off + r for off, s in spans for r in range(s) for _ in range(s)]
+        cols = [off + c for off, s in spans for _ in range(s) for c in range(s)]
+        return np.array(rows), np.array(cols)
+
     def algebra_basis(self) -> Iterator[np.ndarray]:
         """Matrix units spanning the block-diagonal algebra ``A``."""
         n = self.total
-        for i in range(1, self.p + 1):
-            off = self.offsets[i - 1]
-            for r in range(self.sizes[i - 1]):
-                for c in range(self.sizes[i - 1]):
-                    unit = np.zeros((n, n), dtype=complex)
-                    unit[off + r, off + c] = 1.0
-                    yield unit
+        for r, c in zip(*self.unit_indices()):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[r, c] = 1.0
+            yield unit
 
     def algebra_dim(self) -> int:
         return sum(s * s for s in self.sizes)
@@ -170,63 +173,6 @@ class FellBundleFD:
         return f"FellBundleFD(blocks={self.blocks.sizes}, dims={dims})"
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    """One row of a checker report.
-
-    ``residual`` is relative (scaled by the inputs' size).  Advisory rows
-    are informational and do not gate :attr:`AxiomReport.all_passed`.
-    """
-
-    axiom_id: str
-    passed: bool
-    residual: float
-    witness: str = ""
-    advisory: bool = False
-
-    def to_json(self) -> dict:
-        status = "info" if self.advisory else ("pass" if self.passed else "fail")
-        return {"id": self.axiom_id, "status": status,
-                "residual": self.residual, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
-    note: str = ""
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if not c.advisory)
-
-    @property
-    def worst_residual(self) -> float:
-        gating = [c.residual for c in self.checks if not c.advisory]
-        return max(gating) if gating else 0.0
-
-    def find(self, axiom_id: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom_id == axiom_id:
-                return c
-        raise KeyError(axiom_id)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-    def merged_with(self, *others: "AxiomReport") -> "AxiomReport":
-        checks = list(self.checks)
-        for other in others:
-            checks.extend(other.checks)
-        return AxiomReport(tuple(checks))
-
-    def to_json(self) -> dict:
-        out = {"passed": self.all_passed,
-               "checks": [c.to_json() for c in self.checks]}
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
 def full_morita_bundle(blocks: BlockStructure) -> FellBundleFD:
     """The bundle whose fibre over ``(i, j)`` is the full ``n_i x n_j``
     matrix space (basis: matrix units).
@@ -241,42 +187,6 @@ def full_morita_bundle(blocks: BlockStructure) -> FellBundleFD:
                 blocks.sizes[i - 1], blocks.sizes[j - 1],
                 _matrix_units(blocks.sizes[i - 1], blocks.sizes[j - 1]))
     return FellBundleFD(blocks, fibres)
-
-
-class _Worst:
-    """Track the worst relative residual and its witness."""
-
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-        self.residual = 0.0
-        self.witness = ""
-        self.passed = True
-
-    def update(self, raw: float, scale: float, witness: str):
-        rel = raw / max(1.0, scale)
-        if rel > self.residual:
-            self.residual = rel
-            self.witness = witness
-        if raw > self.tol.bound(scale):
-            self.passed = False
-
-    def update_batch(self, raws, scales, witness_fn):
-        raws = np.asarray(raws, dtype=float)
-        if raws.size == 0:
-            return
-        scales = np.maximum(1.0, np.asarray(scales, dtype=float))
-        rels = raws / scales
-        idx = int(np.argmax(rels))
-        if rels[idx] > self.residual:
-            self.residual = float(rels[idx])
-            self.witness = witness_fn(idx)
-        bounds = np.maximum(self.tol.abs, self.tol.rel * scales)
-        if np.any(raws > bounds):
-            self.passed = False
-
-    def check(self, axiom_id: str, default_witness: str = "") -> AxiomCheck:
-        return AxiomCheck(axiom_id, self.passed, self.residual,
-                          self.witness or default_witness)
 
 
 def _composable_arrow_pairs(p: int) -> Iterator[tuple[Arrow, Arrow]]:
@@ -321,9 +231,9 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
         "structural: products are placed at the composed arrow"))
 
     # Axioms 2, 4, 8 all run over basis products of composable fibres.
-    closure = _Worst(tol)
-    submult = _Worst(tol)
-    antihom = _Worst(tol)
+    closure = WorstResidual(tol)
+    submult = WorstResidual(tol)
+    antihom = WorstResidual(tol)
     for g, h in _composable_arrow_pairs(p):
         e1, e2 = b.fibres[g], b.fibres[h]
         if e1.dim == 0 or e2.dim == 0:
@@ -361,7 +271,7 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
                                 "all basis products stay in their fibre"))
 
     # Axiom 3: associativity, spot-checked on random fibre elements.
-    assoc = _Worst(tol)
+    assoc = WorstResidual(tol)
     count = 0
     for g, h in _composable_arrow_pairs(p):
         if count >= _SPOT_CHECK_LIMIT:
@@ -390,10 +300,10 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
         "structural: adjoints are placed at the reversed arrow"))
 
     # Axioms 6, 7, 9, 10 run over single basis elements.
-    invol = _Worst(tol)
-    invol2 = _Worst(tol)
-    cstar = _Worst(tol)
-    positive = _Worst(tol)
+    invol = WorstResidual(tol)
+    invol2 = WorstResidual(tol)
+    cstar = WorstResidual(tol)
+    positive = WorstResidual(tol)
     for g in arrows:
         fibre = b.fibres[g]
         if fibre.dim == 0:
@@ -464,7 +374,7 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
 
 def check_unital(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
     """Unitality: each diagonal fibre must contain its identity matrix."""
-    worst = _Worst(tol)
+    worst = WorstResidual(tol)
     for i in range(1, b.blocks.p + 1):
         size = b.blocks.sizes[i - 1]
         raw = b.fibres[(i, i)].residual(np.eye(size, dtype=complex))
@@ -498,15 +408,7 @@ class UnitaryField:
             if ni != nj:
                 raise UnsupportedConfigurationError(
                     f"arrow {g}: blocks have different sizes {ni} != {nj}")
-            u = as_matrix(u, f"unitary over {g}")
-            if u.shape != (ni, ni):
-                raise ShapeError(f"unitary over {g}: shape {u.shape}, "
-                                 f"expected ({ni}, {ni})")
-            defect = frobenius(adjoint(u) @ u - np.eye(ni))
-            if defect > tol.bound(float(np.sqrt(ni))):
-                raise InputError(f"matrix over {g} is not unitary "
-                                 f"(residual {defect:.3e})")
-            fixed[g] = u
+            fixed[g] = require_unitary(u, ni, tol, f"matrix over {g}")
         for g, u in list(fixed.items()):
             rev = (g[1], g[0])
             if rev in fixed:
@@ -537,12 +439,6 @@ class UnitaryField:
                     assignment[(i, j)] = np.eye(blocks.sizes[j - 1],
                                                 dtype=complex)
         return cls(blocks, assignment)
-
-    @classmethod
-    def from_generators(cls, blocks: BlockStructure,
-                        generators: Mapping[Arrow, np.ndarray],
-                        tol: Tolerance = DEFAULT_TOL) -> "UnitaryField":
-        return cls(blocks, generators, tol)
 
     def unitary_for(self, g: Arrow) -> np.ndarray:
         g = self.blocks.groupoid().require(g)
@@ -662,23 +558,47 @@ def linking_algebra(b: FellBundleFD) -> SubspaceBasis:
     return SubspaceBasis(n, n, mats)
 
 
-def bundle_to_json(b: FellBundleFD) -> dict:
+def blocks_from_json(data) -> BlockStructure:
+    """Decode a ``blocks`` value: a nonempty array of positive integers."""
+    if (not isinstance(data, list) or not data
+            or not all(type(s) is int and s >= 1 for s in data)):
+        raise InputError(f"blocks: expected a nonempty array of positive "
+                         f"integers, got {data!r}")
+    return BlockStructure(tuple(data))
+
+
+def fibres_to_json(fibres: Mapping[Arrow, SubspaceBasis]) -> dict:
+    """Encode the nonzero fibres (or homsets) keyed ``"i,j"``."""
+    return {f"{i},{j}": subspace_to_json(fibre)
+            for (i, j), fibre in sorted(fibres.items()) if fibre.dim}
+
+
+def fibres_from_json(data, blocks: BlockStructure,
+                     label: str = "fibre") -> dict[Arrow, SubspaceBasis]:
+    """Decode ``{"i,j": [matrix, ...]}``; a missing value (``None``) has
+    no fibres.  ``label`` names the entries in diagnostics."""
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise InputError(f"{label}s: expected an object keyed by 'i,j'")
     fibres = {}
-    for (i, j), fibre in sorted(b.fibres.items()):
-        if fibre.dim:
-            fibres[f"{i},{j}"] = subspace_to_json(fibre)
-    return {"blocks": list(b.blocks.sizes), "fibres": fibres}
+    for key, mats in data.items():
+        try:
+            i, j = (int(x) for x in key.split(","))
+        except ValueError:
+            raise InputError(f"{label} key {key!r} is not of the form 'i,j'")
+        if not (1 <= i <= blocks.p and 1 <= j <= blocks.p):
+            raise InputError(f"{label} key {key!r} out of range for "
+                             f"{blocks.p} objects")
+        if (i, j) in fibres:
+            raise InputError(f"{label} key {key!r} repeats arrow ({i},{j})")
+        fibres[(i, j)] = subspace_from_json(
+            mats, blocks.sizes[i - 1], blocks.sizes[j - 1], f"{label} {key}")
+    return fibres
 
 
-def _parse_arrow_key(key: str, p: int) -> Arrow:
-    parts = key.split(",")
-    try:
-        i, j = (int(x) for x in parts)
-    except ValueError:
-        raise InputError(f"fibre key {key!r} is not of the form 'i,j'")
-    if not (1 <= i <= p and 1 <= j <= p):
-        raise InputError(f"fibre key {key!r} out of range for {p} objects")
-    return (i, j)
+def bundle_to_json(b: FellBundleFD) -> dict:
+    return {"blocks": list(b.blocks.sizes), "fibres": fibres_to_json(b.fibres)}
 
 
 def bundle_from_json(data) -> FellBundleFD:
@@ -686,11 +606,5 @@ def bundle_from_json(data) -> FellBundleFD:
     omitted arrows get the zero fibre."""
     if not isinstance(data, dict) or "blocks" not in data:
         raise InputError("bundle: expected an object with a 'blocks' key")
-    blocks = BlockStructure(tuple(data["blocks"]))
-    fibres = {}
-    for key, mats in (data.get("fibres") or {}).items():
-        g = _parse_arrow_key(key, blocks.p)
-        fibres[g] = subspace_from_json(
-            mats, blocks.sizes[g[0] - 1], blocks.sizes[g[1] - 1],
-            f"fibre {key}")
-    return FellBundleFD(blocks, fibres)
+    blocks = blocks_from_json(data["blocks"])
+    return FellBundleFD(blocks, fibres_from_json(data.get("fibres"), blocks))

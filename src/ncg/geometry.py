@@ -19,13 +19,13 @@ from .cstarcat import (CStarCategoryFD, DomainSection, category_from_bundle,
                        domain_section_from_json, is_domain_section,
                        normaliser_support)
 from .errors import AxiomRefusalError, InputError, ShapeError
-from .fellbundle import (AxiomReport, BlockStructure, FellBundleFD,
-                         check_saturated, check_unital, full_morita_bundle)
+from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
+                         bundle_to_json, check_saturated, check_unital,
+                         fibres_from_json, fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
-                     matrix_from_json, matrix_to_json, subspace_from_json,
-                     subspace_to_json)
-from .sptriple import (FiniteSpectralTriple, check_even_axioms,
-                       check_real_axioms, check_so_real)
+                     matrix_from_json, matrix_to_json, require_unitary)
+from .report import AxiomReport
+from .sptriple import FiniteSpectralTriple, check_triple
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,8 @@ class SpectralCStarCategoryFD:
         return self.category.blocks
 
     def to_json(self) -> dict:
-        homsets = {}
-        for (i, j), homset in sorted(self.category.homsets.items()):
-            if homset.dim:
-                homsets[f"{i},{j}"] = subspace_to_json(homset)
-        return {"blocks": list(self.blocks.sizes), "homsets": homsets,
+        return {"blocks": list(self.blocks.sizes),
+                "homsets": fibres_to_json(self.category.homsets),
                 "sigma": self.sigma.to_json()}
 
 
@@ -52,8 +49,6 @@ def spectral_category(category: CStarCategoryFD, sigma: DomainSection,
                       tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
     """Pair a category with a section, verifying that the section's
     blocks actually are morphisms of the category."""
-    if not sigma.self_adjoint:
-        raise InputError("spectral category requires a self-adjoint section")
     if len(sigma.support) != category.blocks.p:
         raise InputError(
             f"section over {len(sigma.support)} objects does not match "
@@ -72,18 +67,8 @@ def spectral_category_from_json(data,
                                 tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
     if not isinstance(data, dict) or "blocks" not in data or "sigma" not in data:
         raise InputError("spectral category: expected 'blocks' and 'sigma'")
-    blocks = BlockStructure(tuple(data["blocks"]))
-    fibres = {}
-    for key, mats in (data.get("homsets") or {}).items():
-        parts = key.split(",")
-        try:
-            i, j = (int(x) for x in parts)
-        except ValueError:
-            raise InputError(f"homset key {key!r} is not of the form 'i,j'")
-        if not (1 <= i <= blocks.p and 1 <= j <= blocks.p):
-            raise InputError(f"homset key {key!r} out of range")
-        fibres[(i, j)] = subspace_from_json(
-            mats, blocks.sizes[i - 1], blocks.sizes[j - 1], f"homset {key}")
+    blocks = blocks_from_json(data["blocks"])
+    fibres = fibres_from_json(data.get("homsets"), blocks, "homset")
     category = category_from_bundle(FellBundleFD(blocks, fibres), tol)
     sigma = domain_section_from_json(data["sigma"], blocks, tol)
     return spectral_category(category, sigma, tol)
@@ -99,12 +84,7 @@ class FellBundleTriple:
     PL: np.ndarray
 
     def to_json(self) -> dict:
-        fibres = {}
-        for (i, j), fibre in sorted(self.bundle.fibres.items()):
-            if fibre.dim:
-                fibres[f"{i},{j}"] = subspace_to_json(fibre)
-        return {"blocks": list(self.bundle.blocks.sizes), "fibres": fibres,
-                "hilbert_dim": self.hilbert_dim,
+        return {**bundle_to_json(self.bundle), "hilbert_dim": self.hilbert_dim,
                 "PL": matrix_to_json(self.PL)}
 
 
@@ -116,11 +96,8 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
     algebra whose block support is a full permutation (a global
     bisection); the bundle must be saturated and unital.
     """
-    pl = as_matrix(pl, "path-lifting operator")
     n = bundle.blocks.total
-    if pl.shape != (n, n):
-        raise ShapeError(f"path-lifting operator: shape {pl.shape}, "
-                         f"expected ({n}, {n})")
+    pl = as_matrix(pl, "path-lifting operator", (n, n))
     classification = normaliser_support(pl, bundle.blocks, tol)
     if not classification.is_normaliser:
         raise InputError("path-lifting operator is not a normaliser of the "
@@ -147,13 +124,7 @@ def categorify(t: FiniteSpectralTriple,
     axioms or when ``D`` is not a domain section (a zero ``D`` has no
     support; the refusal suggests the identity section instead).
     """
-    report = check_even_axioms(t, tol).merged_with(
-        check_real_axioms(t, tol), check_so_real(t, tol))
-    if not report.all_passed:
-        failing = [c.axiom_id for c in report.checks
-                   if not c.advisory and not c.passed]
-        raise AxiomRefusalError(
-            f"triple fails {', '.join(failing)}", report)
+    check_triple(t, tol).require("triple fails {}")
     sigma = is_domain_section(t.D, t.blocks, tol)
     category = category_from_bundle(full_morita_bundle(t.blocks), tol)
     return SpectralCStarCategoryFD(category, sigma)
@@ -171,13 +142,7 @@ def triple_from_category(sc: SpectralCStarCategoryFD,
     """
     triple = FiniteSpectralTriple(sc.blocks, sc.sigma.assembled,
                                   gamma, epsilon, K)
-    report = check_even_axioms(triple, tol).merged_with(
-        check_real_axioms(triple, tol), check_so_real(triple, tol))
-    if not report.all_passed:
-        failing = [c.axiom_id for c in report.checks
-                   if not c.advisory and not c.passed]
-        raise AxiomRefusalError(
-            f"supplied operators fail {', '.join(failing)}", report)
+    check_triple(triple, tol).require("supplied operators fail {}")
     return triple
 
 
@@ -216,14 +181,6 @@ class FluctuationTerm:
         object.__setattr__(self, "U", as_matrix(self.U, "fluctuation unitary"))
 
 
-def _require_unitary(u: np.ndarray, n: int, tol: Tolerance, label: str):
-    if u.shape != (n, n):
-        raise ShapeError(f"{label}: shape {u.shape}, expected ({n}, {n})")
-    defect = frobenius(adjoint(u) @ u - np.eye(n))
-    if defect > tol.bound(float(np.sqrt(n))):
-        raise InputError(f"{label} is not unitary (residual {defect:.3e})")
-
-
 def fluctuate(D, terms: Sequence, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Form ``Σ_j r_j U_j D U_j*`` for real coefficients and unitaries.
 
@@ -240,7 +197,7 @@ def fluctuate(D, terms: Sequence, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         if not isinstance(term, FluctuationTerm):
             r, u = term
             term = FluctuationTerm(r, u)
-        _require_unitary(term.U, n, tol, f"term {idx} unitary")
+        require_unitary(term.U, n, tol, f"term {idx} unitary")
         out = out + term.r * (term.U @ D @ adjoint(term.U))
     return out
 
@@ -255,7 +212,7 @@ def one_form(D, U, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     U = as_matrix(U, "one_form unitary")
     if D.shape != U.shape or D.shape[0] != D.shape[1]:
         raise ShapeError(f"one_form: incompatible shapes {D.shape}, {U.shape}")
-    _require_unitary(U, D.shape[0], tol, "one_form unitary")
+    require_unitary(U, D.shape[0], tol, "one_form unitary")
     return U @ (D @ adjoint(U) - adjoint(U) @ D)
 
 
@@ -267,10 +224,11 @@ def fluctuation_terms_from_json(data) -> list[FluctuationTerm]:
     for idx, item in enumerate(data):
         if not isinstance(item, dict) or "r" not in item or "U" not in item:
             raise InputError(f"term {idx}: expected {{'r': ..., 'U': ...}}")
-        if not isinstance(item["r"], (int, float)):
+        r = item["r"]
+        if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise InputError(f"term {idx}: coefficient must be real")
         terms.append(FluctuationTerm(
-            float(item["r"]), matrix_from_json(item["U"], f"term {idx} U")))
+            float(r), matrix_from_json(item["U"], f"term {idx} U")))
     return terms
 
 

@@ -61,10 +61,6 @@ class PairGroupoid:
         return (i, k)
 
 
-def compose_arrows(g: Arrow, h: Arrow, groupoid: PairGroupoid) -> Optional[Arrow]:
-    return groupoid.compose_arrows(g, h)
-
-
 @dataclass(frozen=True)
 class Bisection:
     """A global bisection: a permutation ``j -> images[j-1]`` of the

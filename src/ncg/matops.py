@@ -10,6 +10,7 @@ normative codec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,6 +32,8 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
+        if not (math.isfinite(self.rel) and math.isfinite(self.abs)):
+            raise InputError("tolerances must be finite")
         if self.rel < 0 or self.abs < 0:
             raise InputError("tolerances must be nonnegative")
 
@@ -42,8 +45,9 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(value, label: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting empty or non-finite input."""
+def as_matrix(value, label: str = "matrix", shape=None) -> np.ndarray:
+    """Coerce to a 2-D complex array, rejecting empty or non-finite input
+    and, when ``shape`` is given, any other shape."""
     m = np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"{label}: expected a 2-D matrix, got ndim={m.ndim}")
@@ -51,7 +55,19 @@ def as_matrix(value, label: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{label}: matrix is empty")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{label}: entries must be finite")
+    if shape is not None and m.shape != shape:
+        raise ShapeError(f"{label}: shape {m.shape}, expected {shape}")
     return m
+
+
+def require_unitary(u, n: int, tol: Tolerance, label: str) -> np.ndarray:
+    """:func:`as_matrix` for an ``n x n`` unitary; a non-unitary input is
+    an :class:`InputError` carrying the residual ``‖u*u - I‖``."""
+    u = as_matrix(u, label, (n, n))
+    defect = frobenius(adjoint(u) @ u - np.eye(n))
+    if defect > tol.bound(float(np.sqrt(n))):
+        raise InputError(f"{label} is not unitary (residual {defect:.3e})")
+    return u
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -126,13 +142,8 @@ class SubspaceBasis:
         cols = int(cols)
         if rows < 1 or cols < 1:
             raise ShapeError("SubspaceBasis: ambient shape must be positive")
-        mats = [as_matrix(m, "SubspaceBasis element") for m in matrices]
-        for k, m in enumerate(mats):
-            if m.shape != (rows, cols):
-                raise ShapeError(
-                    f"SubspaceBasis: element {k} has shape {m.shape}, "
-                    f"expected ({rows}, {cols})"
-                )
+        mats = [as_matrix(m, f"SubspaceBasis element {k}", (rows, cols))
+                for k, m in enumerate(matrices)]
         stack = (np.stack(mats) if mats
                  else np.zeros((0, rows, cols), dtype=complex))
         flat = stack.reshape(len(mats), rows * cols)
@@ -168,13 +179,7 @@ class SubspaceBasis:
 
     def residual(self, x: np.ndarray) -> float:
         """Frobenius distance from ``x`` to the span; 0 iff it belongs."""
-        x = as_matrix(x, "span_residual")
-        if x.shape != (self.rows, self.cols):
-            raise ShapeError(
-                f"span_residual: shape {x.shape} does not match ambient "
-                f"({self.rows}, {self.cols})"
-            )
-        v = x.reshape(-1)
+        v = as_matrix(x, "residual", (self.rows, self.cols)).reshape(-1)
         proj = self._onb.T @ (self._onb.conj() @ v)
         return float(np.linalg.norm(v - proj))
 
@@ -194,18 +199,18 @@ class SubspaceBasis:
         return proj.reshape(self.rows, self.cols)
 
 
-def span_residual(x, s: SubspaceBasis) -> float:
-    """Frobenius norm of ``x`` minus its projection onto ``span(s)``."""
-    return s.residual(np.asarray(x, dtype=complex))
-
-
 def matrix_to_json(m: np.ndarray) -> list:
     """Encode a matrix as rows of ``[re, im]`` pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def matrix_from_json(data, label: str = "matrix") -> np.ndarray:
-    """Decode the ``[re, im]`` row encoding, with location diagnostics."""
+# JSON numbers decode to exactly these types; ``bool`` is excluded.
+_REAL = (int, float)
+
+
+def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
+    """Decode the ``[re, im]`` row encoding, with location diagnostics;
+    ``shape`` is checked as in :func:`as_matrix`."""
     if not isinstance(data, list) or not data:
         raise InputError(f"{label}: expected a nonempty array of rows")
     ncols = None
@@ -222,13 +227,14 @@ def matrix_from_json(data, label: str = "matrix") -> np.ndarray:
         out = []
         for c, cell in enumerate(row):
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+                    or type(cell[0]) not in _REAL
+                    or type(cell[1]) not in _REAL):
                 raise InputError(
                     f"{label}: entry ({r},{c}) is not an [re, im] pair"
                 )
             out.append(complex(cell[0], cell[1]))
         rows.append(out)
-    return as_matrix(rows, label)
+    return as_matrix(rows, label, shape)
 
 
 def subspace_to_json(s: SubspaceBasis) -> list:

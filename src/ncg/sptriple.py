@@ -24,11 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConsistencyError, InputError, ShapeError,
-                     StructureError)
-from .fellbundle import AxiomCheck, AxiomReport, BlockStructure, _Worst
+from .errors import ConsistencyError, InputError, StructureError
+from .fellbundle import BlockStructure, blocks_from_json
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
                      hermitian_spectrum, matrix_from_json, matrix_to_json)
+from .report import (AxiomCheck, AxiomReport, WorstResidual,
+                     residual_checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,26 +50,23 @@ class FiniteSpectralTriple:
 
     def __post_init__(self):
         n = self.blocks.total
-        object.__setattr__(self, "D", _square(self.D, n, "D"))
+        object.__setattr__(self, "D", as_matrix(self.D, "D", (n, n)))
         for name in ("gamma", "epsilon", "K"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _square(value, n, name))
+                object.__setattr__(self, name, as_matrix(value, name, (n, n)))
 
     @property
     def n(self) -> int:
         return self.blocks.total
 
 
-def _square(m, n: int, label: str) -> np.ndarray:
-    m = as_matrix(m, label)
-    if m.shape != (n, n):
-        raise ShapeError(f"{label}: shape {m.shape}, expected ({n}, {n})")
-    return m
-
-
 def _unit_stack(blocks: BlockStructure) -> np.ndarray:
-    return np.stack(list(blocks.algebra_basis()))
+    """Dense ``(u, n, n)`` stack of the algebra's matrix units."""
+    rows, cols = blocks.unit_indices()
+    units = np.zeros((len(rows), blocks.total, blocks.total), dtype=complex)
+    units[np.arange(len(rows)), rows, cols] = 1.0
+    return units
 
 
 def check_even_axioms(t: FiniteSpectralTriple,
@@ -79,11 +77,9 @@ def check_even_axioms(t: FiniteSpectralTriple,
     ``[D, a] ∈ M_n(C)`` is automatic here and recorded as analytic.  When
     ``gamma`` is absent the grading rows are reported as not applicable.
     """
-    checks = []
-    d_row = _Worst(tol)
-    d_row.update(frobenius(t.D - adjoint(t.D)), frobenius(t.D), "‖D - D*‖")
-    checks.append(d_row.check("triple.even.d_selfadjoint"))
-
+    checks = residual_checks(
+        tol, ("triple.even.d_selfadjoint", frobenius(t.D - adjoint(t.D)),
+              frobenius(t.D), "‖D - D*‖"))
     if t.gamma is None:
         for axiom_id in ("triple.even.gamma_selfadjoint",
                          "triple.even.gamma_square",
@@ -94,30 +90,22 @@ def check_even_axioms(t: FiniteSpectralTriple,
                                      advisory=True))
     else:
         g = t.gamma
-        row = _Worst(tol)
-        row.update(frobenius(g - adjoint(g)), frobenius(g), "‖γ - γ*‖")
-        checks.append(row.check("triple.even.gamma_selfadjoint"))
-
-        row = _Worst(tol)
-        row.update(frobenius(g @ g - np.eye(t.n)), frobenius(g) ** 2,
-                   "‖γ² - I‖")
-        checks.append(row.check("triple.even.gamma_square"))
-
-        row = _Worst(tol)
-        row.update(frobenius(t.D @ g + g @ t.D),
-                   frobenius(t.D) * max(1.0, frobenius(g)), "‖Dγ + γD‖")
-        checks.append(row.check("triple.even.anticommute_gamma"))
-
-        row = _Worst(tol)
         units = _unit_stack(t.blocks)
         comm = np.einsum("aij,jk->aik", units, g) \
             - np.einsum("ij,ajk->aik", g, units)
         worst = int(np.argmax(np.linalg.norm(
             comm.reshape(comm.shape[0], -1), axis=1)))
-        row.update(float(np.linalg.norm(comm[worst])), frobenius(g),
-                   f"[a, γ] for algebra unit {worst}")
-        checks.append(row.check("triple.even.algebra_commutes_gamma"))
-
+        checks += residual_checks(
+            tol,
+            ("triple.even.gamma_selfadjoint", frobenius(g - adjoint(g)),
+             frobenius(g), "‖γ - γ*‖"),
+            ("triple.even.gamma_square", frobenius(g @ g - np.eye(t.n)),
+             frobenius(g) ** 2, "‖γ² - I‖"),
+            ("triple.even.anticommute_gamma", frobenius(t.D @ g + g @ t.D),
+             frobenius(t.D) * max(1.0, frobenius(g)), "‖Dγ + γD‖"),
+            ("triple.even.algebra_commutes_gamma",
+             float(np.linalg.norm(comm[worst])), frobenius(g),
+             f"[a, γ] for algebra unit {worst}"))
     checks.append(AxiomCheck(
         "triple.even.inner_derivation", True, 0.0,
         "analytic: [D, a] lands in the enveloping matrix algebra"))
@@ -143,37 +131,28 @@ def check_real_axioms(t: FiniteSpectralTriple,
     """
     if t.K is None:
         return AxiomReport((), note="not applicable: no real structure present")
-    checks = []
     K = t.K
     n = t.n
-
-    row = _Worst(tol)
-    row.update(frobenius(adjoint(K) @ K - np.eye(n)), float(np.sqrt(n)),
-               "‖K*K - I‖")
-    checks.append(row.check("triple.real.antiunitary"))
-
-    row = _Worst(tol)
-    row.update(frobenius(K @ np.conj(K) - np.eye(n)), frobenius(K) ** 2,
-               "‖K conj(K) - I‖")
-    checks.append(row.check("triple.real.square"))
-
-    row = _Worst(tol)
-    row.update(frobenius(t.D @ K - K @ np.conj(t.D)),
-               max(1.0, frobenius(t.D)) * max(1.0, frobenius(K)),
-               "‖DK - K conj(D)‖")
-    checks.append(row.check("triple.real.commute_D"))
-
+    checks = residual_checks(
+        tol,
+        ("triple.real.antiunitary", frobenius(adjoint(K) @ K - np.eye(n)),
+         float(np.sqrt(n)), "‖K*K - I‖"),
+        ("triple.real.square", frobenius(K @ np.conj(K) - np.eye(n)),
+         frobenius(K) ** 2, "‖K conj(K) - I‖"),
+        ("triple.real.commute_D", frobenius(t.D @ K - K @ np.conj(t.D)),
+         max(1.0, frobenius(t.D)) * max(1.0, frobenius(K)),
+         "‖DK - K conj(D)‖"))
     if t.gamma is not None:
-        row = _Worst(tol)
-        row.update(frobenius(t.gamma @ K - K @ np.conj(t.gamma)),
-                   frobenius(t.gamma) * max(1.0, frobenius(K)),
-                   "‖γK - K conj(γ)‖")
-        checks.append(row.check("triple.real.commute_gamma"))
+        checks += residual_checks(
+            tol, ("triple.real.commute_gamma",
+                  frobenius(t.gamma @ K - K @ np.conj(t.gamma)),
+                  frobenius(t.gamma) * max(1.0, frobenius(K)),
+                  "‖γK - K conj(γ)‖"))
 
     units = _unit_stack(t.blocks)
     K_inv = np.linalg.inv(K)
     opposite = np.matmul(np.matmul(K, np.conj(units)), K_inv)
-    row = _Worst(tol)
+    row = WorstResidual(tol)
     for a in range(opposite.shape[0]):
         leak = opposite[a] - t.blocks.block_diagonal_part(opposite[a])
         row.update(float(np.linalg.norm(leak)), 1.0,
@@ -200,20 +179,6 @@ def check_real_axioms(t: FiniteSpectralTriple,
     return AxiomReport(tuple(checks))
 
 
-def _algebra_unit_indices(blocks: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
-    """Global (row, column) index of every matrix unit of the
-    block-diagonal algebra, in :meth:`BlockStructure.algebra_basis`
-    order."""
-    rows, cols = [], []
-    for i in range(1, blocks.p + 1):
-        off = blocks.offsets[i - 1]
-        for r in range(blocks.sizes[i - 1]):
-            for c in range(blocks.sizes[i - 1]):
-                rows.append(off + r)
-                cols.append(off + c)
-    return np.array(rows), np.array(cols)
-
-
 def _bimodule_diagnostics(D: np.ndarray, opposite: np.ndarray,
                           blocks: BlockStructure) -> tuple[float, float]:
     """Exact worst-case norms of ``[E_rs, c]`` and ``[[D, E_rs], c]``
@@ -224,7 +189,7 @@ def _bimodule_diagnostics(D: np.ndarray, opposite: np.ndarray,
     of rows and columns.
     """
     n = D.shape[0]
-    rows, cols = _algebra_unit_indices(blocks)
+    rows, cols = blocks.unit_indices()
     eye_rows = np.eye(n)[rows]
     eye_cols = np.eye(n)[cols]
     signs = (1.0, -1.0, -1.0, 1.0)
@@ -261,31 +226,22 @@ def check_so_real(t: FiniteSpectralTriple,
     ``J``."""
     if t.epsilon is None:
         return AxiomReport((), note="not applicable: no extra grading present")
-    checks = []
     eps = t.epsilon
     n = t.n
-
-    row = _Worst(tol)
-    row.update(frobenius(eps - adjoint(eps)), frobenius(eps), "‖ε - ε*‖")
-    checks.append(row.check("triple.so_real.selfadjoint"))
-
-    row = _Worst(tol)
-    row.update(frobenius(eps @ eps - np.eye(n)), frobenius(eps) ** 2,
-               "‖ε² - I‖")
-    checks.append(row.check("triple.so_real.square"))
-
-    row = _Worst(tol)
-    row.update(frobenius(t.D @ eps - eps @ t.D),
-               max(1.0, frobenius(t.D)) * max(1.0, frobenius(eps)),
-               "‖[D, ε]‖")
-    checks.append(row.check("triple.so_real.commute_D"))
-
+    checks = residual_checks(
+        tol,
+        ("triple.so_real.selfadjoint", frobenius(eps - adjoint(eps)),
+         frobenius(eps), "‖ε - ε*‖"),
+        ("triple.so_real.square", frobenius(eps @ eps - np.eye(n)),
+         frobenius(eps) ** 2, "‖ε² - I‖"),
+        ("triple.so_real.commute_D", frobenius(t.D @ eps - eps @ t.D),
+         max(1.0, frobenius(t.D)) * max(1.0, frobenius(eps)), "‖[D, ε]‖"))
     if t.K is not None:
-        row = _Worst(tol)
-        row.update(frobenius(eps @ t.K + t.K @ np.conj(eps)),
-                   frobenius(eps) * max(1.0, frobenius(t.K)),
-                   "‖εK + K conj(ε)‖")
-        checks.append(row.check("triple.so_real.anticommute_J"))
+        checks += residual_checks(
+            tol, ("triple.so_real.anticommute_J",
+                  frobenius(eps @ t.K + t.K @ np.conj(eps)),
+                  frobenius(eps) * max(1.0, frobenius(t.K)),
+                  "‖εK + K conj(ε)‖"))
 
     if n % 2 == 1:
         checks.append(AxiomCheck(
@@ -339,6 +295,26 @@ def check_poincare(t: FiniteSpectralTriple,
     spectrum = hermitian_spectrum(t.gamma, tol)
     plus = int(np.count_nonzero(spectrum > 0))
     return PoincareResult(dim_right=plus, dim_left=t.n - plus)
+
+
+def check_triple(t: FiniteSpectralTriple,
+                 tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
+    """The full triple battery: the even, real and S°-real rows, a "not
+    applicable" row for a battery that does not apply, and the advisory
+    Poincaré row when a grading is present."""
+    rows = list(check_even_axioms(t, tol).checks)
+    for prefix, battery in (("triple.real", check_real_axioms(t, tol)),
+                            ("triple.so_real", check_so_real(t, tol))):
+        rows.extend(battery.checks or (AxiomCheck(
+            prefix, True, 0.0, battery.note, advisory=True),))
+    if t.gamma is not None:
+        try:
+            rows.append(check_poincare(t, tol).as_check())
+        except InputError:
+            rows.append(AxiomCheck("triple.poincare", True, 0.0,
+                                   "not applicable: γ is not Hermitian",
+                                   advisory=True))
+    return AxiomReport(tuple(rows))
 
 
 def standard_operators(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -429,18 +405,6 @@ def extract_mass_matrix(t: FiniteSpectralTriple,
     return m
 
 
-def check_geodesic_equation(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Equation of motion for a coupling matrix: ``M (M*M - I) = 0``.
-
-    Holds exactly when ``M`` is a partial isometry, so the generated
-    transport is a geodesic in the operator sense.
-    """
-    m = as_matrix(m, "check_geodesic_equation")
-    residual = frobenius(m @ (adjoint(m) @ m - np.eye(m.shape[1])))
-    scale = max(1.0, frobenius(m)) ** 3
-    return residual <= tol.bound(scale)
-
-
 def triple_to_json(t: FiniteSpectralTriple) -> dict:
     def enc(x):
         return None if x is None else matrix_to_json(x)
@@ -453,7 +417,7 @@ def triple_to_json(t: FiniteSpectralTriple) -> dict:
 def triple_from_json(data) -> FiniteSpectralTriple:
     if not isinstance(data, dict) or "blocks" not in data or "D" not in data:
         raise InputError("triple: expected an object with 'blocks' and 'D'")
-    blocks = BlockStructure(tuple(data["blocks"]))
+    blocks = blocks_from_json(data["blocks"])
 
     def dec(key):
         value = data.get(key)

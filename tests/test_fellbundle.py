@@ -9,6 +9,7 @@ from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
                  check_fell_axioms, check_saturated, check_unital,
                  full_morita_bundle, hermitian_spectrum, linking_algebra,
                  operator_norm, semidirect_bundle)
+from ncg.sptriple import _unit_stack
 
 
 def unit(rows, cols, r, c):
@@ -38,6 +39,21 @@ class TestBlockStructure:
         blocks = BlockStructure((1, 2))
         assert sum(1 for _ in blocks.algebra_basis()) == 5
         assert blocks.algebra_dim() == 5
+
+    def test_unit_order_is_block_by_block_row_major(self):
+        # Witnesses print "algebra unit {k}" in this order; the loop below
+        # is the reference for unit_indices and both ways to build the units.
+        blocks = BlockStructure((2, 1, 3))
+        want = [(off + r, off + c) for off, s in ((0, 2), (2, 1), (3, 3))
+                for r in range(s) for c in range(s)]
+        rows, cols = blocks.unit_indices()
+        assert list(zip(rows.tolist(), cols.tolist())) == want
+        reference = np.zeros((len(want), 6, 6), dtype=complex)
+        for k, (r, c) in enumerate(want):
+            reference[k, r, c] = 1.0
+        np.testing.assert_array_equal(np.stack(list(blocks.algebra_basis())),
+                                      reference)
+        np.testing.assert_array_equal(_unit_stack(blocks), reference)
 
 
 class TestFullMoritaBundle:
@@ -176,7 +192,7 @@ class TestSemidirectBundle:
         # first component through the second arrow's transport.
         blocks = BlockStructure((2, 2))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        field = UnitaryField.from_generators(blocks, {(1, 2): x})
+        field = UnitaryField(blocks, {(1, 2): x})
         sd = semidirect_bundle(blocks, field)
         rng = np.random.default_rng(43)
         a, b = crandn(rng, 2, 2), crandn(rng, 2, 2)
@@ -188,7 +204,7 @@ class TestSemidirectBundle:
         blocks = BlockStructure((2, 2))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         sd = semidirect_bundle(
-            blocks, UnitaryField.from_generators(blocks, {(1, 2): x}))
+            blocks, UnitaryField(blocks, {(1, 2): x}))
         rng = np.random.default_rng(47)
         for _ in range(50):
             g = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
@@ -202,7 +218,7 @@ class TestSemidirectBundle:
         blocks = BlockStructure((3, 3))
         u = random_unitary(rng, 3)
         sd = semidirect_bundle(
-            blocks, UnitaryField.from_generators(blocks, {(1, 2): u}))
+            blocks, UnitaryField(blocks, {(1, 2): u}))
         for _ in range(20):
             g = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
             h = (g[1], int(rng.integers(1, 3)))
@@ -224,14 +240,14 @@ class TestSemidirectBundle:
         gens = {(1, 2): random_unitary(rng, 2), (2, 3): random_unitary(rng, 2),
                 (1, 3): random_unitary(rng, 2)}
         with pytest.raises(InputError, match="multiplicative"):
-            semidirect_bundle(blocks, UnitaryField.from_generators(blocks, gens))
+            semidirect_bundle(blocks, UnitaryField(blocks, gens))
 
     def test_cocycle_field_accepted_on_three_objects(self):
         blocks = BlockStructure((2, 2, 2))
         rng = np.random.default_rng(61)
         u12, u23 = random_unitary(rng, 2), random_unitary(rng, 2)
         gens = {(1, 2): u12, (2, 3): u23, (1, 3): u12 @ u23}
-        sd = semidirect_bundle(blocks, UnitaryField.from_generators(blocks, gens))
+        sd = semidirect_bundle(blocks, UnitaryField(blocks, gens))
         assert check_bundle(sd.bundle).all_passed
 
 

@@ -5,7 +5,7 @@ from conftest import crandn, random_unitary
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
                  Tolerance, hermitian_spectrum, is_partial_isometry,
-                 operator_norm, span_residual)
+                 operator_norm)
 from ncg.matops import matrix_from_json, matrix_to_json
 
 
@@ -104,12 +104,12 @@ class TestHermitianSpectrum:
 class TestSpanResidual:
     def test_member_is_zero(self):
         basis = SubspaceBasis(2, 2, [unit(2, 0, 0), unit(2, 1, 1)])
-        assert span_residual(unit(2, 0, 0), basis) <= 1e-14
+        assert basis.residual(unit(2, 0, 0)) <= 1e-14
 
     def test_orthogonal_keeps_norm(self):
         basis = SubspaceBasis(2, 2, [unit(2, 0, 0), unit(2, 1, 1)])
         x = 3.0 * unit(2, 0, 1)
-        assert span_residual(x, basis) == pytest.approx(3.0, abs=1e-12)
+        assert basis.residual(x) == pytest.approx(3.0, abs=1e-12)
 
     def test_off_diagonal_unit_against_diagonal_span(self):
         # Independent oracle: Gram-Schmidt projection by hand.
@@ -122,7 +122,7 @@ class TestSpanResidual:
         expected = float(np.linalg.norm(residual))
         assert expected == pytest.approx(1.0, abs=1e-14)
         basis = SubspaceBasis(2, 2, basis_mats)
-        assert span_residual(x, basis) == pytest.approx(expected, abs=1e-12)
+        assert basis.residual(x) == pytest.approx(expected, abs=1e-12)
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(23)
@@ -134,7 +134,7 @@ class TestSpanResidual:
     def test_shape_mismatch(self):
         basis = SubspaceBasis(2, 2, [unit(2, 0, 0)])
         with pytest.raises(ShapeError):
-            span_residual(np.eye(3), basis)
+            basis.residual(np.eye(3))
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(InputError):
@@ -143,7 +143,7 @@ class TestSpanResidual:
     def test_empty_basis(self):
         basis = SubspaceBasis(2, 2, [])
         assert basis.dim == 0
-        assert span_residual(np.eye(2), basis) == pytest.approx(np.sqrt(2))
+        assert basis.residual(np.eye(2)) == pytest.approx(np.sqrt(2))
 
 
 class TestTolerance:
@@ -156,6 +156,13 @@ class TestTolerance:
         with pytest.raises(InputError):
             Tolerance(rel=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"rel": float("nan")},
+                                        {"abs": float("nan")},
+                                        {"rel": float("inf")}])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(InputError, match="finite"):
+            Tolerance(**kwargs)
+
 
 class TestJsonCodec:
     def test_round_trip(self):
@@ -163,6 +170,10 @@ class TestJsonCodec:
         m = crandn(rng, 3, 2)
         decoded = matrix_from_json(matrix_to_json(m))
         np.testing.assert_array_equal(decoded, m)
+
+    def test_bool_entry_rejected(self):
+        with pytest.raises(InputError, match=r"\(0,0\)"):
+            matrix_from_json([[[True, 0.0]]])
 
     def test_ragged_rejected(self):
         with pytest.raises(InputError, match="row 1"):

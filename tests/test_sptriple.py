@@ -3,12 +3,12 @@ import pytest
 
 from conftest import crandn, random_partial_isometry
 
-from ncg import (BlockStructure, ConsistencyError, FiniteSpectralTriple,
-                 InputError, StructureError, build_triple_from_mass_matrix,
-                 check_even_axioms, check_geodesic_equation, check_poincare,
-                 check_real_axioms, check_so_real, extract_mass_matrix,
-                 is_partial_isometry, standard_operators, triple_from_json,
-                 triple_to_json)
+from ncg import (DEFAULT_TOL, BlockStructure, ConsistencyError,
+                 FiniteSpectralTriple, InputError, StructureError,
+                 build_triple_from_mass_matrix, check_even_axioms,
+                 check_poincare, check_real_axioms, check_so_real,
+                 extract_mass_matrix, is_partial_isometry, standard_operators,
+                 triple_from_json, triple_to_json)
 
 
 def blocks4(l):
@@ -204,12 +204,15 @@ class TestExtractMassMatrix:
 
 
 class TestGeodesicEquation:
+    """The equation of motion ``M (M*M - I) = 0`` of a coupling matrix,
+    decided by :func:`is_partial_isometry`."""
+
     def test_projection_satisfies(self):
-        assert check_geodesic_equation(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert is_partial_isometry(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_scaled_scalar_fails(self):
         m = np.array([[2.0]])
-        assert not check_geodesic_equation(m)
+        assert not is_partial_isometry(m)
         # raw residual is |2 (4 - 1)| = 6
         assert abs(np.linalg.norm(m @ (m.conj().T @ m - np.eye(1))) - 6.0) \
             < 1e-12
@@ -222,8 +225,8 @@ class TestGeodesicEquation:
             a = crandn(rng, rows, cols)
             u, _, vh = np.linalg.svd(a, full_matrices=False)
             factor = u @ vh
-            assert check_geodesic_equation(factor)
-            assert not check_geodesic_equation(1.1 * factor)
+            assert is_partial_isometry(factor)
+            assert not is_partial_isometry(1.1 * factor)
 
     def test_agrees_with_partial_isometry_predicate(self):
         rng = np.random.default_rng(19)
@@ -237,7 +240,11 @@ class TestGeodesicEquation:
                 m = random_partial_isometry(rng, rows, cols)
             else:
                 m = 1.3 * random_partial_isometry(rng, rows, cols)
-            assert check_geodesic_equation(m) == is_partial_isometry(m)
+            # Oracle: the equation-of-motion residual M (M*M - I), on the
+            # scale max(1, ‖M‖_F)³ that is_partial_isometry uses.
+            residual = np.linalg.norm(m @ (m.conj().T @ m - np.eye(cols)))
+            bound = DEFAULT_TOL.bound(max(1.0, np.linalg.norm(m)) ** 3)
+            assert is_partial_isometry(m) == (residual <= bound)
 
 
 class TestMassFormClosure:
