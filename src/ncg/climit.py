@@ -188,7 +188,8 @@ def convergence_report(profile: Profile, ns: Sequence[int],
     profile the conjugated operator ``U D U*`` is compared against
     ``-i f' - θ' f``.  The reported order between consecutive sizes is
     the log-ratio of the primary error (conjugated when a phase is
-    given, flat otherwise).
+    given, flat otherwise).  A profile whose samples, derivatives, errors
+    or orders overflow to ``inf``/``nan`` is refused as an input error.
     """
     ns = [int(n) for n in ns]
     if not ns:
@@ -218,6 +219,13 @@ def convergence_report(profile: Profile, ns: Sequence[int],
         order = None
         if previous is not None and previous > 0 and primary > 0:
             order = math.log(previous / primary) / math.log(n / previous_n)
+        if not all(np.all(np.isfinite(v)) for v in
+                   (f, target_flat, flat_error, fluct_error, order)
+                   if v is not None):
+            phase = f", phase {theta.label()}" if theta is not None else ""
+            raise InputError(f"profile {profile.label()}{phase} gives "
+                             f"non-finite values at n={n}; a parameter "
+                             f"is too large")
         points.append(ConvergencePoint(n, flat_error, fluct_error, order))
         previous, previous_n = primary, n
     return ConvergenceReport(profile, theta, tuple(points))

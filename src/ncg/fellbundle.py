@@ -2,9 +2,13 @@
 
 A bundle assigns to every arrow ``(i, j)`` a linear subspace of
 ``n_i x n_j`` matrices (the fibre), stored as an explicit basis.  The ten
-Fell axioms, saturation and unitality are decidable at this scale and are
-verified numerically; axioms that are theorems for matrix spaces are still
-spot-checked so that shape and encoding bugs cannot hide behind "analytic".
+Fell axioms, saturation and unitality are decidable at this scale.  The
+report entry points, :func:`check_fell_axioms` and :func:`check_bundle`,
+stay exhaustive on every bundle and report every residual.  The pass/refuse
+gates of the conversions (``category_from_bundle``,
+``fell_bundle_triple``) accept a bundle that :attr:`FellBundleFD.is_full`
+by theorem: a fibre of dimension ``n_i n_j`` is the whole matrix space, so
+the bundle's sectional algebra is ``M_n(C)``.
 """
 
 from __future__ import annotations
@@ -167,6 +171,13 @@ class FellBundleFD:
 
     def arrows(self) -> list[Arrow]:
         return sorted(self.fibres)
+
+    @property
+    def is_full(self) -> bool:
+        """Every fibre has dimension ``n_i n_j``.  Bases are independent
+        by construction, so each fibre is then the whole matrix space and
+        the Fell axioms, saturation and unitality hold by theorem."""
+        return all(f.dim == f.rows * f.cols for f in self.fibres.values())
 
     def __repr__(self):
         dims = {g: f.dim for g, f in sorted(self.fibres.items())}

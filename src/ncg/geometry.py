@@ -94,7 +94,8 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
 
     The path-lifting operator must be a normaliser of the diagonal
     algebra whose block support is a full permutation (a global
-    bisection); the bundle must be saturated and unital.
+    bisection); the bundle must be saturated and unital, which a full
+    bundle (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) is by theorem.
     """
     n = bundle.blocks.total
     pl = as_matrix(pl, "path-lifting operator", (n, n))
@@ -106,11 +107,12 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
         raise InputError(
             f"path-lifting support {classification.support_map()} is not a "
             f"global bisection")
-    for check in (check_saturated(bundle, tol), check_unital(bundle, tol)):
-        if not check.passed:
-            raise AxiomRefusalError(
-                f"bundle fails {check.axiom_id}: {check.witness}",
-                AxiomReport((check,)))
+    if not bundle.is_full:
+        for check in (check_saturated(bundle, tol), check_unital(bundle, tol)):
+            if not check.passed:
+                raise AxiomRefusalError(
+                    f"bundle fails {check.axiom_id}: {check.witness}",
+                    AxiomReport((check,)))
     return FellBundleTriple(bundle, n, pl)
 
 

@@ -154,6 +154,94 @@ def test_malformed_input_is_exit_two_without_traceback(case, tmp_path,
     assert capsys.readouterr().out.startswith("input error:")
 
 
+def test_missing_sigma_key_is_exit_two(tmp_path, capsys):
+    cat = _category_json()
+    blocks = {k: v for k, v in cat["sigma"]["blocks"].items() if k != "4"}
+    path = write(tmp_path / "no_key_4.json",
+                 {**cat, "sigma": {**cat["sigma"], "blocks": blocks}})
+    assert run(["to-fell", path, "-o", str(tmp_path / "o.json")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("input error:") and "[4]" in out
+
+
+ONE = [[[1.0, 0.0]]]
+
+
+def _unit2(r, c):
+    m = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    m[r][c] = [1.0, 0.0]
+    return m
+
+
+# Categories whose homsets are not full, so the conversions run the
+# exhaustive battery; the expected lines are the refusal reports.
+REFUSED_CATEGORIES = {
+    "no_22": ({"blocks": [1, 1],
+               "homsets": {"1,1": [ONE], "1,2": [ONE], "2,1": [ONE]},
+               "sigma": {"perm": [2, 1], "blocks": {"1": ONE, "2": ONE}}},
+              ["check failed: bundle fails fell.axiom.2, fell.unital; "
+               "not a C*-category",
+               "  FAIL  fell.axiom.2                            "
+               "residual 1.000e+00",
+               "  FAIL  fell.unital                             "
+               "residual 1.000e+00"]),
+    "corner": ({"blocks": [2], "homsets": {"1,1": [_unit2(0, 0)]},
+                "sigma": {"perm": [1], "blocks": {"1": _unit2(0, 0)}}},
+               ["check failed: bundle fails fell.unital; not a C*-category",
+                "  FAIL  fell.unital                             "
+                "residual 7.071e-01"]),
+    "diagonal": ({"blocks": [1, 1], "homsets": {"1,1": [ONE], "2,2": [ONE]},
+                  "sigma": {"perm": [1, 2], "blocks": {"1": ONE, "2": ONE}}},
+                 ["check failed: bundle fails fell.saturated: products of "
+                  "(1, 2) x (2, 1) span 0 of the 1 dimensions of fibre "
+                  "(1, 1)",
+                  "  FAIL  fell.saturated                          "
+                  "residual 1.000e+00"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CATEGORIES))
+def test_to_fell_refuses_non_full_category(case, tmp_path, capsys):
+    body, lines = REFUSED_CATEGORIES[case]
+    path = write(tmp_path / f"{case}.json", body)
+    out_path = tmp_path / "o.json"
+    assert run(["to-fell", path, "-o", str(out_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+    assert not out_path.exists()
+
+
+def test_categorify_output_bytes(tmp_path, capsys):
+    m = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    t = build_triple_from_mass_matrix(m)
+    path = write(tmp_path / "t.json", triple_to_json(t))
+
+    def enc(mat):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+    def units(rows, cols):
+        out = []
+        for r in range(rows):
+            for c in range(cols):
+                u = np.zeros((rows, cols), dtype=complex)
+                u[r, c] = 1.0
+                out.append(enc(u))
+        return out
+
+    perm = [2, 1, 4, 3]
+    sl = [slice(2 * k, 2 * k + 2) for k in range(4)]
+    expected = {
+        "blocks": [2, 2, 2, 2],
+        "homsets": {f"{i},{j}": units(2, 2)
+                    for i in range(1, 5) for j in range(1, 5)},
+        "sigma": {"perm": perm,
+                  "blocks": {str(j): enc(t.D[sl[perm[j - 1] - 1], sl[j - 1]])
+                             for j in range(1, 5)}}}
+    out = tmp_path / "cat.json"
+    assert run(["categorify", path, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == (
+        json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+
 class TestCheckBundle:
     def test_full_bundle_passes(self, tmp_path, capsys):
         path = write(tmp_path / "bundle.json",
@@ -255,6 +343,27 @@ class TestLimit:
     def test_nan_profile_parameter_is_exit_two(self, capsys):
         assert run(["limit", "--ns", "16,32", "--profile", "sine:nan"]) == 2
         assert capsys.readouterr().out.startswith("input error:")
+
+    @pytest.mark.parametrize("profile", ["sine:1e308", "plane_wave:1e308",
+                                         "constant:1e308"])
+    def test_overflowing_profile_is_exit_two(self, profile, capsys):
+        assert run(["limit", "--ns", "8,16", "--profile", profile,
+                    "--format", "json"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("input error: profile ")
+        assert "n=8" in out
+
+    def test_overflowing_phase_is_exit_two(self, capsys):
+        assert run(["limit", "--ns", "8,16", "--profile", "sine:1",
+                    "--theta", "sine:1e308"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("input error:") and "phase sine:1e+308" in out
+
+    def test_huge_finite_profile_is_accepted(self, capsys):
+        assert run(["limit", "--ns", "8,16", "--profile", "sine:1e307",
+                    "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[0]["flat_error"] == pytest.approx(2e307 * np.pi)
 
 
 class TestGrammar:
