@@ -206,15 +206,17 @@ def convergence_report(profile: Profile, ns: Sequence[int],
     for n in ns:
         cfg = LatticeConfig(n)
         dirac = flat_lattice_dirac(cfg)
-        f = profile.sample(cfg)
-        target_flat = -1j * profile.derivative(cfg)
-        flat_error = float(np.max(np.abs(dirac @ f - target_flat)))
-        fluct_error = None
-        if theta is not None:
-            u = gauge_unitary(theta, cfg)
-            conjugated = u @ dirac @ u.conj().T
-            target = target_flat - theta.derivative(cfg) * f
-            fluct_error = float(np.max(np.abs(conjugated @ f - target)))
+        # Overflow is reported below as an input error, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = profile.sample(cfg)
+            target_flat = -1j * profile.derivative(cfg)
+            flat_error = float(np.max(np.abs(dirac @ f - target_flat)))
+            fluct_error = None
+            if theta is not None:
+                u = gauge_unitary(theta, cfg)
+                conjugated = u @ dirac @ u.conj().T
+                target = target_flat - theta.derivative(cfg) * f
+                fluct_error = float(np.max(np.abs(conjugated @ f - target)))
         primary = fluct_error if theta is not None else flat_error
         order = None
         if previous is not None and previous > 0 and primary > 0:

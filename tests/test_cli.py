@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -347,17 +348,24 @@ class TestLimit:
     @pytest.mark.parametrize("profile", ["sine:1e308", "plane_wave:1e308",
                                          "constant:1e308"])
     def test_overflowing_profile_is_exit_two(self, profile, capsys):
-        assert run(["limit", "--ns", "8,16", "--profile", profile,
-                    "--format", "json"]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("input error: profile ")
-        assert "n=8" in out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["limit", "--ns", "8,16", "--profile", profile,
+                        "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("input error: profile ")
+        assert "n=8" in captured.out
+        assert captured.err == "" and caught == []
 
     def test_overflowing_phase_is_exit_two(self, capsys):
-        assert run(["limit", "--ns", "8,16", "--profile", "sine:1",
-                    "--theta", "sine:1e308"]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("input error:") and "phase sine:1e+308" in out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["limit", "--ns", "8,16", "--profile", "sine:1",
+                        "--theta", "sine:1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("input error:")
+        assert "phase sine:1e+308" in captured.out
+        assert captured.err == "" and caught == []
 
     def test_huge_finite_profile_is_accepted(self, capsys):
         assert run(["limit", "--ns", "8,16", "--profile", "sine:1e307",
