@@ -132,18 +132,15 @@ def flat_lattice_dirac(cfg: LatticeConfig) -> np.ndarray:
     waves are exact eigenvectors with eigenvalue
     ``sin(2π k / n) · n``.
     """
-    n = cfg.n
-    shift = np.zeros((n, n))
-    for k in range(n):
-        shift[k, (k + 1) % n] = 1.0
-    return -1j * (shift - shift.T) * (n / 2.0)
+    shift = cyclic_shift(cfg)
+    return -1j * (shift - shift.T) * (cfg.n / 2.0)
 
 
 def cyclic_shift(cfg: LatticeConfig) -> np.ndarray:
-    n = cfg.n
-    shift = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        shift[k, (k + 1) % n] = 1.0
+    """``S`` with ``S[k, k+1 mod n] = 1``."""
+    k = np.arange(cfg.n)
+    shift = np.zeros((cfg.n, cfg.n))
+    shift[k, (k + 1) % cfg.n] = 1.0
     return shift
 
 

@@ -121,14 +121,9 @@ class BlockStructure:
         return sum(s * s for s in self.sizes)
 
 
-def _matrix_units(rows: int, cols: int) -> list[np.ndarray]:
-    units = []
-    for r in range(rows):
-        for c in range(cols):
-            unit = np.zeros((rows, cols), dtype=complex)
-            unit[r, c] = 1.0
-            units.append(unit)
-    return units
+def _matrix_units(rows: int, cols: int) -> np.ndarray:
+    """``(rows*cols, rows, cols)`` stack of matrix units, row-major."""
+    return np.eye(rows * cols, dtype=complex).reshape(-1, rows, cols)
 
 
 class FellBundleFD:
@@ -533,15 +528,12 @@ def semidirect_bundle(blocks: BlockStructure, field: UnitaryField,
                         f"(residual {defect:.3e}); the record and matrix "
                         f"presentations would disagree")
 
-    fibres = {}
-    for g in blocks.groupoid().arrows():
-        u = field.unitary_for(g)
-        fibres[g] = SubspaceBasis(size, size,
-                                  [u @ unit for unit in _matrix_units(size, size)])
+    units = _matrix_units(size, size)
+    fibres = {g: SubspaceBasis(size, size, field.unitary_for(g) @ units)
+              for g in blocks.groupoid().arrows()}
     sd = SemidirectBundle(blocks, field, FellBundleFD(blocks, fibres))
 
     # Cross-check: record products must embed to matrix products.
-    units = _matrix_units(size, size)
     for g, h in _composable_arrow_pairs(blocks.p):
         for a in units[:2]:
             for c in units[:2]:

@@ -206,11 +206,17 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 # JSON numbers decode to exactly these types; ``bool`` is excluded.
 _REAL = (int, float)
+# Largest accepted real or imaginary part.  The highest power of an entry
+# any battery forms is the sixth: the associativity row takes the
+# Frobenius norm of products of three Fell fibre elements.  1e48**6 = 1e288
+# leaves room below the float64 overflow for desk-scale sums and sizes.
+_ENTRY_BOUND = 1e48
 
 
 def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
     """Decode the ``[re, im]`` row encoding, with location diagnostics;
-    ``shape`` is checked as in :func:`as_matrix`."""
+    a part larger than ``1e48`` in magnitude is refused, and ``shape`` is
+    checked as in :func:`as_matrix`."""
     if not isinstance(data, list) or not data:
         raise InputError(f"{label}: expected a nonempty array of rows")
     ncols = None
@@ -232,6 +238,9 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
                 raise InputError(
                     f"{label}: entry ({r},{c}) is not an [re, im] pair"
                 )
+            if abs(cell[0]) > _ENTRY_BOUND or abs(cell[1]) > _ENTRY_BOUND:
+                raise InputError(f"{label}: entry ({r},{c}) exceeds the "
+                                 f"magnitude bound {_ENTRY_BOUND:g}")
             out.append(complex(cell[0], cell[1]))
         rows.append(out)
     return as_matrix(rows, label, shape)

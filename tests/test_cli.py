@@ -165,6 +165,82 @@ def test_missing_sigma_key_is_exit_two(tmp_path, capsys):
     assert out.startswith("input error:") and "[4]" in out
 
 
+def _enc(m):
+    return [[[float(z.real), float(z.imag)] for z in row]
+            for row in np.asarray(m, dtype=complex)]
+
+
+def test_singular_k_fails_real_battery(tmp_path, capsys):
+    # J = K ∘ conj has no inverse, so J b J⁻¹ and the commutant
+    # diagnostics built from it are undefined.
+    path = write(tmp_path / "singular_k.json", {
+        "blocks": [1, 1], "D": _enc([[0, 1], [1, 0]]),
+        "gamma": _enc(np.diag([1, -1])), "K": _enc(np.diag([1, 0]))})
+    assert run(["check", "triple", path, "--format", "json"]) == 1
+    rows = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert rows["triple.real.antiunitary"]["status"] == "fail"
+    opposite = rows["triple.real.opposite_algebra"]
+    assert opposite["status"] == "fail"
+    assert "K is not invertible" in opposite["witness"]
+    for axiom_id in ("triple.real.zeroth_order_commutant",
+                     "triple.real.first_order_commutant"):
+        assert rows[axiom_id]["status"] == "info"
+        assert rows[axiom_id]["witness"].startswith("not applicable")
+    assert "triple.poincare" in rows
+
+    assert run(["categorify", path, "-o", str(tmp_path / "o.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("check failed: triple fails ")
+    assert {"triple.real.antiunitary",
+            "triple.real.opposite_algebra"} <= set(_failing_ids(out))
+
+
+def _entry_cases(big):
+    """A four-sector triple and a two-object bundle whose largest entry is
+    ``big``."""
+    t = build_triple_from_mass_matrix(np.array([[big, 1.0], [0.5, big]]))
+    bundle = {"blocks": [1, 1],
+              "fibres": {f"{i},{j}": [[[[big, 0.0]]]]
+                         for i in (1, 2) for j in (1, 2)}}
+    return triple_to_json(t), bundle
+
+
+@pytest.mark.parametrize("command", ["check-triple", "categorify",
+                                     "check-bundle", "integer-entry"])
+def test_overflowing_entry_is_exit_two(command, tmp_path, capsys):
+    triple, bundle = _entry_cases(1e160)
+    if command == "integer-entry":
+        triple["D"][0][2] = [10 ** 400, 0]
+    path = write(tmp_path / "big.json",
+                 bundle if command == "check-bundle" else triple)
+    argv = {"categorify": ["categorify", path, "-o", str(tmp_path / "o.json")],
+            "check-bundle": ["check", "bundle", path]}.get(
+        command, ["check", "triple", path])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    where = ("fibre 1,1[0]: entry (0,0)" if command == "check-bundle"
+             else "D: entry (0,2)")
+    assert captured.out == (f"input error: {where} exceeds the magnitude "
+                            f"bound 1e+48\n")
+    assert captured.err == "" and caught == []
+
+
+def test_entry_just_below_the_bound_is_accepted(tmp_path, capsys):
+    triple, bundle = _entry_cases(0.99e48)
+    tpath = write(tmp_path / "triple.json", triple)
+    bpath = write(tmp_path / "bundle.json", bundle)
+    cat = str(tmp_path / "cat.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["check", "triple", tpath]) == 0
+        assert run(["categorify", tpath, "-o", cat]) == 0
+        assert run(["to-fell", cat, "-o", str(tmp_path / "fell.json")]) == 0
+        assert run(["check", "bundle", bpath]) == 0
+    assert capsys.readouterr().err == "" and caught == []
+
+
 ONE = [[[1.0, 0.0]]]
 
 

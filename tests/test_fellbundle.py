@@ -9,7 +9,6 @@ from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
                  check_fell_axioms, check_saturated, check_unital,
                  full_morita_bundle, hermitian_spectrum, linking_algebra,
                  operator_norm, semidirect_bundle)
-from ncg.sptriple import _unit_stack
 
 
 def unit(rows, cols, r, c):
@@ -53,7 +52,6 @@ class TestBlockStructure:
             reference[k, r, c] = 1.0
         np.testing.assert_array_equal(np.stack(list(blocks.algebra_basis())),
                                       reference)
-        np.testing.assert_array_equal(_unit_stack(blocks), reference)
 
 
 class TestFullMoritaBundle:
