@@ -6,6 +6,12 @@ parameter, difference quotients along the shift bisection converge to
 derivatives, and conjugating by a diagonal phase produces the expected
 connection term.  The circle is used as a boundary-free stage so the shift
 is exactly unitary and plane waves are exact eigenvectors.
+
+The sweeps (:func:`convergence_report`, :func:`gauge_covariance_check`)
+are matrix-free: they apply the three-point stencil with ``np.roll`` and
+the phase as a vector, in O(n) time and memory.  Only the public
+constructors :func:`flat_lattice_dirac`, :func:`cyclic_shift` and
+:func:`gauge_unitary` build explicit ``n x n`` matrices.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ import numpy as np
 from .errors import InputError
 
 PROFILE_KINDS = ("constant", "sine", "plane_wave", "tabulated")
+# Largest lattice a convergence sweep accepts.  A sweep's peak is about
+# eight length-n complex vectors, so 2^20 sites stay near 130 MB.
+MAX_SITES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -125,32 +134,52 @@ def parse_profile(text: str) -> Profile:
 
 def flat_lattice_dirac(cfg: LatticeConfig) -> np.ndarray:
     """The symmetric-difference transport operator
-    ``D = -i (S - S*) / (2 hbar)`` for the cyclic shift ``S``.
+    ``D = -i (S - S*) / (2 hbar)`` for the cyclic shift ``S``, as an
+    explicit ``n x n`` matrix.
 
     Exactly Hermitian; ``S`` itself is a unitary normaliser of the
     diagonal algebra with the ``n``-cycle as block support, and plane
     waves are exact eigenvectors with eigenvalue
-    ``sin(2π k / n) · n``.
+    ``sin(2π k / n) · n``.  The sweeps apply the same operator without
+    building it (:func:`_apply_flat_dirac`).
     """
     shift = cyclic_shift(cfg)
     return -1j * (shift - shift.T) * (cfg.n / 2.0)
 
 
 def cyclic_shift(cfg: LatticeConfig) -> np.ndarray:
-    """``S`` with ``S[k, k+1 mod n] = 1``."""
+    """``S`` with ``S[k, k+1 mod n] = 1``, as an explicit matrix."""
     k = np.arange(cfg.n)
     shift = np.zeros((cfg.n, cfg.n))
     shift[k, (k + 1) % cfg.n] = 1.0
     return shift
 
 
-def gauge_unitary(theta: Profile, cfg: LatticeConfig) -> np.ndarray:
-    """Diagonal phase ``U = diag(exp(i θ(x_k)))``; commutes with the
-    diagonal algebra.  The phase profile must be real-valued."""
+def _apply_flat_dirac(f: np.ndarray) -> np.ndarray:
+    """``D f`` for :func:`flat_lattice_dirac` on ``len(f)`` sites, in O(n):
+    ``(D f)_k = c f_{k+1} - c f_{k-1}`` with ``c = -i n / 2``.
+
+    Each entry is row ``k`` of the matrix times ``f`` with its exact zeros
+    dropped: two products, one rounded sum.  (A BLAS ``D @ f`` may fuse a
+    multiply into the sum and differ from this by rounding.)
+    """
+    c = -1j * (f.shape[0] / 2.0)
+    return c * np.roll(f, -1) + (-c) * np.roll(f, 1)
+
+
+def _gauge_phase(theta: Profile, cfg: LatticeConfig) -> np.ndarray:
+    """The diagonal of :func:`gauge_unitary`, ``exp(i θ(x_k))``.  The phase
+    profile must be real-valued."""
     values = theta.sample(cfg)
     if np.any(values.imag != 0.0):
         raise InputError("gauge phase must be real-valued")
-    return np.diag(np.exp(1j * values.real))
+    return np.exp(1j * values.real)
+
+
+def gauge_unitary(theta: Profile, cfg: LatticeConfig) -> np.ndarray:
+    """Diagonal phase ``U = diag(exp(i θ(x_k)))`` as an explicit matrix;
+    commutes with the diagonal algebra."""
+    return np.diag(_gauge_phase(theta, cfg))
 
 
 @dataclass(frozen=True)
@@ -186,13 +215,21 @@ def convergence_report(profile: Profile, ns: Sequence[int],
     ``-i f' - θ' f``.  The reported order between consecutive sizes is
     the log-ratio of the primary error (conjugated when a phase is
     given, flat otherwise).  A profile whose samples, derivatives, errors
-    or orders overflow to ``inf``/``nan`` is refused as an input error.
+    or orders overflow to ``inf``/``nan`` is refused as an input error,
+    as is a size above :data:`MAX_SITES`.
+
+    No matrix is built: ``D`` is the stencil of :func:`_apply_flat_dirac`
+    and ``(U D U*) f = u · D(ū · f)`` for the phase vector ``u``, so each
+    size costs O(n) time and memory.
     """
     ns = [int(n) for n in ns]
     if not ns:
         raise InputError("no lattice sizes given")
     if any(n < 8 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise InputError("lattice sizes must be strictly increasing and >= 8")
+    if ns[-1] > MAX_SITES:
+        raise InputError(f"lattice size {ns[-1]} exceeds the limit of "
+                         f"{MAX_SITES} (2^20) sites")
     if not profile.has_derivative or (theta is not None
                                       and not theta.has_derivative):
         raise InputError("convergence mode needs analytic derivatives; "
@@ -202,18 +239,18 @@ def convergence_report(profile: Profile, ns: Sequence[int],
     previous_n: Optional[int] = None
     for n in ns:
         cfg = LatticeConfig(n)
-        dirac = flat_lattice_dirac(cfg)
         # Overflow is reported below as an input error, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             f = profile.sample(cfg)
             target_flat = -1j * profile.derivative(cfg)
-            flat_error = float(np.max(np.abs(dirac @ f - target_flat)))
+            flat_error = float(np.max(np.abs(_apply_flat_dirac(f)
+                                             - target_flat)))
             fluct_error = None
             if theta is not None:
-                u = gauge_unitary(theta, cfg)
-                conjugated = u @ dirac @ u.conj().T
+                u = _gauge_phase(theta, cfg)
+                conjugated = u * _apply_flat_dirac(u.conj() * f)
                 target = target_flat - theta.derivative(cfg) * f
-                fluct_error = float(np.max(np.abs(conjugated @ f - target)))
+                fluct_error = float(np.max(np.abs(conjugated - target)))
         primary = fluct_error if theta is not None else flat_error
         order = None
         if previous is not None and previous > 0 and primary > 0:
@@ -234,12 +271,12 @@ def gauge_covariance_check(cfg: LatticeConfig, theta: Profile,
                            f: Profile) -> float:
     """Residual of the exact identity ``(U D U*)(U f) = U (D f)``.
 
-    Algebraically zero for any phase; the returned value is pure rounding
-    and stays below an absolute tolerance independently of ``n``.
+    Algebraically zero for any phase; the returned value is pure rounding,
+    a few ulps of the stencil entries ``(n/2)·f``.  Matrix-free like
+    :func:`convergence_report`: ``U D U* g = u · D(ū · g)``.
     """
-    dirac = flat_lattice_dirac(cfg)
-    u = gauge_unitary(theta, cfg)
+    u = _gauge_phase(theta, cfg)
     fvals = f.sample(cfg)
-    lhs = (u @ dirac @ u.conj().T) @ (u @ fvals)
-    rhs = u @ (dirac @ fvals)
+    lhs = u * _apply_flat_dirac(u.conj() * (u * fvals))
+    rhs = u * _apply_flat_dirac(fvals)
     return float(np.max(np.abs(lhs - rhs)))

@@ -10,6 +10,7 @@ on matrix entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,8 +23,9 @@ from .errors import AxiomRefusalError, InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_to_json, check_saturated, check_unital,
                          fibres_from_json, fibres_to_json, full_morita_bundle)
-from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
-                     matrix_from_json, matrix_to_json, require_unitary)
+from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
+                     frobenius, matrix_from_json, matrix_to_json,
+                     require_unitary)
 from .report import AxiomReport
 from .sptriple import FiniteSpectralTriple, check_triple
 
@@ -219,7 +221,8 @@ def one_form(D, U, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def fluctuation_terms_from_json(data) -> list[FluctuationTerm]:
-    """Decode ``[{"r": real, "U": matrix}, ...]``."""
+    """Decode ``[{"r": real, "U": matrix}, ...]``; like a matrix entry, a
+    coefficient larger than ``1e48`` in magnitude is refused."""
     if not isinstance(data, list):
         raise InputError("fluctuation terms: expected an array")
     terms = []
@@ -229,6 +232,12 @@ def fluctuation_terms_from_json(data) -> list[FluctuationTerm]:
         r = item["r"]
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise InputError(f"term {idx}: coefficient must be real")
+        # ``abs(nan) > bound`` is False, so finiteness is tested too; the
+        # bound comes first because an int beyond float range cannot be
+        # tested for finiteness.
+        if abs(r) > ENTRY_BOUND or not math.isfinite(r):
+            raise InputError(f"term {idx}: coefficient must be finite and "
+                             f"at most {ENTRY_BOUND:g} in magnitude")
         terms.append(FluctuationTerm(
             float(r), matrix_from_json(item["U"], f"term {idx} U")))
     return terms

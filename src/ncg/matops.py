@@ -210,7 +210,7 @@ _REAL = (int, float)
 # any battery forms is the sixth: the associativity row takes the
 # Frobenius norm of products of three Fell fibre elements.  1e48**6 = 1e288
 # leaves room below the float64 overflow for desk-scale sums and sizes.
-_ENTRY_BOUND = 1e48
+ENTRY_BOUND = 1e48
 
 
 def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
@@ -238,9 +238,9 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
                 raise InputError(
                     f"{label}: entry ({r},{c}) is not an [re, im] pair"
                 )
-            if abs(cell[0]) > _ENTRY_BOUND or abs(cell[1]) > _ENTRY_BOUND:
+            if abs(cell[0]) > ENTRY_BOUND or abs(cell[1]) > ENTRY_BOUND:
                 raise InputError(f"{label}: entry ({r},{c}) exceeds the "
-                                 f"magnitude bound {_ENTRY_BOUND:g}")
+                                 f"magnitude bound {ENTRY_BOUND:g}")
             out.append(complex(cell[0], cell[1]))
         rows.append(out)
     return as_matrix(rows, label, shape)

@@ -15,12 +15,20 @@ the battery, so on those this gate must pass every row.
 battery by expanding every matrix unit into a dense ``n x n`` matrix and
 conjugating it by ``J``; the battery computes the same rows in closed
 form from rank-one matrix units.
+
+``dense_convergence_rows`` and ``dense_covariance_residual`` run the
+lattice sweeps on the explicit ``n x n`` matrices of
+``flat_lattice_dirac`` and ``gauge_unitary``; the library applies the
+same operators as an O(n) stencil and a phase vector.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.fellbundle import (BlockStructure, FellBundleFD, check_fell_axioms,
                             check_saturated, check_unital)
 from ncg.matops import DEFAULT_TOL, Tolerance, frobenius
@@ -142,3 +150,53 @@ def bimodule_diagnostics(D: np.ndarray, opposite: np.ndarray,
             (1, D[:, rows].T, c[cols]), (-1, e_r, (D @ c)[cols]),
             (-1, (c @ D)[:, rows].T, e_s), (1, c[:, rows].T, D[cols])).max()))
     return zeroth, first
+
+
+def exact_matvec(m: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``m @ f`` with each row summed elementwise.
+
+    A BLAS matrix-vector product may fuse a multiply into the running
+    sum, so its rounding depends on ``n`` and on the BLAS build: on one
+    OpenBLAS build ``flat_lattice_dirac(cfg) @ f`` of a constant profile
+    is exactly zero at n = 8, 16, 32, 64 but ``~1e-15`` at n = 9 or 31.
+    Here the products are formed first and the exact zeros add nothing,
+    so each entry of ``D f`` is the two-term sum, rounded once.
+    """
+    return (m * f).sum(axis=1)
+
+
+def dense_convergence_rows(profile, ns, theta=None, matvec=np.matmul):
+    """``(n, flat_error, fluct_error, order)`` for each size, as
+    ``convergence_report`` defines them, from the explicit operators
+    (no input validation)."""
+    rows = []
+    previous = previous_n = None
+    for n in ns:
+        cfg = LatticeConfig(n)
+        dirac = flat_lattice_dirac(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = profile.sample(cfg)
+            target_flat = -1j * profile.derivative(cfg)
+            flat = float(np.max(np.abs(matvec(dirac, f) - target_flat)))
+            fluct = None
+            if theta is not None:
+                u = gauge_unitary(theta, cfg)
+                target = target_flat - theta.derivative(cfg) * f
+                fluct = float(np.max(np.abs(
+                    matvec(u @ dirac @ u.conj().T, f) - target)))
+        primary = flat if fluct is None else fluct
+        order = None
+        if previous is not None and previous > 0 and primary > 0:
+            order = math.log(previous / primary) / math.log(n / previous_n)
+        rows.append((n, flat, fluct, order))
+        previous, previous_n = primary, n
+    return rows
+
+
+def dense_covariance_residual(cfg, theta, f) -> float:
+    """``max |(U D U*)(U f) - U (D f)|`` from the explicit matrices."""
+    d = flat_lattice_dirac(cfg)
+    u = gauge_unitary(theta, cfg)
+    fvals = f.sample(cfg)
+    lhs = (u @ d @ u.conj().T) @ (u @ fvals)
+    return float(np.max(np.abs(lhs - u @ (d @ fvals))))

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 import warnings
 
 import numpy as np
@@ -6,9 +8,9 @@ import pytest
 
 from conftest import random_unitary
 
-from ncg import (BlockStructure, FiniteSpectralTriple, bundle_to_json,
-                 build_triple_from_mass_matrix, categorify,
-                 full_morita_bundle, triple_from_json, triple_to_json)
+from ncg import (BlockStructure, FiniteSpectralTriple, Profile,
+                 bundle_to_json, build_triple_from_mass_matrix, categorify,
+                 climit, full_morita_bundle, triple_from_json, triple_to_json)
 from ncg.cli import run
 
 
@@ -244,6 +246,32 @@ def test_entry_just_below_the_bound_is_accepted(tmp_path, capsys):
 ONE = [[[1.0, 0.0]]]
 
 
+@pytest.mark.parametrize("r", [1e308, float("nan"), float("inf"), 10 ** 400])
+def test_overflowing_coefficient_is_exit_two(r, tmp_path, capsys):
+    triple = write(tmp_path / "triple.json", {"blocks": [1], "D": ONE})
+    terms = write(tmp_path / "terms.json", [{"r": r, "U": ONE}] * 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["fluctuate", triple, "--terms", terms,
+                    "-o", str(tmp_path / "o.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ("input error: term 0: coefficient must be finite "
+                            "and at most 1e+48 in magnitude\n")
+    assert captured.err == "" and caught == []
+
+
+def test_coefficient_at_the_bound_is_accepted(tmp_path, capsys):
+    triple = write(tmp_path / "triple.json", {"blocks": [1], "D": ONE})
+    terms = write(tmp_path / "terms.json", [{"r": -1e48, "U": ONE}] * 2)
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["fluctuate", triple, "--terms", terms,
+                    "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "" and caught == []
+    assert json.loads(out.read_text())["D"] == [[[-2e48, 0.0]]]
+
+
 def _unit2(r, c):
     m = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     m[r][c] = [1.0, 0.0]
@@ -448,6 +476,48 @@ class TestLimit:
                     "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows[0]["flat_error"] == pytest.approx(2e307 * np.pi)
+
+    @pytest.mark.parametrize("ns", [f"8,{climit.MAX_SITES + 1}",
+                                    "8,1000000000", "8,16,10000000000000"])
+    def test_oversized_lattice_is_exit_two(self, ns, monkeypatch, capsys):
+        # The refusal must come before anything is allocated: a sweep that
+        # got past it would reach this guard instead of a lattice.
+        def allocating(n):
+            raise AssertionError(f"lattice of {n} sites built")
+        monkeypatch.setattr(climit, "LatticeConfig", allocating)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["limit", "--ns", ns, "--profile", "sine:1"]) == 2
+        captured = capsys.readouterr()
+        largest = ns.split(",")[-1]
+        assert captured.out == (f"input error: lattice size {largest} "
+                                f"exceeds the limit of 1048576 (2^20) "
+                                f"sites\n")
+        assert captured.err == "" and caught == []
+
+    def test_largest_lattice_passes_validation(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def allocating(n):
+            raise Built(n)
+        monkeypatch.setattr(climit, "LatticeConfig", allocating)
+        with pytest.raises(Built):
+            climit.convergence_report(Profile("sine", 1.0),
+                                      [8, climit.MAX_SITES])
+
+    def test_large_lattice_sweep(self, capsys):
+        ns = [2 ** k for k in range(10, 17)]
+        start = time.perf_counter()
+        code = run(["limit", "--ns", ",".join(map(str, ns)), "--profile",
+                    "sine:1", "--theta", "sine:1", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 1.0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["n"] for row in rows] == ns
+        flat = [row["flat_error"] for row in rows]
+        for coarse, fine in zip(flat, flat[1:]):
+            assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.05)
 
 
 class TestGrammar:
