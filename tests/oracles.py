@@ -156,9 +156,10 @@ def exact_matvec(m: np.ndarray, f: np.ndarray) -> np.ndarray:
     """``m @ f`` with each row summed elementwise.
 
     A BLAS matrix-vector product may fuse a multiply into the running
-    sum, so its rounding depends on ``n`` and on the BLAS build: on one
-    OpenBLAS build ``flat_lattice_dirac(cfg) @ f`` of a constant profile
-    is exactly zero at n = 8, 16, 32, 64 but ``~1e-15`` at n = 9 or 31.
+    sum, so its rounding depends on ``n`` and on the BLAS build: with
+    OpenBLAS 0.3.31 on x86_64, ``flat_lattice_dirac(cfg) @ f`` for the
+    constant profile 2.7 is exactly zero at n = 8, 16, 32, 64 but
+    4.4e-16 at n = 9 and 1.3e-15 at n = 31.
     Here the products are formed first and the exact zeros add nothing,
     so each entry of ``D f`` is the two-term sum, rounded once.
     """
