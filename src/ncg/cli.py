@@ -2,8 +2,9 @@
 apply fluctuations, and run the lattice convergence lab.
 
 Exit codes: 0 when every check passes, 1 when a check fails (the report
-is still emitted), 2 on parse or shape errors.  Reports are byte-stable
-across runs on identical inputs.
+is still emitted), 2 on parse or shape errors and on input files that
+cannot be read or decoded or output paths that cannot be written.
+Reports are byte-stable across runs on identical inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .geometry import (categorify, fell_triple_from_category, fluctuate,
                        fluctuation_terms_from_json,
                        spectral_category_from_json)
 from .climit import convergence_report, parse_profile
-from .matops import DEFAULT_TOL, Tolerance
+from .matops import DEFAULT_TOL, Tolerance, write_json
 from .report import AxiomReport
 from .sptriple import (FiniteSpectralTriple, check_triple, triple_from_json,
                        triple_to_json)
@@ -76,20 +77,36 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {exc.start} is not UTF-8")
+    except RecursionError:
+        raise InputError(f"{path}: arrays or objects nested too deeply")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError:  # an integer literal past the digit limit
+        raise InputError(f"{path}: an integer has too many digits")
 
 
 def _dump_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write_json(obj, fh.write)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}")
+
+
+def _print_json(obj) -> None:
+    parts = []
+    write_json(obj, parts.append)
+    print("".join(parts))
 
 
 def _print_report(title: str, report: AxiomReport, fmt: str) -> None:
     if fmt == "json":
-        payload = {"command": title, **report.to_json()}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json({"command": title, **report.to_json()})
         return
     print(title)
     for c in report.checks:
@@ -150,7 +167,7 @@ def _cmd_limit(args, tol: Tolerance) -> int:
     theta = parse_profile(args.theta) if args.theta else None
     report = convergence_report(profile, ns, theta)
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _print_json(report.to_json())
         return 0
     header = f"{'n':>6}  {'flat_error':>13}  {'fluct_error':>13}  {'order':>8}"
     print(f"limit profile={report.profile.label()} "

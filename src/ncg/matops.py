@@ -5,13 +5,18 @@ treated as immutable; every function here is pure, so everything is safe to
 call concurrently.  The JSON wire format shared by the whole package encodes
 a complex scalar as a two-element array ``[re, im]`` and a matrix as an
 array of rows; :func:`matrix_to_json` / :func:`matrix_from_json` are the
-normative codec.
+normative codec, and :func:`write_json` writes every document that holds
+them, byte for byte as ``json.dumps(obj, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -200,12 +205,14 @@ class SubspaceBasis:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Encode a matrix as rows of ``[re, im]`` pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """Encode a matrix (or a stack of matrices) as rows of ``[re, im]``
+    pairs of Python floats, signed zeros included."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 # JSON numbers decode to exactly these types; ``bool`` is excluded.
-_REAL = (int, float)
+_REAL = frozenset({int, float})
 # Largest accepted real or imaginary part.  The highest power of an entry
 # any battery forms is the sixth: the associativity row takes the
 # Frobenius norm of products of three Fell fibre elements.  1e48**6 = 1e288
@@ -213,14 +220,32 @@ _REAL = (int, float)
 ENTRY_BOUND = 1e48
 
 
-def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
-    """Decode the ``[re, im]`` row encoding, with location diagnostics;
-    a part larger than ``1e48`` in magnitude is refused, and ``shape`` is
-    checked as in :func:`as_matrix`."""
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{label}: expected a nonempty array of rows")
+def _pair_parts(data: list):
+    """The parts of a nonempty rectangular array of ``[re, im]`` pairs as
+    one float array in row-major order, or None when a check of
+    :func:`_refuse_entry` fails; the same checks, made in bulk."""
+    if (not all(map(isinstance, data, repeat(list)))
+            or len(set(map(len, data))) != 1 or not data[0]):
+        return None
+    cells = list(chain.from_iterable(data))
+    if (not all(map(isinstance, cells, repeat((list, tuple))))
+            or set(map(len, cells)) != {2}):
+        return None
+    parts = list(chain.from_iterable(cells))
+    kinds = set(map(type, parts))
+    # Ints are compared exactly: one above the bound can round onto it,
+    # or past the float range.
+    if not kinds <= _REAL or (int in kinds and any(
+            map(partial(operator.lt, ENTRY_BOUND), map(abs, parts)))):
+        return None
+    values = np.array(parts, dtype=float)
+    return None if (np.abs(values) > ENTRY_BOUND).any() else values
+
+
+def _refuse_entry(data: list, label: str):
+    """Raise the :class:`InputError` naming the first row or entry of
+    ``data`` that breaks the codec or the magnitude bound."""
     ncols = None
-    rows = []
     for r, row in enumerate(data):
         if not isinstance(row, list) or not row:
             raise InputError(f"{label}: row {r} is not a nonempty array")
@@ -230,7 +255,6 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
             raise InputError(
                 f"{label}: row {r} has length {len(row)}, expected {ncols}"
             )
-        out = []
         for c, cell in enumerate(row):
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
                     or type(cell[0]) not in _REAL
@@ -241,13 +265,24 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
             if abs(cell[0]) > ENTRY_BOUND or abs(cell[1]) > ENTRY_BOUND:
                 raise InputError(f"{label}: entry ({r},{c}) exceeds the "
                                  f"magnitude bound {ENTRY_BOUND:g}")
-            out.append(complex(cell[0], cell[1]))
-        rows.append(out)
-    return as_matrix(rows, label, shape)
+    raise AssertionError(f"{label}: no entry breaks the codec")
+
+
+def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
+    """Decode the ``[re, im]`` row encoding, with location diagnostics;
+    a part larger than ``1e48`` in magnitude is refused, and ``shape`` is
+    checked as in :func:`as_matrix`."""
+    if not isinstance(data, list) or not data:
+        raise InputError(f"{label}: expected a nonempty array of rows")
+    values = _pair_parts(data)
+    if values is None:
+        _refuse_entry(data, label)
+    return as_matrix(values.view(complex).reshape(len(data), -1), label,
+                     shape)
 
 
 def subspace_to_json(s: SubspaceBasis) -> list:
-    return [matrix_to_json(m) for m in s.stack]
+    return matrix_to_json(s.stack)
 
 
 def subspace_from_json(data, rows: int, cols: int,
@@ -258,3 +293,61 @@ def subspace_from_json(data, rows: int, cols: int,
         matrix_from_json(m, f"{label}[{k}]") for k, m in enumerate(data)
     ]
     return SubspaceBasis(rows, cols, mats)
+
+
+def write_json(obj, write) -> None:
+    """Pass ``json.dumps(obj, indent=2, sort_keys=True)`` to ``write``
+    piece by piece, each matrix formatted in one step.
+
+    A nonempty rectangular nested list whose innermost lists are
+    ``[x, y]`` pairs of exact ints and finite floats (a matrix or a stack
+    of them) fills a ``%r`` template of its indent layout; ``%r`` is the
+    ``repr`` that ``json`` writes numbers with.  Dicts with string keys are
+    walked; anything else is spelled by ``json.dumps`` and re-indented,
+    which is exact because JSON text holds no raw newline inside a string.
+    """
+    _write_json(obj, write, "\n")
+
+
+def _write_json(obj, write, nl: str) -> None:
+    pairs = _pair_array(obj) if isinstance(obj, list) else None
+    if pairs is not None:
+        shape, numbers = pairs
+        write(_pair_template(shape, nl) % numbers)
+    elif isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        inner = nl + "  "
+        write("{")
+        for k, key in enumerate(sorted(obj)):
+            write(("," if k else "") + inner + json.dumps(key) + ": ")
+            _write_json(obj[key], write, inner)
+        write(nl + "}")
+    else:
+        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
+
+
+def _pair_array(obj: list):
+    """``(shape, numbers)`` of a nonempty rectangular nested list of
+    ``[x, y]`` pairs of exact ints and finite floats, the numbers a tuple
+    in row-major order; None for anything else."""
+    shape, level = [], (obj,)
+    while set(map(type, level)) == {list}:
+        sizes = set(map(len, level))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.extend(sizes)
+        level = tuple(chain.from_iterable(level))
+    if shape[-1:] != [2] or not set(map(type, level)) <= _REAL:
+        return None
+    try:
+        finite = math.isfinite(sum(level))
+    except OverflowError:  # an int beyond the float range
+        return None
+    return (shape, level) if finite else None
+
+
+def _pair_template(shape: list, nl: str) -> str:
+    """The text ``json.dumps(indent=2)`` gives a nested list of ``shape``
+    opened at the indent of ``nl``, with ``%r`` for each number."""
+    inner = nl + "  "
+    item = "%r" if len(shape) == 1 else _pair_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from conftest import random_unitary
 from ncg import (BlockStructure, FiniteSpectralTriple, Profile,
                  bundle_to_json, build_triple_from_mass_matrix, categorify,
                  climit, full_morita_bundle, triple_from_json, triple_to_json)
+import ncg
 from ncg.cli import run
 
 
@@ -155,6 +160,45 @@ def test_malformed_input_is_exit_two_without_traceback(case, tmp_path,
         argv = ["fluctuate", triple, "--terms", path, "-o", out]
     assert run(argv) == 2
     assert capsys.readouterr().out.startswith("input error:")
+
+
+IO_CASES = {
+    "not_utf8": (["check", "triple", "{bad}"], "byte 0 is not UTF-8"),
+    "nested_too_deeply": (["check", "triple", "{deep}"],
+                          "arrays or objects nested too deeply"),
+    "input_is_directory": (["check", "triple", "{dir}"], "Is a directory"),
+    "integer_too_long": (["check", "triple", "{digits}"],
+                         "an integer has too many digits"),
+    "output_dir_missing": (["categorify", "{triple}", "-o",
+                            "{missing}/x.json"], "No such file or directory"),
+    "output_is_directory": (["categorify", "{triple}", "-o", "{dir}"],
+                            "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IO_CASES))
+def test_unreadable_or_unwritable_path_is_exit_two(case, tmp_path):
+    """``main()`` in a fresh interpreter: exit 2, one ``input error:`` line
+    naming the path, nothing on stderr."""
+    paths = {"bad": tmp_path / "bad.json", "deep": tmp_path / "deep.json",
+             "dir": tmp_path / "dir", "digits": tmp_path / "digits.json",
+             "triple": tmp_path / "t.json", "missing": tmp_path / "missing"}
+    paths["bad"].write_bytes(b'\xff\xfe{"blocks": [1]}')
+    paths["deep"].write_text("[" * 200000)
+    paths["dir"].mkdir()
+    paths["digits"].write_text("[" + "1" * 5000 + "]")
+    write(paths["triple"], triple_to_json(
+        build_triple_from_mass_matrix(np.array([[1.0]]))))
+    template, reason = IO_CASES[case]
+    argv = [a.format(**paths) for a in template]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(ncg.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ncg.cli import main; main()", *argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    path = argv[-1]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, f"input error: {path}: {reason}\n", "")
 
 
 def test_missing_sigma_key_is_exit_two(tmp_path, capsys):

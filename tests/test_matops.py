@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import crandn, random_unitary
+from oracles import (indented_json, matrix_from_json_loop,
+                     matrix_to_json_loop)
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
                  Tolerance, hermitian_spectrum, is_partial_isometry,
                  operator_norm)
-from ncg.matops import matrix_from_json, matrix_to_json
+from ncg.matops import (ENTRY_BOUND, matrix_from_json, matrix_to_json,
+                        subspace_to_json, write_json)
 
 
 def unit(n, r, c):
@@ -182,3 +187,197 @@ class TestJsonCodec:
     def test_bad_pair_rejected(self):
         with pytest.raises(InputError, match=r"\(0,1\)"):
             matrix_from_json([[[1.0, 0.0], [2.0]]])
+
+    @pytest.mark.parametrize("view", ["c_order", "fortran", "transposed",
+                                      "sliced", "real", "signed_zeros"])
+    def test_encoder_matches_per_cell_loop(self, view):
+        rng = np.random.default_rng(37)
+        m = crandn(rng, 7, 5)
+        m = {"c_order": m, "fortran": np.asfortranarray(m),
+             "transposed": m.T, "sliced": m[1::2, ::-2],
+             "real": m.real.copy(),
+             "signed_zeros": np.array([[-0.0, complex(0.0, -0.0)],
+                                       [complex(-0.0, -0.0), 5e-324]])}[view]
+        assert repr(matrix_to_json(m)) == repr(matrix_to_json_loop(m))
+
+    def test_stack_encoder_matches_per_matrix_loop(self):
+        stack = crandn(np.random.default_rng(38), 3, 2, 4)
+        basis = SubspaceBasis(2, 4, stack)
+        assert repr(subspace_to_json(basis)) == repr(
+            [matrix_to_json_loop(m) for m in stack])
+        assert subspace_to_json(SubspaceBasis(2, 4, [])) == []
+
+
+def _entry(value):
+    return [[[1.0, 0.0], [value, 0.0]], [[0.0, value], [2, 3]]]
+
+
+BIG_INT = int(ENTRY_BOUND) + 1
+DECODE_CASES = {
+    "int_above_bound": _entry(BIG_INT),
+    "negative_int_above_bound": _entry(-BIG_INT),
+    "int_at_bound": _entry(int(ENTRY_BOUND)),
+    "power_of_ten": _entry(10 ** 48),
+    "negative_power_of_ten": _entry(-10 ** 48),
+    "float_at_bound": _entry(ENTRY_BOUND),
+    "huge_int": _entry(10 ** 400),
+    "float_above_bound": _entry(1e49),
+    "inf": _entry(float("inf")),
+    "negative_inf": _entry(float("-inf")),
+    "nan": _entry(float("nan")),
+    "nan_before_big": [[[float("nan"), 0.0], [1e60, 0.0]]],
+    "bool": _entry(True),
+    "string": _entry("1.0"),
+    "none": _entry(None),
+    "ragged": [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+    "empty_row": [[[1.0, 0.0]], []],
+    "row_not_list": [[[1.0, 0.0]], 7],
+    "three_part_cell": [[[1.0, 0.0, 0.0]]],
+    "cell_not_list": [[1.0]],
+    "tuple_cell": [[(1.0, -0.0), (2, 3)]],
+    "signed_zeros": [[[-0.0, 0.0], [0.0, -0.0]]],
+    "tiny": [[[5e-324, -5e-324]]],
+    "ints": [[[1, 2], [-3, 0]], [[4, 5], [6, 7]]],
+    "empty": [],
+    "not_a_list": {"0": [[1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("shape", [None, (2, 2), (1, 2)])
+@pytest.mark.parametrize("case", sorted(DECODE_CASES))
+def test_decoder_matches_per_cell_loop(case, shape):
+    """Same values, bit for bit, or the same refusal text."""
+    data = DECODE_CASES[case]
+    outcomes = []
+    for decode in (matrix_from_json, matrix_from_json_loop):
+        try:
+            m = decode(data, "D", shape)
+        except (InputError, ShapeError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((m.dtype, m.shape, m.tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("int_above_bound", "exceeds the magnitude bound 1e+48"),
+    ("huge_int", "exceeds the magnitude bound 1e+48"),
+    ("inf", "exceeds the magnitude bound 1e+48"),
+    ("nan_before_big", "entry (0,1) exceeds"),
+    ("nan", "entries must be finite"),
+    ("bool", "not an [re, im] pair"),
+    ("three_part_cell", "not an [re, im] pair"),
+    ("empty_row", "row 1 is not a nonempty array"),
+])
+def test_decoder_refusal_text(case, message):
+    with pytest.raises(InputError) as info:
+        matrix_from_json(DECODE_CASES[case], "D")
+    assert message in str(info.value)
+
+
+def test_decoder_accepts_the_power_of_ten_at_the_bound():
+    m = matrix_from_json(DECODE_CASES["power_of_ten"])
+    assert m[0, 1] == complex(10 ** 48, 0)
+
+
+SPECIAL_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e48, -1e48, 1e308, -1e308,
+                   1.5, -2, 0, 10 ** 20, -(10 ** 30), 10 ** 400]
+NEAR_MISSES = {
+    "bool_in_pair": [[[True, 0.0]]],
+    "none_in_pair": [[[None, 0.0]]],
+    "nan": [[[float("nan"), 0.0]]],
+    "inf": [[[0.0, float("inf")]], [[1.0, 2.0]]],
+    "three_part_cell": [[[1.0, 2.0, 3.0]]],
+    "ragged": [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]],
+    "ragged_depth": [[[1.0, 2.0]], [1.0, 2.0]],
+    "empty_list": [],
+    "empty_dict": {},
+    "empty_rows": [[], []],
+    "non_pairs": [1, 2, 3],
+    "one_pair": [1.5, -0.0],
+    "string_pair": [["1", "2"]],
+    "float_subclass": [[np.float64(0.5), 1.0]],
+    "tuple_pair": [(1.0, 2.0)],
+    "keys": {"1,2": [[[1.0, 0.0]]], "é": {"ß\n": "ünïcode\u2028"},
+             "": None, "a b": [True, False]},
+}
+
+
+SCALARS = [None, True, "s", 1, -0.0, 1e-300, "ä,\""]
+
+
+def _random_json(rng, depth):
+    """A seeded nested document of dicts, lists, matrices, stacks with
+    special numbers planted in them, near misses and scalars."""
+    kind = rng.integers(0, 6 if depth else 3)
+    if kind == 0:
+        return SCALARS[rng.integers(0, len(SCALARS))]
+    if kind in (1, 2):
+        shape = tuple(rng.integers(1, 6, size=rng.integers(1, 4))) + (2,)
+        parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6)
+        out = parts.tolist()
+        for _ in range(3 if kind == 2 else 0):
+            *where, last = np.unravel_index(rng.integers(0, parts.size),
+                                            shape)
+            cell = out
+            for i in where:
+                cell = cell[i]
+            cell[last] = SPECIAL_NUMBERS[rng.integers(0,
+                                                      len(SPECIAL_NUMBERS))]
+        return out
+    if kind == 3:
+        keys = ["a", "1,2", "é", "z", "0", "10", "ü,ö", " "]
+        return {keys[k]: _random_json(rng, depth - 1)
+                for k in rng.choice(len(keys), rng.integers(0, 5),
+                                    replace=False)}
+    if kind == 4:
+        return [_random_json(rng, depth - 1)
+                for _ in range(rng.integers(0, 4))]
+    return list(NEAR_MISSES.values())[rng.integers(0, len(NEAR_MISSES))]
+
+
+def _written(obj) -> str:
+    pieces = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (3, 5),
+                                       (8, 8), (17, 33), (33, 17)])
+    def test_matrix_and_stack(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        m = crandn(rng, *shape) * 10.0 ** rng.integers(-300, 300, shape)
+        for obj in (matrix_to_json(m), matrix_to_json(np.stack([m] * 3)),
+                    {"D": matrix_to_json(m), "blocks": list(shape)},
+                    {"homsets": {"1,1": [matrix_to_json(m)], "1,2": []}}):
+            assert _written(obj) == indented_json(obj)
+
+    @pytest.mark.parametrize("number", SPECIAL_NUMBERS, ids=repr)
+    def test_special_numbers(self, number):
+        for obj in ([[[number, 1.0]]], [[[1.0, number], [number, -0.0]]],
+                    {"x": [[[[number, number]]]]}):
+            assert _written(obj) == indented_json(obj)
+
+    @pytest.mark.parametrize("case", sorted(NEAR_MISSES))
+    def test_near_misses(self, case):
+        obj = NEAR_MISSES[case]
+        for doc in (obj, [obj], {"k": [obj, {"m": obj}]}):
+            assert _written(doc) == indented_json(doc)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_documents(self, seed):
+        rng = np.random.default_rng(seed)
+        doc = {"doc": _random_json(rng, 4), "more": _random_json(rng, 4)}
+        assert _written(doc) == indented_json(doc)
+
+    def test_matrices_are_formatted_by_template(self, monkeypatch):
+        """A matrix stack never reaches ``json.dumps``; only its key
+        does."""
+        m = matrix_to_json(crandn(np.random.default_rng(5), 33, 17))
+        expected = indented_json({"U": [m, m]})
+        calls, dumps = [], json.dumps
+        monkeypatch.setattr(json, "dumps",
+                            lambda o, **kw: calls.append(o) or dumps(o, **kw))
+        assert _written({"U": [m, m]}) == expected
+        assert calls == ["U"]
