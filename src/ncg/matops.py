@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -220,32 +218,14 @@ _REAL = frozenset({int, float})
 ENTRY_BOUND = 1e48
 
 
-def _pair_parts(data: list):
-    """The parts of a nonempty rectangular array of ``[re, im]`` pairs as
-    one float array in row-major order, or None when a check of
-    :func:`_refuse_entry` fails; the same checks, made in bulk."""
-    if (not all(map(isinstance, data, repeat(list)))
-            or len(set(map(len, data))) != 1 or not data[0]):
-        return None
-    cells = list(chain.from_iterable(data))
-    if (not all(map(isinstance, cells, repeat((list, tuple))))
-            or set(map(len, cells)) != {2}):
-        return None
-    parts = list(chain.from_iterable(cells))
-    kinds = set(map(type, parts))
-    # Ints are compared exactly: one above the bound can round onto it,
-    # or past the float range.
-    if not kinds <= _REAL or (int in kinds and any(
-            map(partial(operator.lt, ENTRY_BOUND), map(abs, parts)))):
-        return None
-    values = np.array(parts, dtype=float)
-    return None if (np.abs(values) > ENTRY_BOUND).any() else values
-
-
-def _refuse_entry(data: list, label: str):
-    """Raise the :class:`InputError` naming the first row or entry of
-    ``data`` that breaks the codec or the magnitude bound."""
+def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
+    """Decode the ``[re, im]`` row encoding, with location diagnostics;
+    a part larger than ``1e48`` in magnitude is refused, and ``shape`` is
+    checked as in :func:`as_matrix`."""
+    if not isinstance(data, list) or not data:
+        raise InputError(f"{label}: expected a nonempty array of rows")
     ncols = None
+    rows = []
     for r, row in enumerate(data):
         if not isinstance(row, list) or not row:
             raise InputError(f"{label}: row {r} is not a nonempty array")
@@ -255,6 +235,7 @@ def _refuse_entry(data: list, label: str):
             raise InputError(
                 f"{label}: row {r} has length {len(row)}, expected {ncols}"
             )
+        out = []
         for c, cell in enumerate(row):
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
                     or type(cell[0]) not in _REAL
@@ -265,20 +246,9 @@ def _refuse_entry(data: list, label: str):
             if abs(cell[0]) > ENTRY_BOUND or abs(cell[1]) > ENTRY_BOUND:
                 raise InputError(f"{label}: entry ({r},{c}) exceeds the "
                                  f"magnitude bound {ENTRY_BOUND:g}")
-    raise AssertionError(f"{label}: no entry breaks the codec")
-
-
-def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
-    """Decode the ``[re, im]`` row encoding, with location diagnostics;
-    a part larger than ``1e48`` in magnitude is refused, and ``shape`` is
-    checked as in :func:`as_matrix`."""
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{label}: expected a nonempty array of rows")
-    values = _pair_parts(data)
-    if values is None:
-        _refuse_entry(data, label)
-    return as_matrix(values.view(complex).reshape(len(data), -1), label,
-                     shape)
+            out.append(complex(cell[0], cell[1]))
+        rows.append(out)
+    return as_matrix(rows, label, shape)
 
 
 def subspace_to_json(s: SubspaceBasis) -> list:

@@ -22,9 +22,8 @@ lattice sweeps on the explicit ``n x n`` matrices of
 same operators as an O(n) stencil and a phase vector.
 
 ``indented_json`` is the text ``matops.write_json`` reproduces from
-``%r`` templates, and ``matrix_to_json_loop`` / ``matrix_from_json_loop``
-are the per-cell matrix codec that the array encoder and the bulk-checked
-decoder replaced.
+``%r`` templates, and ``matrix_to_json_loop`` is the per-cell matrix
+encoder that the array encoder replaced.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ import numpy as np
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.fellbundle import (BlockStructure, FellBundleFD, check_fell_axioms,
                             check_saturated, check_unital)
-from ncg.errors import InputError
-from ncg.matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, as_matrix,
-                         frobenius)
+from ncg.matops import DEFAULT_TOL, Tolerance, frobenius
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
 
@@ -219,35 +216,3 @@ def indented_json(obj) -> str:
 def matrix_to_json_loop(m) -> list:
     """Rows of ``[re, im]`` pairs, one Python float per part."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_json_loop(data, label: str = "matrix",
-                          shape=None) -> np.ndarray:
-    """Decode cell by cell, refusing the first bad row or entry."""
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{label}: expected a nonempty array of rows")
-    ncols = None
-    rows = []
-    for r, row in enumerate(data):
-        if not isinstance(row, list) or not row:
-            raise InputError(f"{label}: row {r} is not a nonempty array")
-        if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
-            raise InputError(
-                f"{label}: row {r} has length {len(row)}, expected {ncols}"
-            )
-        out = []
-        for c, cell in enumerate(row):
-            if (not isinstance(cell, (list, tuple)) or len(cell) != 2
-                    or type(cell[0]) not in (int, float)
-                    or type(cell[1]) not in (int, float)):
-                raise InputError(
-                    f"{label}: entry ({r},{c}) is not an [re, im] pair"
-                )
-            if abs(cell[0]) > ENTRY_BOUND or abs(cell[1]) > ENTRY_BOUND:
-                raise InputError(f"{label}: entry ({r},{c}) exceeds the "
-                                 f"magnitude bound {ENTRY_BOUND:g}")
-            out.append(complex(cell[0], cell[1]))
-        rows.append(out)
-    return as_matrix(rows, label, shape)

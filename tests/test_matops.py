@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn, random_unitary
-from oracles import (indented_json, matrix_from_json_loop,
-                     matrix_to_json_loop)
+from oracles import indented_json, matrix_to_json_loop
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
                  Tolerance, hermitian_spectrum, is_partial_isometry,
@@ -213,71 +212,72 @@ def _entry(value):
 
 
 BIG_INT = int(ENTRY_BOUND) + 1
+TOO_LARGE = "exceeds the magnitude bound 1e+48"
+NOT_PAIR = "is not an [re, im] pair"
+NO_ROWS = "expected a nonempty array of rows"
+# name: (data, the refusal text after "D: ", or None when accepted)
 DECODE_CASES = {
-    "int_above_bound": _entry(BIG_INT),
-    "negative_int_above_bound": _entry(-BIG_INT),
-    "int_at_bound": _entry(int(ENTRY_BOUND)),
-    "power_of_ten": _entry(10 ** 48),
-    "negative_power_of_ten": _entry(-10 ** 48),
-    "float_at_bound": _entry(ENTRY_BOUND),
-    "huge_int": _entry(10 ** 400),
-    "float_above_bound": _entry(1e49),
-    "inf": _entry(float("inf")),
-    "negative_inf": _entry(float("-inf")),
-    "nan": _entry(float("nan")),
-    "nan_before_big": [[[float("nan"), 0.0], [1e60, 0.0]]],
-    "bool": _entry(True),
-    "string": _entry("1.0"),
-    "none": _entry(None),
-    "ragged": [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
-    "empty_row": [[[1.0, 0.0]], []],
-    "row_not_list": [[[1.0, 0.0]], 7],
-    "three_part_cell": [[[1.0, 0.0, 0.0]]],
-    "cell_not_list": [[1.0]],
-    "tuple_cell": [[(1.0, -0.0), (2, 3)]],
-    "signed_zeros": [[[-0.0, 0.0], [0.0, -0.0]]],
-    "tiny": [[[5e-324, -5e-324]]],
-    "ints": [[[1, 2], [-3, 0]], [[4, 5], [6, 7]]],
-    "empty": [],
-    "not_a_list": {"0": [[1.0, 0.0]]},
+    "int_above_bound": (_entry(BIG_INT), f"entry (0,1) {TOO_LARGE}"),
+    "negative_int_above_bound": (_entry(-BIG_INT), f"entry (0,1) {TOO_LARGE}"),
+    "int_at_bound": (_entry(int(ENTRY_BOUND)), None),
+    "power_of_ten": (_entry(10 ** 48), None),
+    "negative_power_of_ten": (_entry(-10 ** 48), None),
+    "float_at_bound": (_entry(ENTRY_BOUND), None),
+    "huge_int": (_entry(10 ** 400), f"entry (0,1) {TOO_LARGE}"),
+    "float_above_bound": (_entry(1e49), f"entry (0,1) {TOO_LARGE}"),
+    "inf": (_entry(float("inf")), f"entry (0,1) {TOO_LARGE}"),
+    "negative_inf": (_entry(float("-inf")), f"entry (0,1) {TOO_LARGE}"),
+    "nan": (_entry(float("nan")), "entries must be finite"),
+    "nan_before_big": ([[[float("nan"), 0.0], [1e60, 0.0]]],
+                       f"entry (0,1) {TOO_LARGE}"),
+    "bool": (_entry(True), f"entry (0,1) {NOT_PAIR}"),
+    "string": (_entry("1.0"), f"entry (0,1) {NOT_PAIR}"),
+    "none": (_entry(None), f"entry (0,1) {NOT_PAIR}"),
+    "ragged": ([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+               "row 1 has length 2, expected 1"),
+    "empty_row": ([[[1.0, 0.0]], []], "row 1 is not a nonempty array"),
+    "row_not_list": ([[[1.0, 0.0]], 7], "row 1 is not a nonempty array"),
+    "three_part_cell": ([[[1.0, 0.0, 0.0]]], f"entry (0,0) {NOT_PAIR}"),
+    "cell_not_list": ([[1.0]], f"entry (0,0) {NOT_PAIR}"),
+    "tuple_cell": ([[(1.0, -0.0), (2, 3)]], None),
+    "signed_zeros": ([[[-0.0, 0.0], [0.0, -0.0]]], None),
+    "tiny": ([[[5e-324, -5e-324]]], None),
+    "ints": ([[[1, 2], [-3, 0]], [[4, 5], [6, 7]]], None),
+    "empty": ([], NO_ROWS),
+    "not_a_list": ({"0": [[1.0, 0.0]]}, NO_ROWS),
+    # Several faults: the first in reading order is named.
+    "bad_cell_before_ragged_row": (
+        [[[True, 0.0]], [[1.0, 0.0], [2.0, 0.0]]], f"entry (0,0) {NOT_PAIR}"),
+    "ragged_row_before_bad_cell": (
+        [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], [[None, 0.0]]],
+        "row 1 has length 2, expected 1"),
+    "bad_cell_before_empty_row": (
+        [[[1.0, 0.0]], [[1.0, "x"]], []], f"entry (1,0) {NOT_PAIR}"),
+    "large_before_bad_pair": (
+        [[[1e60, 0.0], [None, 0.0]]], f"entry (0,0) {TOO_LARGE}"),
+    "large_and_bad_pair_in_one_cell": (
+        [[[1e60, None]]], f"entry (0,0) {NOT_PAIR}"),
 }
 
 
 @pytest.mark.parametrize("shape", [None, (2, 2), (1, 2)])
 @pytest.mark.parametrize("case", sorted(DECODE_CASES))
-def test_decoder_matches_per_cell_loop(case, shape):
-    """Same values, bit for bit, or the same refusal text."""
-    data = DECODE_CASES[case]
-    outcomes = []
-    for decode in (matrix_from_json, matrix_from_json_loop):
-        try:
-            m = decode(data, "D", shape)
-        except (InputError, ShapeError) as exc:
-            outcomes.append((type(exc), str(exc)))
-        else:
-            outcomes.append((m.dtype, m.shape, m.tobytes()))
-    assert outcomes[0] == outcomes[1]
-
-
-@pytest.mark.parametrize("case, message", [
-    ("int_above_bound", "exceeds the magnitude bound 1e+48"),
-    ("huge_int", "exceeds the magnitude bound 1e+48"),
-    ("inf", "exceeds the magnitude bound 1e+48"),
-    ("nan_before_big", "entry (0,1) exceeds"),
-    ("nan", "entries must be finite"),
-    ("bool", "not an [re, im] pair"),
-    ("three_part_cell", "not an [re, im] pair"),
-    ("empty_row", "row 1 is not a nonempty array"),
-])
-def test_decoder_refusal_text(case, message):
-    with pytest.raises(InputError) as info:
-        matrix_from_json(DECODE_CASES[case], "D")
-    assert message in str(info.value)
-
-
-def test_decoder_accepts_the_power_of_ten_at_the_bound():
-    m = matrix_from_json(DECODE_CASES["power_of_ten"])
-    assert m[0, 1] == complex(10 ** 48, 0)
+def test_decoder_values_and_refusals(case, shape):
+    """Each part as ``complex(re, im)``, bit for bit, or the exact
+    refusal text; a wrong ``shape`` is named only for valid entries."""
+    data, refusal = DECODE_CASES[case]
+    if refusal is None:
+        expected = np.array([[complex(*cell) for cell in row]
+                             for row in data])
+        if shape in (None, expected.shape):
+            m = matrix_from_json(data, "D", shape)
+            assert m.dtype == complex and m.shape == expected.shape
+            assert m.tobytes() == expected.tobytes()
+            return
+        refusal = f"shape {expected.shape}, expected {shape}"
+    with pytest.raises((InputError, ShapeError)) as info:
+        matrix_from_json(data, "D", shape)
+    assert str(info.value) == f"D: {refusal}"
 
 
 SPECIAL_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e48, -1e48, 1e308, -1e308,
