@@ -31,6 +31,20 @@ from .report import AxiomCheck, AxiomReport, WorstResidual
 _SPOT_CHECK_SEED = 20260810
 _SPOT_CHECK_LIMIT = 48
 
+# Axiom 4 skips the SVD of a product whose Frobenius norm is below
+# ``(1 - _SUBMULT_MARGIN) * ‖e1‖‖e2‖``: since ‖P‖₂ ≤ ‖P‖_F, the SVD could
+# only give an excess of exactly 0.0 there.  LAPACK's singular values, the
+# bound's factors among them, carry relative errors of about 1e-14 at these
+# sizes, which a margin of 1e-8 dwarfs.
+_SUBMULT_MARGIN = 1e-8
+# A Frobenius norm below this may have lost its relative accuracy to
+# gradual underflow of the squared entries, so it certifies nothing.
+_TINY_NORM = 1e-140
+# Saturation's certificate needs λ_min(CᴴC) above this share of the
+# products' squared Frobenius norm even for a relative tolerance near 0.
+# Rounding moves λ_min by about 1e-13 of it for a few thousand products.
+_GRAM_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -202,6 +216,17 @@ def _composable_arrow_pairs(p: int) -> Iterator[tuple[Arrow, Arrow]]:
                 yield (i, j), (j, k)
 
 
+def _below_bound(prods: np.ndarray, prod_fro: np.ndarray,
+                 norm_bound: np.ndarray) -> np.ndarray:
+    """Mask of the products whose operator norm provably rounds below
+    ``norm_bound``: an accurate Frobenius norm under the margin, or an
+    exactly zero product."""
+    below = prod_fro < (1.0 - _SUBMULT_MARGIN) * norm_bound
+    tiny = np.flatnonzero(below & (prod_fro < _TINY_NORM))
+    below[tiny] = ~prods[tiny].any(axis=(1, 2))
+    return below
+
+
 def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Verify the ten Fell axioms on a finite bundle.
 
@@ -212,6 +237,12 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     closure of basis products in the target fibre, and 3 is spot-checked
     on pseudo-random fibre elements.  Axioms 4, 9 and 10 are verified
     numerically on all basis elements/pairs, and 6-8 check the involution.
+
+    Axiom 4 takes the operator norm of a basis product by SVD only when
+    its Frobenius norm, an upper bound, does not already undercut
+    ``‖e1‖‖e2‖`` by a margin far above rounding; for the others the SVD
+    could only give an excess of exactly 0.0.  The report is the one the
+    all-products SVD gives, bit for bit.
     """
     p = b.blocks.p
     rng = np.random.default_rng(_SPOT_CHECK_SEED)
@@ -259,11 +290,15 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
             lambda idx, g=g, h=h: pair_witness(idx)
             + f" leaves fibre {(g[0], h[1])}")
 
-        # 4: submultiplicativity of the operator norm.
+        # 4: submultiplicativity of the operator norm; an SVD only for
+        # the products the Frobenius norm does not certify.
         norm_bound = np.outer(opnorms[g], opnorms[h]).reshape(-1)
-        prod_norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
-        submult.update_batch(np.maximum(0.0, prod_norms - norm_bound),
-                             norm_bound, pair_witness)
+        excess = np.zeros(len(prods))
+        open_ = np.flatnonzero(~_below_bound(prods, prod_fro, norm_bound))
+        if open_.size:
+            prod_norms = np.linalg.svd(prods[open_], compute_uv=False)[:, 0]
+            excess[open_] = np.maximum(0.0, prod_norms - norm_bound[open_])
+        submult.update_batch(excess, norm_bound, pair_witness)
 
         # 8: the involution reverses products.
         lhs = np.conj(np.swapaxes(prods, 1, 2))
@@ -354,8 +389,15 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
 
     The rank of the stacked basis products (singular values below
     ``rel * s_max`` treated as zero) is compared with the target dimension
-    for every composable pair of arrows.
+    ``d`` for every composable pair of arrows.  Let ``C`` hold the
+    products' coordinates in the target's orthonormal basis.  Then
+    ``σ_d(products) ≥ σ_d(C)``, so when ``λ_min(CᴴC)`` exceeds
+    ``max(1e-10, 4 rel²) ‖products‖_F²`` the rank is at least ``d`` and
+    the SVD is skipped; otherwise the rank is computed.  Only the rank
+    reaches the report, which is the one the SVD of every product span
+    gives.
     """
+    certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
     worst_deficiency = 0
     witness = ""
     for g, h in _composable_arrow_pairs(b.blocks.p):
@@ -366,9 +408,12 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
         if e1.dim == 0 or e2.dim == 0:
             rank = 0
         else:
-            prods = np.einsum("aij,bjk->abik", e1.stack, e2.stack)
-            flat = prods.reshape(e1.dim * e2.dim, -1)
-            rank = numerical_rank(flat, tol.rel)
+            prods = np.matmul(e1.stack[:, None], e2.stack).reshape(
+                e1.dim * e2.dim, e1.rows, e2.cols)
+            if _spans(target, prods, certify):
+                rank = target.dim
+            else:
+                rank = numerical_rank(prods.reshape(len(prods), -1), tol.rel)
         if target.dim - rank > worst_deficiency:
             worst_deficiency = target.dim - rank
             witness = (f"products of {g} x {h} span {rank} of the "
@@ -376,6 +421,18 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
     return AxiomCheck("fell.saturated", worst_deficiency == 0,
                       float(worst_deficiency),
                       witness or "every product span is total")
+
+
+def _spans(target: SubspaceBasis, prods: np.ndarray, certify: float) -> bool:
+    """Whether ``λ_min(CᴴC) > certify ‖prods‖_F²`` for the coordinates
+    ``C`` of ``prods`` in ``target``; a norm small enough to have lost
+    accuracy to underflow certifies nothing."""
+    fro2 = np.vdot(prods, prods).real
+    if not fro2 > _TINY_NORM ** 2:
+        return False
+    coords = target.coordinates(prods)
+    return bool(np.linalg.eigvalsh(coords.conj().T @ coords)[0]
+                > certify * fro2)
 
 
 def check_unital(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:

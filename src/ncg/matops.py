@@ -186,17 +186,24 @@ class SubspaceBasis:
         proj = self._onb.T @ (self._onb.conj() @ v)
         return float(np.linalg.norm(v - proj))
 
+    def coordinates(self, stack: np.ndarray) -> np.ndarray:
+        """``(k, dim)`` coordinates, in the span's orthonormal basis, of
+        the projections of a ``(k, rows, cols)`` stack."""
+        if stack.ndim != 3 or stack.shape[1:] != (self.rows, self.cols):
+            raise ShapeError(f"coordinates: stack shape {stack.shape}, "
+                             f"expected (k, {self.rows}, {self.cols})")
+        flat = stack.reshape(stack.shape[0], self.rows * self.cols)
+        return flat @ self._onb.conj().T
+
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack."""
-        if stack.shape[0] == 0:
-            return np.zeros(0)
-        flat = stack.reshape(stack.shape[0], -1)
-        proj = (flat @ self._onb.conj().T) @ self._onb
-        return np.linalg.norm(flat - proj, axis=1)
+        coords = self.coordinates(stack)
+        flat = stack.reshape(len(stack), self.rows * self.cols)
+        return np.linalg.norm(flat - coords @ self._onb, axis=1)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the span."""
-        x = as_matrix(x, "project")
+        x = as_matrix(x, "project", (self.rows, self.cols))
         v = x.reshape(-1)
         proj = self._onb.T @ (self._onb.conj() @ v)
         return proj.reshape(self.rows, self.cols)

@@ -5,8 +5,13 @@ test can compare it with the shortcut the library takes.
 
 ``fell_gate`` is the exhaustive bundle gate: the ten Fell axioms,
 saturation and unitality, run on every bundle whatever its fibre
-dimensions.  ``category_from_bundle`` must refuse exactly the bundles
-whose axiom or unitality rows (``CATEGORY_ROWS``) fail here, and
+dimensions.  Its rows ``fell.axiom.4`` and ``fell.saturated`` come from
+``all_products_submultiplicativity`` and ``all_products_saturation``
+(``exhaustive_rows``), which take the SVD of every basis product and of
+every product span; the library skips the SVDs whose outcome a norm
+bound already decides.
+``category_from_bundle`` must refuse exactly the bundles whose axiom or
+unitality rows (``CATEGORY_ROWS``) fail here, and
 ``fell_bundle_triple`` on the first failure of saturation, then
 unitality (``TRIPLE_ROWS``).  Both accept full bundles without running
 the battery, so on those this gate must pass every row.
@@ -34,9 +39,8 @@ import math
 import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
-from ncg.fellbundle import (BlockStructure, FellBundleFD, check_fell_axioms,
-                            check_saturated, check_unital)
-from ncg.matops import DEFAULT_TOL, Tolerance, frobenius
+from ncg.fellbundle import BlockStructure, FellBundleFD, check_bundle
+from ncg.matops import DEFAULT_TOL, Tolerance, frobenius, numerical_rank
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
 
@@ -47,8 +51,72 @@ TRIPLE_ROWS = ("fell.saturated", "fell.unital")
 
 def fell_gate(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Every gating row, decided exhaustively."""
-    return AxiomReport(check_fell_axioms(b, tol).checks
-                       + (check_saturated(b, tol), check_unital(b, tol)))
+    return exhaustive_rows(check_bundle(b, tol), b, tol)
+
+
+def exhaustive_rows(report: AxiomReport, b: FellBundleFD,
+                    tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
+    """``report`` on ``b`` with its rows ``fell.axiom.4`` and
+    ``fell.saturated`` decided by the SVD of every basis product and of
+    every product span."""
+    oracles = {"fell.axiom.4": all_products_submultiplicativity,
+               "fell.saturated": all_products_saturation}
+    return AxiomReport(tuple(
+        oracles[c.axiom_id](b, tol) if c.axiom_id in oracles else c
+        for c in report.checks))
+
+
+def _product_stacks(b: FellBundleFD):
+    """``(g, h, products)`` for every composable pair of arrows whose
+    fibres are both nonzero, products of basis elements in row-major
+    ``(a, c)`` order."""
+    p = b.blocks.p
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            for k in range(1, p + 1):
+                e1, e2 = b.fibres[(i, j)], b.fibres[(j, k)]
+                if e1.dim and e2.dim:
+                    prods = np.einsum("aij,bjk->abik", e1.stack, e2.stack)
+                    yield (i, j), (j, k), prods.reshape(
+                        e1.dim * e2.dim, e1.rows, e2.cols)
+
+
+def all_products_submultiplicativity(
+        b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+    """``fell.axiom.4`` from the operator norm of every basis product."""
+    opnorms = {g: np.linalg.svd(f.stack, compute_uv=False)[:, 0]
+               for g, f in b.fibres.items() if f.dim}
+    row = WorstResidual(tol)
+    for g, h, prods in _product_stacks(b):
+        bound = np.outer(opnorms[g], opnorms[h]).reshape(-1)
+        norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
+        dim_h = b.fibres[h].dim
+        row.update_batch(
+            np.maximum(0.0, norms - bound), bound,
+            lambda idx, g=g, h=h, dim_h=dim_h:
+            f"basis {idx // dim_h} of {g} x basis {idx % dim_h} of {h}")
+    return row.check("fell.axiom.4", "‖e1 e2‖ ≤ ‖e1‖ ‖e2‖ on all basis pairs")
+
+
+def all_products_saturation(b: FellBundleFD,
+                            tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+    """``fell.saturated`` from the numerical rank of every product span."""
+    spans = {(g, h): numerical_rank(prods.reshape(len(prods), -1), tol.rel)
+             for g, h, prods in _product_stacks(b)}
+    worst, witness = 0, ""
+    p = b.blocks.p
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            for k in range(1, p + 1):
+                dim = b.fibres[(i, k)].dim
+                rank = spans.get(((i, j), (j, k)), 0)
+                if dim - rank > worst:
+                    worst = dim - rank
+                    witness = (f"products of {(i, j)} x {(j, k)} span "
+                               f"{rank} of the {dim} dimensions of fibre "
+                               f"{(i, k)}")
+    return AxiomCheck("fell.saturated", worst == 0, float(worst),
+                      witness or "every product span is total")
 
 
 def failing_ids(report: AxiomReport, rows=None) -> list[str]:

@@ -140,6 +140,34 @@ class TestSpanResidual:
         with pytest.raises(ShapeError):
             basis.residual(np.eye(3))
 
+    @pytest.mark.parametrize("call,arg", [
+        ("project", np.ones((3, 2))),
+        ("residuals", np.ones((1, 3, 2))),
+        ("residuals", np.ones((0, 3, 2))),
+        ("residuals", np.ones((6,))),
+        ("coordinates", np.ones((1, 3, 2))),
+        ("coordinates", np.ones((2, 6)))])
+    def test_transposed_or_flat_input_is_a_shape_error(self, call, arg):
+        # Same size, other shape: before the shape test these reshaped
+        # silently and answered for the wrong matrix.
+        basis = SubspaceBasis(2, 3, [np.eye(2, 3)])
+        with pytest.raises(ShapeError):
+            getattr(basis, call)(arg)
+
+    def test_residuals_and_coordinates_match_the_projection(self):
+        rng = np.random.default_rng(29)
+        basis = SubspaceBasis(2, 3, crandn(rng, 4, 2, 3))
+        stack = crandn(rng, 5, 2, 3)
+        flat = stack.reshape(5, -1)
+        onb = basis._onb
+        coords = flat @ onb.conj().T
+        np.testing.assert_array_equal(basis.coordinates(stack), coords)
+        np.testing.assert_array_equal(
+            basis.residuals(stack),
+            np.linalg.norm(flat - coords @ onb, axis=1))
+        assert basis.residuals(np.zeros((0, 2, 3))).shape == (0,)
+        assert basis.coordinates(np.zeros((0, 2, 3))).shape == (0, 4)
+
     def test_dependent_basis_rejected(self):
         with pytest.raises(InputError):
             SubspaceBasis(2, 2, [unit(2, 0, 0), 2.0 * unit(2, 0, 0)])
