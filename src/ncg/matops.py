@@ -133,8 +133,9 @@ class SubspaceBasis:
     explicit linearly independent basis.
 
     The basis is validated for independence at construction (numerical rank
-    of the flattened stack must equal its length) and an orthonormal basis
-    is precomputed for fast membership tests.  Instances are immutable.
+    of the flattened stack, each element scaled to unit norm, must equal
+    its length) and an orthonormal basis is precomputed for fast
+    membership tests.  Instances are immutable.
     """
 
     __slots__ = ("rows", "cols", "stack", "_onb")
@@ -151,7 +152,17 @@ class SubspaceBasis:
                  else np.zeros((0, rows, cols), dtype=complex))
         flat = stack.reshape(len(mats), rows * cols)
         if mats:
-            u, s, vh = np.linalg.svd(flat, full_matrices=False)
+            # Rank of the unit-norm rows, so that elements of very
+            # different size count alike.  Each row is first scaled by a
+            # power of two to a largest part in [0.5, 1), exactly, so
+            # that its norm is at least 0.5 and cannot overflow; a zero
+            # row stays zero.
+            parts = flat.view(float)
+            _, exp = np.frexp(np.abs(parts).max(axis=1))
+            unit = np.ldexp(parts, -exp[:, None])
+            norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
+            unit /= np.maximum(norms, 0.5)[:, None]
+            u, s, vh = np.linalg.svd(unit.view(complex), full_matrices=False)
             rank = int(np.count_nonzero(s > tol.rel * s[0])) if s[0] else 0
             if rank != len(mats):
                 raise InputError(

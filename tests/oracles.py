@@ -39,7 +39,8 @@ import math
 import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
-from ncg.fellbundle import BlockStructure, FellBundleFD, check_bundle
+from ncg.fellbundle import (BlockStructure, FellBundleFD, _basis_products,
+                            check_bundle)
 from ncg.matops import DEFAULT_TOL, Tolerance, frobenius, numerical_rank
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
@@ -69,16 +70,17 @@ def exhaustive_rows(report: AxiomReport, b: FellBundleFD,
 def _product_stacks(b: FellBundleFD):
     """``(g, h, products)`` for every composable pair of arrows whose
     fibres are both nonzero, products of basis elements in row-major
-    ``(a, c)`` order."""
+    ``(a, c)`` order.  They come from the library's product kernel, so
+    that the rows compare a certificate with the SVD of the same bits;
+    ``test_basis_products`` pins the kernel itself."""
     p = b.blocks.p
     for i in range(1, p + 1):
         for j in range(1, p + 1):
             for k in range(1, p + 1):
                 e1, e2 = b.fibres[(i, j)], b.fibres[(j, k)]
                 if e1.dim and e2.dim:
-                    prods = np.einsum("aij,bjk->abik", e1.stack, e2.stack)
-                    yield (i, j), (j, k), prods.reshape(
-                        e1.dim * e2.dim, e1.rows, e2.cols)
+                    yield (i, j), (j, k), _basis_products(e1.stack,
+                                                          e2.stack)
 
 
 def all_products_submultiplicativity(
