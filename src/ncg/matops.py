@@ -128,6 +128,22 @@ def numerical_rank(flat: np.ndarray, rel: float) -> int:
     return int(np.count_nonzero(s > rel * s[0]))
 
 
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """Copy of a complex array with every element along its first axis
+    scaled to unit Frobenius norm; a zero element stays zero.
+
+    Each element is first scaled by a power of two to a largest real or
+    imaginary part in [0.5, 1), exactly, so that its norm is at least 0.5
+    and cannot overflow or underflow before the division."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    parts = a.reshape(a.shape[0], math.prod(a.shape[1:])).view(float)
+    _, exp = np.frexp(np.abs(parts).max(axis=1))
+    unit = np.ldexp(parts, -exp[:, None])
+    norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    unit /= np.maximum(norms, 0.5)[:, None]
+    return unit.view(complex).reshape(a.shape)
+
+
 class SubspaceBasis:
     """A linear subspace of ``rows x cols`` complex matrices, stored as an
     explicit linearly independent basis.
@@ -150,19 +166,12 @@ class SubspaceBasis:
                 for k, m in enumerate(matrices)]
         stack = (np.stack(mats) if mats
                  else np.zeros((0, rows, cols), dtype=complex))
-        flat = stack.reshape(len(mats), rows * cols)
         if mats:
             # Rank of the unit-norm rows, so that elements of very
-            # different size count alike.  Each row is first scaled by a
-            # power of two to a largest part in [0.5, 1), exactly, so
-            # that its norm is at least 0.5 and cannot overflow; a zero
-            # row stays zero.
-            parts = flat.view(float)
-            _, exp = np.frexp(np.abs(parts).max(axis=1))
-            unit = np.ldexp(parts, -exp[:, None])
-            norms = np.sqrt(np.einsum("ij,ij->i", unit, unit))
-            unit /= np.maximum(norms, 0.5)[:, None]
-            u, s, vh = np.linalg.svd(unit.view(complex), full_matrices=False)
+            # different size count alike.
+            u, s, vh = np.linalg.svd(
+                unit_rows(stack.reshape(len(mats), rows * cols)),
+                full_matrices=False)
             rank = int(np.count_nonzero(s > tol.rel * s[0])) if s[0] else 0
             if rank != len(mats):
                 raise InputError(
@@ -229,10 +238,10 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 # JSON numbers decode to exactly these types; ``bool`` is excluded.
 _REAL = frozenset({int, float})
-# Largest accepted real or imaginary part.  The highest power of an entry
-# any battery forms is the sixth: the associativity row takes the
-# Frobenius norm of products of three Fell fibre elements.  1e48**6 = 1e288
-# leaves room below the float64 overflow for desk-scale sums and sizes.
+# Largest accepted real or imaginary part.  The Frobenius norm of a
+# product of up to three matrices squares a sixth power of an entry:
+# 1e48**6 = 1e288 leaves room below the float64 overflow for desk-scale
+# sums and sizes.
 ENTRY_BOUND = 1e48
 
 

@@ -3,13 +3,17 @@
 Each oracle decides a question the slow, obvious way, so that a property
 test can compare it with the shortcut the library takes.
 
-``fell_gate`` is the exhaustive bundle gate: the ten Fell axioms,
+``fell_gate`` is the numeric bundle gate: the ten Fell axioms,
 saturation and unitality, run on every bundle whatever its fibre
-dimensions.  Its rows ``fell.axiom.4`` and ``fell.saturated`` come from
-``all_products_submultiplicativity`` and ``all_products_saturation``
-(``exhaustive_rows``), which take the SVD of every basis product and of
-every product span; the library skips the SVDs whose outcome a norm
-bound already decides.
+dimensions.  ``check_bundle`` decides ``fell.axiom.3``, ``4``, ``7``,
+``8``, ``9`` and ``10`` by theorem, as identities of matrix algebra;
+here ``theorem_rows`` computes them the numeric way: associativity on
+seeded random elements, the SVD of every basis product, ``e** = e``, the
+adjoint-side products of the antihomomorphism, and the SVD and
+eigenvalues of every ``e* e``.  Its row ``fell.saturated`` comes from
+``all_products_saturation`` (``exhaustive_rows``), which takes the SVD of
+every product span; the library skips the SVDs whose outcome a Gram
+certificate already decides.
 ``category_from_bundle`` must refuse exactly the bundles whose axiom or
 unitality rows (``CATEGORY_ROWS``) fail here, and
 ``fell_bundle_triple`` on the first failure of saturation, then
@@ -41,70 +45,163 @@ import numpy as np
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.fellbundle import (BlockStructure, FellBundleFD, _basis_products,
                             check_bundle)
-from ncg.matops import DEFAULT_TOL, Tolerance, frobenius, numerical_rank
+from ncg.matops import (DEFAULT_TOL, Tolerance, frobenius, numerical_rank,
+                        unit_rows)
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
 
 CATEGORY_ROWS = tuple(f"fell.axiom.{k}" for k in range(1, 11)) + (
     "fell.unital",)
 TRIPLE_ROWS = ("fell.saturated", "fell.unital")
+THEOREM_ROWS = tuple(f"fell.axiom.{k}" for k in (3, 4, 7, 8, 9, 10))
+# Samples of the associativity spot check, as the numeric row drew them.
+SPOT_CHECK_SEED = 20260810
+SPOT_CHECK_LIMIT = 48
 
 
 def fell_gate(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
-    """Every gating row, decided exhaustively."""
-    return exhaustive_rows(check_bundle(b, tol), b, tol)
+    """Every gating row, decided numerically and exhaustively."""
+    return _replaced(check_bundle(b, tol), theorem_rows(b, tol)
+                     + (all_products_saturation(b, tol),))
 
 
 def exhaustive_rows(report: AxiomReport, b: FellBundleFD,
                     tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
-    """``report`` on ``b`` with its rows ``fell.axiom.4`` and
-    ``fell.saturated`` decided by the SVD of every basis product and of
-    every product span."""
-    oracles = {"fell.axiom.4": all_products_submultiplicativity,
-               "fell.saturated": all_products_saturation}
-    return AxiomReport(tuple(
-        oracles[c.axiom_id](b, tol) if c.axiom_id in oracles else c
-        for c in report.checks))
+    """``report`` on ``b`` with its row ``fell.saturated`` decided by the
+    SVD of every product span."""
+    return _replaced(report, (all_products_saturation(b, tol),))
 
 
-def _product_stacks(b: FellBundleFD):
+def _replaced(report: AxiomReport, rows) -> AxiomReport:
+    by_id = {c.axiom_id: c for c in rows}
+    return AxiomReport(tuple(by_id.get(c.axiom_id, c) for c in report.checks))
+
+
+def _product_stacks(b: FellBundleFD, unit: bool = False):
     """``(g, h, products)`` for every composable pair of arrows whose
     fibres are both nonzero, products of basis elements in row-major
-    ``(a, c)`` order.  They come from the library's product kernel, so
-    that the rows compare a certificate with the SVD of the same bits;
-    ``test_basis_products`` pins the kernel itself."""
+    ``(a, c)`` order, with ``unit`` of the bases scaled to unit norm.
+    They come from the library's product kernel, so that the rows compare
+    a certificate with the SVD of the same bits; ``test_basis_products``
+    pins the kernel itself."""
+    stacks = {g: unit_rows(f.stack) if unit else f.stack
+              for g, f in b.fibres.items()}
     p = b.blocks.p
     for i in range(1, p + 1):
         for j in range(1, p + 1):
             for k in range(1, p + 1):
-                e1, e2 = b.fibres[(i, j)], b.fibres[(j, k)]
-                if e1.dim and e2.dim:
-                    yield (i, j), (j, k), _basis_products(e1.stack,
-                                                          e2.stack)
+                if b.fibres[(i, j)].dim and b.fibres[(j, k)].dim:
+                    yield (i, j), (j, k), _basis_products(stacks[(i, j)],
+                                                          stacks[(j, k)])
+
+
+def _pair_witness(b: FellBundleFD, g, h):
+    dim_h = b.fibres[h].dim
+    return lambda idx: (f"basis {idx // dim_h} of {g} x basis "
+                        f"{idx % dim_h} of {h}")
+
+
+def _composable_triples(p: int):
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            for k in range(1, p + 1):
+                for l in range(1, p + 1):
+                    yield (i, j), (j, k), (k, l)
+
+
+def theorem_rows(b: FellBundleFD,
+                 tol: Tolerance = DEFAULT_TOL) -> tuple[AxiomCheck, ...]:
+    """``fell.axiom.3``, ``4``, ``7``, ``8``, ``9`` and ``10``, computed
+    numerically in floating point, in report order."""
+    fibres = {g: f for g, f in b.fibres.items() if f.dim}
+    stacks = {g: f.stack for g, f in fibres.items()}
+    adjoints = {g: np.conj(np.swapaxes(x, 1, 2)) for g, x in stacks.items()}
+    fronorms = {g: np.linalg.norm(x.reshape(len(x), -1), axis=1)
+                for g, x in stacks.items()}
+    opnorms = {g: np.linalg.svd(x, compute_uv=False)[:, 0]
+               for g, x in stacks.items()}
+
+    # 3: associativity on seeded random elements of composable triples.
+    rng = np.random.default_rng(SPOT_CHECK_SEED)
+    assoc = WorstResidual(tol)
+    count = 0
+    for g, h, k in _composable_triples(b.blocks.p):
+        if count >= SPOT_CHECK_LIMIT:
+            break
+        if not (g in fibres and h in fibres and k in fibres):
+            continue
+        x, y, z = (np.tensordot(rng.standard_normal(fibres[a].dim),
+                                stacks[a], axes=1) for a in (g, h, k))
+        raw = frobenius((x @ y) @ z - x @ (y @ z))
+        scale = frobenius(x) * frobenius(y) * frobenius(z)
+        assoc.update(raw, scale, f"random elements over {g}, {h}, {k}")
+        count += 1
+
+    # 8: (e1 e2)* = e2* e1*, both sides by GEMM; the right side comes in
+    # (c, a) order and its residuals are put back in (a, c) order.
+    antihom = WorstResidual(tol)
+    for g, h, prods in _product_stacks(b):
+        d1, d2 = fibres[g].dim, fibres[h].dim
+        rhs = _basis_products(adjoints[h], adjoints[g])
+        lhs = np.conj(prods.reshape(d1, d2, fibres[g].rows, fibres[h].cols)
+                      .transpose(1, 0, 3, 2))
+        raws = np.linalg.norm((lhs - rhs.reshape(lhs.shape)).reshape(
+            len(rhs), -1), axis=1).reshape(d2, d1).T.reshape(-1)
+        antihom.update_batch(raws, np.outer(fronorms[g], fronorms[h])
+                             .reshape(-1), _pair_witness(b, g, h))
+
+    # 7, 9, 10: e** = e, ‖e* e‖ = ‖e‖² and e* e ≥ 0 on every element.
+    invol2 = WorstResidual(tol)
+    cstar = WorstResidual(tol)
+    positive = WorstResidual(tol)
+    for g in sorted(fibres):
+        def witness(idx, g=g):
+            return f"basis {idx} of fibre {g}"
+
+        double = np.conj(np.swapaxes(adjoints[g], 1, 2))
+        invol2.update_batch(
+            np.linalg.norm((double - stacks[g]).reshape(len(double), -1),
+                           axis=1), fronorms[g], witness)
+        grams = np.matmul(adjoints[g], stacks[g])
+        squares = opnorms[g] ** 2
+        cstar.update_batch(
+            np.abs(np.linalg.svd(grams, compute_uv=False)[:, 0] - squares),
+            squares, witness)
+        positive.update_batch(
+            np.maximum(0.0, -np.linalg.eigvalsh(grams)[:, 0]), squares,
+            witness)
+
+    return (assoc.check("fell.axiom.3",
+                        "analytic, verified on sampled elements"),
+            all_products_submultiplicativity(b, tol, opnorms),
+            invol2.check("fell.axiom.7", "e** = e on every basis element"),
+            antihom.check("fell.axiom.8", "(e1 e2)* = e2* e1*"),
+            cstar.check("fell.axiom.9", "‖e* e‖ = ‖e‖²"),
+            positive.check("fell.axiom.10", "e* e ≥ 0"))
 
 
 def all_products_submultiplicativity(
-        b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+        b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
+        opnorms=None) -> AxiomCheck:
     """``fell.axiom.4`` from the operator norm of every basis product."""
-    opnorms = {g: np.linalg.svd(f.stack, compute_uv=False)[:, 0]
-               for g, f in b.fibres.items() if f.dim}
+    if opnorms is None:
+        opnorms = {g: np.linalg.svd(f.stack, compute_uv=False)[:, 0]
+                   for g, f in b.fibres.items() if f.dim}
     row = WorstResidual(tol)
     for g, h, prods in _product_stacks(b):
         bound = np.outer(opnorms[g], opnorms[h]).reshape(-1)
         norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
-        dim_h = b.fibres[h].dim
-        row.update_batch(
-            np.maximum(0.0, norms - bound), bound,
-            lambda idx, g=g, h=h, dim_h=dim_h:
-            f"basis {idx // dim_h} of {g} x basis {idx % dim_h} of {h}")
+        row.update_batch(np.maximum(0.0, norms - bound), bound,
+                         _pair_witness(b, g, h))
     return row.check("fell.axiom.4", "‖e1 e2‖ ≤ ‖e1‖ ‖e2‖ on all basis pairs")
 
 
 def all_products_saturation(b: FellBundleFD,
                             tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
-    """``fell.saturated`` from the numerical rank of every product span."""
+    """``fell.saturated`` from the numerical rank of every product span,
+    the products formed from the bases scaled to unit norm."""
     spans = {(g, h): numerical_rank(prods.reshape(len(prods), -1), tol.rel)
-             for g, h, prods in _product_stacks(b)}
+             for g, h, prods in _product_stacks(b, unit=True)}
     worst, witness = 0, ""
     p = b.blocks.p
     for i in range(1, p + 1):

@@ -1,14 +1,16 @@
-"""Axiom 4 and saturation skip SVDs whose outcome a norm bound decides.
+"""Saturation skips the rank SVDs whose outcome a Gram certificate decides,
+and the Fell axioms that are identities of matrix algebra are decided by
+theorem.
 
-``check_bundle`` takes the operator norm of a basis product only when its
-Frobenius norm does not undercut ``‖e1‖‖e2‖`` by the margin, and the
-numerical rank of a product span only when the Gram matrix of its
-coordinates in the target fibre does not certify full rank.  These seeded
-tests compare the whole report, as JSON text, with the oracles that take
-every SVD (``oracles.exhaustive_rows``): on matrix-unit bundles, where
-nearly every SVD is skipped, on generic fibres, where few are, at the
-margin and at the rank threshold, at three tolerances and on bundles
-that fail.
+``check_saturated`` takes the numerical rank of a product span only when
+the Gram matrix of its coordinates in the target fibre does not certify
+full rank.  These seeded tests compare the whole report, as JSON text,
+with the oracle that takes every rank SVD (``oracles.exhaustive_rows``):
+on matrix-unit bundles, where every SVD is skipped, on generic fibres,
+where few are, at the rank threshold, at three tolerances and on bundles
+that fail.  ``check_fell_axioms`` reports ``fell.axiom.3``, ``4``, ``7``,
+``8``, ``9`` and ``10`` as analytic rows; on every bundle here the
+numeric rows of ``oracles.theorem_rows`` agree with that verdict.
 """
 
 import json
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn, random_unitary
-from oracles import exhaustive_rows
+from oracles import THEOREM_ROWS, exhaustive_rows, theorem_rows
 
 import ncg.fellbundle as fellbundle
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
@@ -95,6 +97,10 @@ def test_generic_fibres_near_underflow(seed):
     # Fibres scaled by 1e-84..1e-74 give products whose squared entries
     # fall among the subnormal numbers: the squared norms that decide the
     # saturation certificate have then lost their relative accuracy.
+    same_report(near_underflow_bundle(seed))
+
+
+def near_underflow_bundle(seed):
     rng = np.random.default_rng(seed)
     sizes = [(2, 2), (2, 1), (3, 2), (1, 2, 2)][seed % 4]
     fibres = {}
@@ -105,28 +111,40 @@ def test_generic_fibres_near_underflow(seed):
         scale = 10.0 ** rng.uniform(-84, -74)
         fibres[(i, j)] = SubspaceBasis(
             ni, nj, scale * crandn(rng, dim, ni, nj), Tolerance(rel=0.0))
-    same_report(FellBundleFD(blocks, fibres))
+    return FellBundleFD(blocks, fibres)
 
 
 @pytest.mark.parametrize("side", [1 - 1e-12, 1.0, 1 + 1e-12])
 @pytest.mark.parametrize("seed", range(4))
 def test_products_at_the_axiom_4_margin(seed, side):
     # e1 = u diag(1, 0) u*, e2 = u diag(a, 1) u*: the product u diag(a, 0) u*
-    # has Frobenius norm a against ‖e1‖‖e2‖ = 1.
+    # has Frobenius and operator norm a against ‖e1‖‖e2‖ = 1, around
+    # a = 1 - 1e-8, where the Frobenius norm alone stops deciding
+    # ‖e1 e2‖ ≤ ‖e1‖‖e2‖ with a margin far above rounding.  The SVD of
+    # every product passes on both sides, as the analytic row does.
     rng = np.random.default_rng([20261104, seed])
     u = random_unitary(rng, 2)
-    a = (1.0 - fellbundle._SUBMULT_MARGIN) * side
+    a = (1.0 - 1e-8) * side
     basis = [u @ np.diag(d) @ u.conj().T for d in ([1.0, 0.0], [a, 1.0])]
-    same_report(FellBundleFD(BlockStructure((2,)),
-                             {(1, 1): SubspaceBasis(2, 2, basis)}))
+    b = FellBundleFD(BlockStructure((2,)), {(1, 1): SubspaceBasis(2, 2, basis)})
+    same_report(b)
+    for tol in TOLS:
+        assert all(c.passed for c in theorem_rows(b, tol))
+        assert check_bundle(b, tol).find("fell.axiom.4").residual == 0.0
 
 
 def rank_threshold_bundle(rng, t):
-    """Blocks (2, 1): the products of fibre (1,2) (columns with singular
-    values 1 and ``t``) with fibre (2,1) (orthonormal rows) span the full
-    fibre (1,1) with singular values 1, 1, t, t.  Fibre (1,2) is built
-    without a rank test, since ``t`` may be below rounding."""
-    x = random_unitary(rng, 2) @ np.diag([1.0, t]) @ random_unitary(rng, 2)
+    """Blocks (2, 1): fibre (1,2) is spanned by two unit columns at angle
+    ``θ = 2 atan t``, whose singular values have ratio ``tan(θ/2) = t``,
+    and fibre (2,1) by orthonormal rows.  Their products span the full
+    fibre (1,1) with singular values in the same ratio.  The elements
+    have unit norm, so saturation's rescaling keeps the ratio, and the
+    small entry ``sin θ`` is exact even below rounding; fibre (1,2) is
+    built without a rank test."""
+    theta = 2 * np.arctan(t)
+    phases = np.exp(2j * np.pi * rng.random(2))
+    x = phases[:, None] * np.array([[1.0, np.cos(theta)],
+                                    [0.0, np.sin(theta)]])
     y = random_unitary(rng, 2)
     fibres = {(1, 1): SubspaceBasis(2, 2, _units(2, 2)),
               (1, 2): SubspaceBasis(2, 1, x.T[:, :, None],
@@ -152,7 +170,8 @@ def test_span_at_the_rank_threshold(seed, side, tol):
 @pytest.mark.parametrize("tol", TOLS[:2], ids=lambda t: f"rel{t.rel:g}")
 @pytest.mark.parametrize("side", [1 - 1e-6, 1 + 1e-6])
 def test_span_at_the_certificate_threshold(side, tol):
-    # λ_min(CᴴC) = t² against max(1e-10, 4 rel²) ‖products‖_F² = c (2 + 2t²).
+    # λ_min(CᴴC) = 1 - cos θ = 2t² / (1 + t²) against
+    # max(1e-10, 4 rel²) ‖products‖_F² = 4c for the four unit products.
     c = max(fellbundle._GRAM_FLOOR, 4.0 * tol.rel ** 2)
     t = np.sqrt(2 * c / (1 - 2 * c)) * side
     rng = np.random.default_rng(20261106)
@@ -187,28 +206,62 @@ def test_planted_violations(kind):
 
 
 def test_matrix_unit_bundle_skips_the_idle_svds(monkeypatch):
-    # On conjugated matrix units only the products E_ab E_bd = E_ad, one
-    # in n_j, reach the operator-norm SVD, and every product span is
-    # certified.  Each fibre also takes one SVD per element for its norms
-    # and one for axiom 9.
-    sizes = (2, 3, 4)
-    b = conjugated_bundle(np.random.default_rng(20261108), sizes)
-    svd, seen = np.linalg.svd, []
+    # On conjugated matrix units every product span is certified, and the
+    # axiom rows take no SVD or eigendecomposition at all: rows 2 and 6
+    # are projections, the others analytic.
+    b = conjugated_bundle(np.random.default_rng(20261108), (2, 3, 4))
+    seen = []
 
-    def counting_svd(a, *args, **kwargs):
-        seen.append(int(np.prod(a.shape[:-2])))
-        return svd(a, *args, **kwargs)
+    def forbidden(name):
+        def call(*args, **kwargs):
+            seen.append(name)
+            raise AssertionError(f"{name} reached")
+        return call
 
-    def no_rank(*args):
-        raise AssertionError("a certified span reached numerical_rank")
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(fellbundle, "numerical_rank", no_rank)
+    monkeypatch.setattr(np.linalg, "svd", forbidden("svd"))
+    monkeypatch.setattr(fellbundle, "numerical_rank",
+                        forbidden("numerical_rank"))
     assert check_saturated(b).passed
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden("eigvalsh"))
+    assert check_fell_axioms(b).all_passed
     assert seen == []
-    check_fell_axioms(b)
-    per_fibre = sum(2 * f.dim for f in b.fibres.values())
-    # (n_i n_j)(n_j n_k) products over (i, j, k), one in n_j of them open.
-    open_products = sum(si * sj * sk
-                        for si in sizes for sj in sizes for sk in sizes)
-    assert sum(seen) == per_fibre + open_products
+
+
+@pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
+def test_theorem_rows_agree_with_the_numeric_oracle(tol):
+    # Every bundle of this module, at each tolerance: the analytic rows
+    # pass with residual 0, and the numeric rows pass too, except that a
+    # relative tolerance below rounding (1e-17) fails them on the fibres
+    # scaled by 1e40, by residuals of a few units in the last place.
+    for name, b in bundle_fixtures():
+        report = check_bundle(b, tol)
+        for row in theorem_rows(b, tol):
+            analytic = report.find(row.axiom_id)
+            assert (analytic.passed, analytic.residual) == (True, 0.0)
+            assert analytic.witness.startswith("analytic: ")
+            below_rounding = tol.rel < 1e-16 and name == "scaled 1e+40"
+            assert row.passed or (below_rounding and row.residual < 1e-14), \
+                (name, row)
+        assert [c.axiom_id for c in report if c.axiom_id in THEOREM_ROWS] \
+            == list(THEOREM_ROWS)
+
+
+def bundle_fixtures():
+    for seed in range(2):
+        for sizes, split in [((2, 3, 4), None), ((4, 4, 4), 2), ((6, 6), 3)]:
+            rng = np.random.default_rng([20261109, seed, len(sizes)])
+            yield f"conjugated {sizes} split {split}", conjugated_bundle(
+                rng, sizes, split)
+    for seed in range(4):
+        for sizes in [(2, 3), (3, 2, 2), (1, 2, 1, 2)]:
+            rng = np.random.default_rng([20261110, seed, len(sizes)])
+            yield f"generic {sizes}", generic_bundle(rng, sizes)
+    for scale in [1e-100, 1e-75, 1e40]:
+        rng = np.random.default_rng([20261111, abs(int(np.log10(scale)))])
+        yield f"scaled {scale:g}", conjugated_bundle(rng, (2, 3, 3),
+                                                     scale=scale)
+    for seed in range(300, 304):
+        yield f"near underflow {seed}", near_underflow_bundle(seed)
+    planted = planted_bundles(np.random.default_rng(20261112))
+    for kind, (b, _) in planted.items():
+        yield f"planted {kind}", b
