@@ -8,7 +8,7 @@ implements the equivalences between the three presentations; and runs a
 
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                      frobenius, hermitian_spectrum, is_partial_isometry,
-                     matrix_from_json, matrix_to_json, operator_norm)
+                     matrix_from_json, operator_norm)
 from .groupoid import (Bisection, LocalBisection, PairGroupoid,
                        all_bisections, all_local_bisections,
                        compose_bisections, is_local_bisection)

@@ -22,7 +22,7 @@ from .fellbundle import (BlockStructure, FellBundleFD, UnitaryField,
                          check_fell_axioms, check_unital)
 from .groupoid import Arrow, Bisection
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
-                     as_matrix, frobenius, matrix_from_json, matrix_to_json)
+                     as_matrix, frobenius, matrix_from_json)
 from .report import AxiomReport
 
 NORMALISER_KINDS = ("not_normaliser", "normaliser", "free", "invertible",
@@ -190,7 +190,7 @@ class DomainSection:
 
     def to_json(self) -> dict:
         return {"perm": list(self.support),
-                "blocks": {str(j): matrix_to_json(blk)
+                "blocks": {str(j): blk
                            for j, blk in sorted(self.blocks_data.items())}}
 
 

@@ -14,7 +14,8 @@ the bundle's sectional algebra is ``M_n(C)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (InputError, ShapeError,
 from .groupoid import Arrow, PairGroupoid
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                      as_matrix, frobenius, numerical_rank, require_unitary,
-                     subspace_from_json, subspace_to_json, unit_rows)
+                     subspace_from_json, unit_rows)
 from .report import AxiomCheck, AxiomReport, WorstResidual
 
 # A Frobenius norm below this may have lost its relative accuracy to
@@ -45,6 +46,8 @@ class BlockStructure:
     """
 
     sizes: tuple[int, ...]
+    # Start of each block along ``C^n``.
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
@@ -52,6 +55,8 @@ class BlockStructure:
             raise InputError(f"BlockStructure: sizes must be positive, "
                              f"got {self.sizes}")
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "offsets",
+                           tuple(accumulate(sizes[:-1], initial=0)))
 
     @property
     def p(self) -> int:
@@ -60,14 +65,6 @@ class BlockStructure:
     @property
     def total(self) -> int:
         return sum(self.sizes)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
 
     def groupoid(self) -> PairGroupoid:
         return PairGroupoid(self.p)
@@ -524,8 +521,9 @@ def blocks_from_json(data) -> BlockStructure:
 
 
 def fibres_to_json(fibres: Mapping[Arrow, SubspaceBasis]) -> dict:
-    """Encode the nonzero fibres (or homsets) keyed ``"i,j"``."""
-    return {f"{i},{j}": subspace_to_json(fibre)
+    """The basis stacks of the nonzero fibres (or homsets) keyed
+    ``"i,j"``."""
+    return {f"{i},{j}": fibre.stack
             for (i, j), fibre in sorted(fibres.items()) if fibre.dim}
 
 

@@ -24,8 +24,7 @@ from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_to_json, check_saturated, check_unital,
                          fibres_from_json, fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
-                     frobenius, matrix_from_json, matrix_to_json,
-                     require_unitary)
+                     frobenius, matrix_from_json, require_unitary)
 from .report import AxiomReport
 from .sptriple import FiniteSpectralTriple, check_triple
 
@@ -87,7 +86,7 @@ class FellBundleTriple:
 
     def to_json(self) -> dict:
         return {**bundle_to_json(self.bundle), "hilbert_dim": self.hilbert_dim,
-                "PL": matrix_to_json(self.PL)}
+                "PL": self.PL}
 
 
 def fell_bundle_triple(bundle: FellBundleFD, pl,
@@ -244,4 +243,4 @@ def fluctuation_terms_from_json(data) -> list[FluctuationTerm]:
 
 
 def fluctuation_terms_to_json(terms: Sequence[FluctuationTerm]) -> list:
-    return [{"r": t.r, "U": matrix_to_json(t.U)} for t in terms]
+    return [{"r": t.r, "U": t.U} for t in terms]

@@ -4,9 +4,13 @@ Matrices are plain ``numpy.ndarray`` values with complex128 entries and are
 treated as immutable; every function here is pure, so everything is safe to
 call concurrently.  The JSON wire format shared by the whole package encodes
 a complex scalar as a two-element array ``[re, im]`` and a matrix as an
-array of rows; :func:`matrix_to_json` / :func:`matrix_from_json` are the
-normative codec, and :func:`write_json` writes every document that holds
-them, byte for byte as ``json.dumps(obj, indent=2, sort_keys=True)``.
+array of rows.  In memory a document holds its matrices and basis stacks as
+ndarrays, converted to and from text once, at the file boundary:
+:func:`write_json` is the single writer, byte for byte
+``json.dumps(obj, indent=2, sort_keys=True)`` of the document with each
+array spelled as its nested lists of pairs, and :func:`matrix_from_json` /
+:func:`subspace_from_json` decode a whole matrix or basis list in one
+checked step, falling back to a cell-by-cell decoder that names the fault.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -150,11 +154,13 @@ class SubspaceBasis:
 
     The basis is validated for independence at construction (numerical rank
     of the flattened stack, each element scaled to unit norm, must equal
-    its length) and an orthonormal basis is precomputed for fast
-    membership tests.  Instances are immutable.
+    its length) and an orthonormal basis and its conjugate are precomputed
+    for fast membership tests.  The basis is an iterable of matrices, each
+    checked by :func:`as_matrix`, or one finite ``(k, rows, cols)`` array,
+    checked at once.  Instances are immutable.
     """
 
-    __slots__ = ("rows", "cols", "stack", "_onb")
+    __slots__ = ("rows", "cols", "stack", "_onb", "_onb_conj")
 
     def __init__(self, rows: int, cols: int, matrices: Iterable,
                  tol: Tolerance = DEFAULT_TOL):
@@ -162,21 +168,27 @@ class SubspaceBasis:
         cols = int(cols)
         if rows < 1 or cols < 1:
             raise ShapeError("SubspaceBasis: ambient shape must be positive")
-        mats = [as_matrix(m, f"SubspaceBasis element {k}", (rows, cols))
-                for k, m in enumerate(matrices)]
-        stack = (np.stack(mats) if mats
-                 else np.zeros((0, rows, cols), dtype=complex))
-        if mats:
+        if (isinstance(matrices, np.ndarray)
+                and matrices.dtype.kind in "biufc"
+                and matrices.shape[1:] == (rows, cols)
+                and np.isfinite(matrices).all()):
+            stack = np.array(matrices, dtype=complex, order="C")
+        else:
+            mats = [as_matrix(m, f"SubspaceBasis element {k}", (rows, cols))
+                    for k, m in enumerate(matrices)]
+            stack = (np.stack(mats) if mats
+                     else np.zeros((0, rows, cols), dtype=complex))
+        k = len(stack)
+        if k:
             # Rank of the unit-norm rows, so that elements of very
             # different size count alike.
-            u, s, vh = np.linalg.svd(
-                unit_rows(stack.reshape(len(mats), rows * cols)),
-                full_matrices=False)
+            u, s, vh = np.linalg.svd(unit_rows(stack.reshape(k, rows * cols)),
+                                     full_matrices=False)
             rank = int(np.count_nonzero(s > tol.rel * s[0])) if s[0] else 0
-            if rank != len(mats):
+            if rank != k:
                 raise InputError(
                     f"SubspaceBasis: basis is linearly dependent "
-                    f"(rank {rank} < {len(mats)})"
+                    f"(rank {rank} < {k})"
                 )
             onb = vh[:rank]
         else:
@@ -185,6 +197,7 @@ class SubspaceBasis:
         self.cols = cols
         self.stack = stack
         self._onb = onb
+        self._onb_conj = onb.conj()
 
     @property
     def dim(self) -> int:
@@ -203,7 +216,7 @@ class SubspaceBasis:
     def residual(self, x: np.ndarray) -> float:
         """Frobenius distance from ``x`` to the span; 0 iff it belongs."""
         v = as_matrix(x, "residual", (self.rows, self.cols)).reshape(-1)
-        proj = self._onb.T @ (self._onb.conj() @ v)
+        proj = self._onb.T @ (self._onb_conj @ v)
         return float(np.linalg.norm(v - proj))
 
     def coordinates(self, stack: np.ndarray) -> np.ndarray:
@@ -213,7 +226,7 @@ class SubspaceBasis:
             raise ShapeError(f"coordinates: stack shape {stack.shape}, "
                              f"expected (k, {self.rows}, {self.cols})")
         flat = stack.reshape(stack.shape[0], self.rows * self.cols)
-        return flat @ self._onb.conj().T
+        return flat @ self._onb_conj.T
 
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack."""
@@ -225,15 +238,8 @@ class SubspaceBasis:
         """Orthogonal projection of ``x`` onto the span."""
         x = as_matrix(x, "project", (self.rows, self.cols))
         v = x.reshape(-1)
-        proj = self._onb.T @ (self._onb.conj() @ v)
+        proj = self._onb.T @ (self._onb_conj @ v)
         return proj.reshape(self.rows, self.cols)
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Encode a matrix (or a stack of matrices) as rows of ``[re, im]``
-    pairs of Python floats, signed zeros included."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 # JSON numbers decode to exactly these types; ``bool`` is excluded.
@@ -249,6 +255,54 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
     """Decode the ``[re, im]`` row encoding, with location diagnostics;
     a part larger than ``1e48`` in magnitude is refused, and ``shape`` is
     checked as in :func:`as_matrix`."""
+    m = _checked_array(data, 2)
+    if m is None or (shape is not None and m.shape != shape):
+        return _matrix_from_cells(data, label, shape)
+    return m
+
+
+def subspace_from_json(data, rows: int, cols: int,
+                       label: str = "fibre") -> SubspaceBasis:
+    """Decode a list of ``rows x cols`` matrices into their span."""
+    if not isinstance(data, list):
+        raise InputError(f"{label}: expected an array of matrices")
+    stack = _checked_array(data, 3)
+    if stack is None or stack.shape[1:] != (rows, cols):
+        stack = [_matrix_from_cells(m, f"{label}[{k}]")
+                 for k, m in enumerate(data)]
+    return SubspaceBasis(rows, cols, stack)
+
+
+def _checked_array(data, ndim: int):
+    """The complex array of a nonempty rectangular nested list, ``ndim``
+    levels of lists over ``[re, im]`` pairs whose parts are exact ints or
+    floats of magnitude at most :data:`ENTRY_BOUND`, decoded in one step;
+    None for anything else, which :func:`_matrix_from_cells` then names."""
+    shape, level = [], [data]
+    for _ in range(ndim + 1):
+        if set(map(type, level)) != {list}:
+            return None
+        sizes = set(map(len, level))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.extend(sizes)
+        level = list(chain.from_iterable(level))
+    types = set(map(type, level))
+    if shape[-1] != 2 or not types <= _REAL:
+        return None
+    # Compared on the Python numbers: an int just above the bound would
+    # round to it as a float.
+    if int in types and not max(map(abs, level)) <= ENTRY_BOUND:
+        return None
+    parts = np.array(level, dtype=float)
+    if not (np.abs(parts) <= ENTRY_BOUND).all():  # False for nan, too
+        return None
+    return parts.view(complex).reshape(shape[:-1])
+
+
+def _matrix_from_cells(data, label: str, shape=None) -> np.ndarray:
+    """:func:`matrix_from_json` cell by cell, refusing the first fault in
+    reading order by its location."""
     if not isinstance(data, list) or not data:
         raise InputError(f"{label}: expected a nonempty array of rows")
     ncols = None
@@ -278,73 +332,63 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
     return as_matrix(rows, label, shape)
 
 
-def subspace_to_json(s: SubspaceBasis) -> list:
-    return matrix_to_json(s.stack)
-
-
-def subspace_from_json(data, rows: int, cols: int,
-                       label: str = "fibre") -> SubspaceBasis:
-    if not isinstance(data, list):
-        raise InputError(f"{label}: expected an array of matrices")
-    mats: Sequence[np.ndarray] = [
-        matrix_from_json(m, f"{label}[{k}]") for k, m in enumerate(data)
-    ]
-    return SubspaceBasis(rows, cols, mats)
-
-
 def write_json(obj, write) -> None:
     """Pass ``json.dumps(obj, indent=2, sort_keys=True)`` to ``write``
-    piece by piece, each matrix formatted in one step.
+    piece by piece, where an ndarray stands for its nested list of
+    numbers, a complex entry as an ``[re, im]`` pair.
 
-    A nonempty rectangular nested list whose innermost lists are
-    ``[x, y]`` pairs of exact ints and finite floats (a matrix or a stack
-    of them) fills a ``%r`` template of its indent layout; ``%r`` is the
-    ``repr`` that ``json`` writes numbers with.  Dicts with string keys are
-    walked; anything else is spelled by ``json.dumps`` and re-indented,
-    which is exact because JSON text holds no raw newline inside a string.
+    Dicts with string keys, and lists that hold an array, are walked.  A
+    nonempty finite float or complex array fills a ``%r`` template of its
+    indent layout from one ``tolist()`` of its parts; ``%r`` is the
+    ``repr`` that ``json`` writes numbers with.  Anything else, an empty or
+    non-finite array's nested list included, is spelled by ``json.dumps``
+    and re-indented, which is exact because JSON text holds no raw newline
+    inside a string.
     """
     _write_json(obj, write, "\n")
 
 
 def _write_json(obj, write, nl: str) -> None:
-    pairs = _pair_array(obj) if isinstance(obj, list) else None
-    if pairs is not None:
-        shape, numbers = pairs
-        write(_pair_template(shape, nl) % numbers)
+    inner = nl + "  "
+    if isinstance(obj, np.ndarray):
+        parts = (np.ascontiguousarray(obj).view(obj.real.dtype)
+                 .reshape(obj.shape + (2,)) if obj.dtype.kind == "c"
+                 else obj)
+        if parts.dtype.kind == "f" and parts.size and np.isfinite(parts).all():
+            write(_array_template(parts.shape, nl)
+                  % tuple(parts.ravel().tolist()))
+        else:
+            _write_json(parts.tolist(), write, nl)
     elif isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        inner = nl + "  "
         write("{")
         for k, key in enumerate(sorted(obj)):
             write(("," if k else "") + inner + json.dumps(key) + ": ")
             _write_json(obj[key], write, inner)
         write(nl + "}")
+    elif isinstance(obj, list) and _holds_array(obj):
+        write("[")
+        for k, item in enumerate(obj):
+            write(("," if k else "") + inner)
+            _write_json(item, write, inner)
+        write(nl + "]")
     else:
         write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
 
 
-def _pair_array(obj: list):
-    """``(shape, numbers)`` of a nonempty rectangular nested list of
-    ``[x, y]`` pairs of exact ints and finite floats, the numbers a tuple
-    in row-major order; None for anything else."""
-    shape, level = [], (obj,)
-    while set(map(type, level)) == {list}:
-        sizes = set(map(len, level))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        shape.extend(sizes)
-        level = tuple(chain.from_iterable(level))
-    if shape[-1:] != [2] or not set(map(type, level)) <= _REAL:
-        return None
-    try:
-        finite = math.isfinite(sum(level))
-    except OverflowError:  # an int beyond the float range
-        return None
-    return (shape, level) if finite else None
+def _holds_array(obj) -> bool:
+    """Whether an ndarray sits anywhere in a nest of dicts and lists."""
+    if isinstance(obj, dict):
+        return any(map(_holds_array, obj.values()))
+    if isinstance(obj, list):
+        return any(map(_holds_array, obj))
+    return isinstance(obj, np.ndarray)
 
 
-def _pair_template(shape: list, nl: str) -> str:
+def _array_template(shape: tuple, nl: str) -> str:
     """The text ``json.dumps(indent=2)`` gives a nested list of ``shape``
     opened at the indent of ``nl``, with ``%r`` for each number."""
+    if not shape:
+        return "%r"
     inner = nl + "  "
-    item = "%r" if len(shape) == 1 else _pair_template(shape[1:], inner)
+    item = _array_template(shape[1:], inner)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"

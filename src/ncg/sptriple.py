@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConsistencyError, InputError, StructureError
 from .fellbundle import BlockStructure, blocks_from_json
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
-                     hermitian_spectrum, matrix_from_json, matrix_to_json)
+                     hermitian_spectrum, matrix_from_json)
 from .report import (AxiomCheck, AxiomReport, WorstResidual,
                      residual_checks)
 
@@ -402,12 +402,8 @@ def extract_mass_matrix(t: FiniteSpectralTriple,
 
 
 def triple_to_json(t: FiniteSpectralTriple) -> dict:
-    def enc(x):
-        return None if x is None else matrix_to_json(x)
-
-    return {"blocks": list(t.blocks.sizes), "D": matrix_to_json(t.D),
-            "gamma": enc(t.gamma), "epsilon": enc(t.epsilon),
-            "K": enc(t.K)}
+    return {"blocks": list(t.blocks.sizes), "D": t.D, "gamma": t.gamma,
+            "epsilon": t.epsilon, "K": t.K}
 
 
 def triple_from_json(data) -> FiniteSpectralTriple:

@@ -1,13 +1,29 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and JSON helpers for the test suite.
 
 Everything is seeded by the caller so test runs are reproducible.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from ncg import BlockStructure, FiniteSpectralTriple
+from ncg.matops import write_json
+
+
+def written_text(obj) -> str:
+    """The text :func:`ncg.matops.write_json` writes for ``obj``."""
+    pieces = []
+    write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+def json_document(obj):
+    """A ``to_json()`` document as a reader receives it: the writer's
+    text, loaded by ``json``."""
+    return json.loads(written_text(obj))
 
 
 def crandn(rng, *shape):

@@ -31,8 +31,8 @@ lattice sweeps on the explicit ``n x n`` matrices of
 same operators as an O(n) stencil and a phase vector.
 
 ``indented_json`` is the text ``matops.write_json`` reproduces from
-``%r`` templates, and ``matrix_to_json_loop`` is the per-cell matrix
-encoder that the array encoder replaced.
+``%r`` templates, and ``nested_lists`` spells a document's arrays entry
+by entry, as the writer's one ``tolist()`` per array must.
 """
 
 from __future__ import annotations
@@ -380,6 +380,16 @@ def indented_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def matrix_to_json_loop(m) -> list:
-    """Rows of ``[re, im]`` pairs, one Python float per part."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def nested_lists(obj):
+    """``obj`` with every ndarray replaced, entry by entry, by nested
+    lists of Python numbers, a complex entry as an ``[re, im]`` pair."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        if obj.ndim:
+            return [nested_lists(x) for x in obj]
+        z = obj.item()
+        return [z.real, z.imag] if isinstance(z, complex) else z
+    if isinstance(obj, dict):
+        return {key: nested_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [nested_lists(value) for value in obj]
+    return obj

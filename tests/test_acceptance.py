@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from conftest import (crandn, random_admissible_triple, random_normaliser,
-                      random_partial_isometry, random_unitary)
+                      random_partial_isometry, random_unitary, written_text)
 
 from ncg import (BlockStructure, FellBundleFD, FiniteSpectralTriple,
                  SubspaceBasis, build_triple_from_mass_matrix, categorify,
@@ -333,12 +333,12 @@ def test_criterion_11_fluctuation_identity():
 def test_criterion_12_cli_determinism(tmp_path, capsys):
     standard = build_triple_from_mass_matrix(np.array([[1.0]]))
     p_good = tmp_path / "standard.json"
-    p_good.write_text(json.dumps(triple_to_json(standard)))
+    p_good.write_text(written_text(triple_to_json(standard)))
     bad = FiniteSpectralTriple(standard.blocks, standard.D,
                                np.eye(4, dtype=complex), standard.epsilon,
                                standard.K)
     p_bad = tmp_path / "gamma_identity.json"
-    p_bad.write_text(json.dumps(triple_to_json(bad)))
+    p_bad.write_text(written_text(triple_to_json(bad)))
 
     runs = []
     for _ in range(2):

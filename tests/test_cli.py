@@ -10,17 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import json_document, random_unitary
 
 from ncg import (BlockStructure, FiniteSpectralTriple, Profile,
                  bundle_to_json, build_triple_from_mass_matrix, categorify,
                  climit, full_morita_bundle, triple_from_json, triple_to_json)
 import ncg
 from ncg.cli import run
+from ncg.matops import write_json
 
 
 def write(path, obj):
-    path.write_text(json.dumps(obj))
+    """Write ``obj`` as the CLI writes its files."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(obj, fh.write)
     return str(path)
 
 
@@ -107,7 +110,7 @@ class TestNonHermitianGrading:
 
 def _category_json():
     t = build_triple_from_mass_matrix(np.array([[1.0]]))
-    return categorify(t).to_json()
+    return json_document(categorify(t).to_json())
 
 
 def _malformed_cases():
@@ -248,7 +251,7 @@ def _entry_cases(big):
     bundle = {"blocks": [1, 1],
               "fibres": {f"{i},{j}": [[[[big, 0.0]]]]
                          for i in (1, 2) for j in (1, 2)}}
-    return triple_to_json(t), bundle
+    return json_document(triple_to_json(t)), bundle
 
 
 @pytest.mark.parametrize("command", ["check-triple", "categorify",

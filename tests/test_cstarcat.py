@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import crandn, random_normaliser, random_unitary
+from conftest import crandn, json_document, random_normaliser, random_unitary
 
 from ncg import (AxiomRefusalError, Bisection, BlockStructure,
                  DomainSectionError, FellBundleFD, SubspaceBasis,
@@ -215,7 +215,8 @@ class TestDomainSection:
         t = build_triple_from_mass_matrix(np.array([[1.0, 2.0],
                                                     [0.5j, -1.0]]))
         section = is_domain_section(t.D, t.blocks)
-        decoded = domain_section_from_json(section.to_json(), t.blocks)
+        decoded = domain_section_from_json(json_document(section.to_json()),
+                                           t.blocks)
         np.testing.assert_array_equal(decoded.assembled, section.assembled)
 
 

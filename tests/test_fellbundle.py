@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import crandn, random_unitary
+from conftest import crandn, json_document, random_unitary
 
 from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
                  SubspaceBasis, UnitaryField, UnsupportedConfigurationError,
@@ -279,7 +279,7 @@ class TestLinkingAlgebra:
 class TestBundleJson:
     def test_round_trip(self):
         b = full_morita_bundle(BlockStructure((1, 2)))
-        decoded = bundle_from_json(bundle_to_json(b))
+        decoded = bundle_from_json(json_document(bundle_to_json(b)))
         for g in b.arrows():
             np.testing.assert_array_equal(decoded.fibres[g].stack,
                                           b.fibres[g].stack)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import json_document, random_unitary
 
 from ncg import (BlockStructure, build_triple_from_mass_matrix, categorify,
                  full_morita_bundle, triple_to_json)
@@ -31,13 +31,15 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow])
 
-_TRIPLE = triple_to_json(build_triple_from_mass_matrix(np.array([[1.0]])))
+_TRIPLE = json_document(triple_to_json(
+    build_triple_from_mass_matrix(np.array([[1.0]]))))
 _N = len(_TRIPLE["D"])
 BASES = {
     "triple": _TRIPLE,
-    "bundle": bundle_to_json(full_morita_bundle(BlockStructure((1, 2)))),
-    "category": categorify(build_triple_from_mass_matrix(
-        np.array([[1.0]]))).to_json(),
+    "bundle": json_document(
+        bundle_to_json(full_morita_bundle(BlockStructure((1, 2))))),
+    "category": json_document(categorify(build_triple_from_mass_matrix(
+        np.array([[1.0]]))).to_json()),
     "terms": [{"r": 0.5, "U": [[[z.real, z.imag] for z in row] for row in
                               random_unitary(np.random.default_rng(3), _N)]}],
 }

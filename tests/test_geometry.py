@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import crandn, random_admissible_triple, random_unitary
+from conftest import (crandn, json_document, random_admissible_triple,
+                      random_unitary)
 
 from ncg import (AxiomRefusalError, BlockStructure, DomainSectionError,
                  FiniteSpectralTriple, FluctuationTerm, InputError,
@@ -136,7 +137,7 @@ class TestFellTripleFromCategory:
     def test_json_round_trip(self):
         t = build_triple_from_mass_matrix(np.array([[1.0]]))
         sc = categorify(t)
-        decoded = spectral_category_from_json(sc.to_json())
+        decoded = spectral_category_from_json(json_document(sc.to_json()))
         np.testing.assert_array_equal(decoded.sigma.assembled,
                                       sc.sigma.assembled)
 
@@ -266,7 +267,8 @@ class TestFluctuationTermsJson:
         rng = np.random.default_rng(53)
         terms = [FluctuationTerm(0.5, random_unitary(rng, 3)),
                  FluctuationTerm(-1.0, random_unitary(rng, 3))]
-        decoded = fluctuation_terms_from_json(fluctuation_terms_to_json(terms))
+        decoded = fluctuation_terms_from_json(
+            json_document(fluctuation_terms_to_json(terms)))
         assert decoded[0].r == 0.5
         np.testing.assert_array_equal(decoded[1].U, terms[1].U)
 

@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import crandn, random_unitary
-from oracles import indented_json, matrix_to_json_loop
+from conftest import crandn, json_document, random_unitary, written_text
+from oracles import indented_json, nested_lists
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
                  Tolerance, hermitian_spectrum, is_partial_isometry,
                  operator_norm)
-from ncg.matops import (ENTRY_BOUND, matrix_from_json, matrix_to_json,
-                        subspace_to_json, write_json)
+from ncg.matops import ENTRY_BOUND, matrix_from_json
 
 
 def unit(n, r, c):
@@ -200,7 +199,7 @@ class TestJsonCodec:
     def test_round_trip(self):
         rng = np.random.default_rng(31)
         m = crandn(rng, 3, 2)
-        decoded = matrix_from_json(matrix_to_json(m))
+        decoded = matrix_from_json(json_document(m))
         np.testing.assert_array_equal(decoded, m)
 
     def test_bool_entry_rejected(self):
@@ -215,24 +214,37 @@ class TestJsonCodec:
         with pytest.raises(InputError, match=r"\(0,1\)"):
             matrix_from_json([[[1.0, 0.0], [2.0]]])
 
-    @pytest.mark.parametrize("view", ["c_order", "fortran", "transposed",
-                                      "sliced", "real", "signed_zeros"])
+    @pytest.mark.parametrize("view", [
+        "c_order", "fortran", "transposed", "sliced", "real", "real_sliced",
+        "signed_zeros", "non_finite", "real_non_finite", "empty_stack",
+        "empty_rows", "real_empty"])
     def test_encoder_matches_per_cell_loop(self, view):
+        """The writer's text for an array is ``json.dumps`` of its entries,
+        spelled one by one; a real array's is that of ``a.tolist()``."""
         rng = np.random.default_rng(37)
         m = crandn(rng, 7, 5)
         m = {"c_order": m, "fortran": np.asfortranarray(m),
              "transposed": m.T, "sliced": m[1::2, ::-2],
-             "real": m.real.copy(),
+             "real": m.real.copy(), "real_sliced": m.imag[::-3, 1::2],
              "signed_zeros": np.array([[-0.0, complex(0.0, -0.0)],
-                                       [complex(-0.0, -0.0), 5e-324]])}[view]
-        assert repr(matrix_to_json(m)) == repr(matrix_to_json_loop(m))
+                                       [complex(-0.0, -0.0), 5e-324]]),
+             "non_finite": np.array([[complex(np.nan, 1.0), np.inf],
+                                     [-0.0, complex(2.0, -np.inf)]]),
+             "real_non_finite": np.array([[np.nan, -np.inf], [1.5, -0.0]]),
+             "empty_stack": np.zeros((0, 2, 3), dtype=complex),
+             "empty_rows": np.zeros((2, 0), dtype=complex),
+             "real_empty": np.zeros((0, 4))}[view]
+        assert written_text(m) == indented_json(nested_lists(m))
+        if m.dtype.kind == "f":
+            assert written_text(m) == indented_json(m.tolist())
+        assert written_text({"m": m}) == indented_json({"m": nested_lists(m)})
 
     def test_stack_encoder_matches_per_matrix_loop(self):
         stack = crandn(np.random.default_rng(38), 3, 2, 4)
         basis = SubspaceBasis(2, 4, stack)
-        assert repr(subspace_to_json(basis)) == repr(
-            [matrix_to_json_loop(m) for m in stack])
-        assert subspace_to_json(SubspaceBasis(2, 4, [])) == []
+        assert written_text(basis.stack) == indented_json(
+            [nested_lists(m) for m in stack])
+        assert written_text(SubspaceBasis(2, 4, []).stack) == "[]"
 
 
 def _entry(value):
@@ -335,16 +347,19 @@ SCALARS = [None, True, "s", 1, -0.0, 1e-300, "ä,\""]
 
 
 def _random_json(rng, depth):
-    """A seeded nested document of dicts, lists, matrices, stacks with
-    special numbers planted in them, near misses and scalars."""
+    """A seeded nested document of dicts, lists, complex arrays, lists of
+    pairs with special numbers planted in them, near misses and
+    scalars."""
     kind = rng.integers(0, 6 if depth else 3)
     if kind == 0:
         return SCALARS[rng.integers(0, len(SCALARS))]
     if kind in (1, 2):
         shape = tuple(rng.integers(1, 6, size=rng.integers(1, 4))) + (2,)
         parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6)
+        if kind == 1:
+            return parts.view(complex)[..., 0]
         out = parts.tolist()
-        for _ in range(3 if kind == 2 else 0):
+        for _ in range(3):
             *where, last = np.unravel_index(rng.integers(0, parts.size),
                                             shape)
             cell = out
@@ -364,48 +379,42 @@ def _random_json(rng, depth):
     return list(NEAR_MISSES.values())[rng.integers(0, len(NEAR_MISSES))]
 
 
-def _written(obj) -> str:
-    pieces = []
-    write_json(obj, pieces.append)
-    return "".join(pieces)
-
-
 class TestWriteJson:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (3, 5),
                                        (8, 8), (17, 33), (33, 17)])
     def test_matrix_and_stack(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         m = crandn(rng, *shape) * 10.0 ** rng.integers(-300, 300, shape)
-        for obj in (matrix_to_json(m), matrix_to_json(np.stack([m] * 3)),
-                    {"D": matrix_to_json(m), "blocks": list(shape)},
-                    {"homsets": {"1,1": [matrix_to_json(m)], "1,2": []}}):
-            assert _written(obj) == indented_json(obj)
+        for obj in (m, np.stack([m] * 3), {"D": m, "blocks": list(shape)},
+                    {"homsets": {"1,1": m[None], "1,2": []}},
+                    [{"r": 0.5, "U": m}, {"r": -1, "U": m.T}]):
+            assert written_text(obj) == indented_json(nested_lists(obj))
 
     @pytest.mark.parametrize("number", SPECIAL_NUMBERS, ids=repr)
     def test_special_numbers(self, number):
         for obj in ([[[number, 1.0]]], [[[1.0, number], [number, -0.0]]],
                     {"x": [[[[number, number]]]]}):
-            assert _written(obj) == indented_json(obj)
+            assert written_text(obj) == indented_json(obj)
 
     @pytest.mark.parametrize("case", sorted(NEAR_MISSES))
     def test_near_misses(self, case):
         obj = NEAR_MISSES[case]
         for doc in (obj, [obj], {"k": [obj, {"m": obj}]}):
-            assert _written(doc) == indented_json(doc)
+            assert written_text(doc) == indented_json(doc)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_documents(self, seed):
         rng = np.random.default_rng(seed)
         doc = {"doc": _random_json(rng, 4), "more": _random_json(rng, 4)}
-        assert _written(doc) == indented_json(doc)
+        assert written_text(doc) == indented_json(nested_lists(doc))
 
     def test_matrices_are_formatted_by_template(self, monkeypatch):
-        """A matrix stack never reaches ``json.dumps``; only its key
+        """A matrix or stack never reaches ``json.dumps``; only its key
         does."""
-        m = matrix_to_json(crandn(np.random.default_rng(5), 33, 17))
-        expected = indented_json({"U": [m, m]})
+        m = crandn(np.random.default_rng(5), 33, 17)
+        expected = indented_json(nested_lists({"U": [m, m[None]]}))
         calls, dumps = [], json.dumps
         monkeypatch.setattr(json, "dumps",
                             lambda o, **kw: calls.append(o) or dumps(o, **kw))
-        assert _written({"U": [m, m]}) == expected
+        assert written_text({"U": [m, m[None]]}) == expected
         assert calls == ["U"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import crandn, random_partial_isometry
+from conftest import crandn, json_document, random_partial_isometry
 
 from ncg import (DEFAULT_TOL, BlockStructure, ConsistencyError,
                  FiniteSpectralTriple, InputError, StructureError,
@@ -266,7 +266,7 @@ class TestTripleJson:
     def test_round_trip(self):
         rng = np.random.default_rng(29)
         t = build_triple_from_mass_matrix(crandn(rng, 2, 2))
-        decoded = triple_from_json(triple_to_json(t))
+        decoded = triple_from_json(json_document(triple_to_json(t)))
         np.testing.assert_array_equal(decoded.D, t.D)
         np.testing.assert_array_equal(decoded.gamma, t.gamma)
         np.testing.assert_array_equal(decoded.epsilon, t.epsilon)
@@ -275,7 +275,7 @@ class TestTripleJson:
 
     def test_optional_operators_null(self):
         t = FiniteSpectralTriple(BlockStructure((1, 1)), np.eye(2))
-        decoded = triple_from_json(triple_to_json(t))
+        decoded = triple_from_json(json_document(triple_to_json(t)))
         assert decoded.gamma is None and decoded.K is None
 
     def test_missing_keys_rejected(self):
