@@ -35,6 +35,9 @@ _TINY_NORM = 1e-140
 # products' squared Frobenius norm even for a relative tolerance near 0.
 # Rounding moves λ_min by about 1e-13 of it for a few thousand products.
 _GRAM_FLOOR = 1e-10
+# Largest total block dimension ``Σ n_i`` a file may declare.  The
+# checks hold dense ``n x n`` complex matrices, 256 MB each at this size.
+MAX_DIMENSION = 4096
 
 
 @dataclass(frozen=True)
@@ -512,11 +515,15 @@ def linking_algebra(b: FellBundleFD) -> SubspaceBasis:
 
 
 def blocks_from_json(data) -> BlockStructure:
-    """Decode a ``blocks`` value: a nonempty array of positive integers."""
+    """Decode a ``blocks`` value: a nonempty array of positive integers
+    whose sum is at most :data:`MAX_DIMENSION`."""
     if (not isinstance(data, list) or not data
             or not all(type(s) is int and s >= 1 for s in data)):
         raise InputError(f"blocks: expected a nonempty array of positive "
                          f"integers, got {data!r}")
+    if sum(data) > MAX_DIMENSION:
+        raise InputError(f"blocks: total dimension {sum(data)} exceeds the "
+                         f"limit of {MAX_DIMENSION}")
     return BlockStructure(tuple(data))
 
 

@@ -20,7 +20,7 @@ unitality rows (``CATEGORY_ROWS``) fail here, and
 unitality (``TRIPLE_ROWS``).  Both accept full bundles without running
 the battery, so on those this gate must pass every row.
 
-``dense_unit_rows`` decides the four algebra-unit rows of the triple
+``dense_unit_rows`` decides the two algebra-unit rows of the triple
 battery by expanding every matrix unit into a dense ``n x n`` matrix and
 conjugating it by ``J``; the battery computes the same rows in closed
 form from rank-one matrix units.
@@ -260,8 +260,8 @@ def opposite_stack(t: FiniteSpectralTriple) -> np.ndarray:
 
 def dense_unit_rows(t: FiniteSpectralTriple,
                     tol: Tolerance = DEFAULT_TOL) -> dict[str, AxiomCheck]:
-    """``triple.even.algebra_commutes_gamma``, ``triple.real.opposite_algebra``
-    and the two commutant diagnostics, keyed by id, from dense unit stacks
+    """``triple.even.algebra_commutes_gamma`` and
+    ``triple.real.opposite_algebra``, keyed by id, from dense unit stacks
     (rows whose operator is absent are omitted)."""
     per_unit = unit_residuals(t)
     out = {}
@@ -277,51 +277,7 @@ def dense_unit_rows(t: FiniteSpectralTriple,
         out[axiom_id] = row.check(
             axiom_id, "" if gamma_row
             else "conjugation by J stays block-diagonal")
-    if t.K is None:
-        return out
-    zeroth, first = bimodule_diagnostics(t.D, opposite_stack(t), t.blocks)
-    out["triple.real.zeroth_order_commutant"] = AxiomCheck(
-        "triple.real.zeroth_order_commutant", zeroth <= tol.bound(1.0),
-        zeroth, "diagnostic: worst ‖[a, J b J⁻¹]‖ over algebra unit pairs",
-        advisory=True)
-    first_scale = max(1.0, frobenius(t.D))
-    out["triple.real.first_order_commutant"] = AxiomCheck(
-        "triple.real.first_order_commutant", first <= tol.bound(first_scale),
-        first / first_scale,
-        "diagnostic: worst ‖[[D, a], J b J⁻¹]‖ over algebra unit pairs",
-        advisory=True)
     return out
-
-
-def bimodule_diagnostics(D: np.ndarray, opposite: np.ndarray,
-                         blocks: BlockStructure) -> tuple[float, float]:
-    """Worst-case norms of ``[E_rs, c]`` and ``[[D, E_rs], c]`` over all
-    algebra units ``E_rs`` and all ``c`` in ``opposite``.
-
-    ``[E_rs, c] = e_r c[s,:] - c[:,r] e_s^T`` and, with
-    ``[D, E_rs] = D[:,r] e_s^T - e_r D[s,:]``,
-    ``[[D, E_rs], c] = D[:,r] c[s,:] - e_r (Dc)[s,:] - (cD)[:,r] e_s^T
-    + c[:,r] D[s,:]``; each commutator is summed as a dense matrix, one
-    per unit, and its Frobenius norm taken directly.
-    """
-    n = D.shape[0]
-    rows, cols = blocks.unit_indices()
-    e_r = np.eye(n)[rows]
-    e_s = np.eye(n)[cols]
-
-    def norms(*terms):
-        total = sum(sign * x[:, :, None] * y[:, None, :]
-                    for sign, x, y in terms)
-        return np.linalg.norm(total.reshape(len(rows), -1), axis=1)
-
-    zeroth = first = 0.0
-    for c in opposite:
-        zeroth = max(zeroth, float(norms((1, e_r, c[cols]),
-                                         (-1, c[:, rows].T, e_s)).max()))
-        first = max(first, float(norms(
-            (1, D[:, rows].T, c[cols]), (-1, e_r, (D @ c)[cols]),
-            (-1, (c @ D)[:, rows].T, e_s), (1, c[:, rows].T, D[cols])).max()))
-    return zeroth, first
 
 
 def exact_matvec(m: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
                  check_fell_axioms, check_saturated, check_unital,
                  full_morita_bundle, hermitian_spectrum, linking_algebra,
                  operator_norm, semidirect_bundle)
+from ncg.fellbundle import MAX_DIMENSION, blocks_from_json
 
 
 def unit(rows, cols, r, c):
@@ -33,6 +34,17 @@ class TestBlockStructure:
     def test_invalid_sizes(self):
         with pytest.raises(InputError):
             BlockStructure((1, 0))
+
+    @pytest.mark.parametrize("sizes", [[MAX_DIMENSION],
+                                       [1, MAX_DIMENSION - 2, 1]])
+    def test_total_dimension_at_the_bound_is_decoded(self, sizes):
+        assert blocks_from_json(sizes).total == MAX_DIMENSION
+
+    @pytest.mark.parametrize("sizes", [[MAX_DIMENSION + 1],
+                                       [1, MAX_DIMENSION - 1, 1]])
+    def test_total_dimension_above_the_bound_is_refused(self, sizes):
+        with pytest.raises(InputError, match="exceeds the limit"):
+            blocks_from_json(sizes)
 
     def test_algebra_basis_count(self):
         blocks = BlockStructure((1, 2))

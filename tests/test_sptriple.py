@@ -7,8 +7,8 @@ from ncg import (DEFAULT_TOL, BlockStructure, ConsistencyError,
                  FiniteSpectralTriple, InputError, StructureError,
                  build_triple_from_mass_matrix, check_even_axioms,
                  check_poincare, check_real_axioms, check_so_real,
-                 extract_mass_matrix, is_partial_isometry, standard_operators,
-                 triple_from_json, triple_to_json)
+                 check_triple, extract_mass_matrix, is_partial_isometry,
+                 standard_operators, triple_from_json, triple_to_json)
 
 
 def blocks4(l):
@@ -95,8 +95,6 @@ class TestRealAxioms:
                                  epsilon, K)
         report = check_real_axioms(t)
         assert report.all_passed
-        assert report.find("triple.real.zeroth_order_commutant").passed
-        assert report.find("triple.real.first_order_commutant").passed
 
     def test_absent_real_structure(self):
         t = FiniteSpectralTriple(blocks4(1), np.eye(4))
@@ -104,16 +102,57 @@ class TestRealAxioms:
         assert report.checks == ()
         assert "not applicable" in report.note
 
-    def test_commutant_diagnostics_are_advisory(self):
-        # The strict commutant-sense first-order condition fails for any
-        # nonzero coupling in the multiplicity-one representation; it is
-        # reported without gating the battery.
-        t = build_triple_from_mass_matrix(np.array([[1.0]]))
-        report = check_real_axioms(t)
-        first = report.find("triple.real.first_order_commutant")
-        assert first.advisory
-        assert not first.passed
-        assert report.all_passed
+
+def _rows(prefix, names, advisory=False):
+    return [(f"{prefix}.{name}", advisory) for name in names]
+
+
+EVEN_ROWS = _rows("triple.even", ["d_selfadjoint", "gamma_selfadjoint",
+                                  "gamma_square", "anticommute_gamma",
+                                  "algebra_commutes_gamma",
+                                  "inner_derivation"])
+EVEN_ROWS_NO_GAMMA = (
+    EVEN_ROWS[:1]
+    + _rows("triple.even", ["gamma_selfadjoint", "gamma_square",
+                            "anticommute_gamma", "algebra_commutes_gamma"],
+            advisory=True)
+    + EVEN_ROWS[-1:])
+REAL_ROWS = _rows("triple.real", ["antiunitary", "square", "commute_D",
+                                  "commute_gamma", "opposite_algebra"])
+SO_REAL_ROWS = _rows("triple.so_real", ["selfadjoint", "square", "commute_D",
+                                        "anticommute_J", "multiplicity"])
+POINCARE_ROW = [("triple.poincare", True)]
+ROW_INVENTORY = {
+    "four_sector": EVEN_ROWS + REAL_ROWS + SO_REAL_ROWS + POINCARE_ROW,
+    "no_K": (EVEN_ROWS + [("triple.real", True)]
+             + [row for row in SO_REAL_ROWS
+                if row[0] != "triple.so_real.anticommute_J"]
+             + POINCARE_ROW),
+    "no_gamma": (EVEN_ROWS_NO_GAMMA
+                 + [row for row in REAL_ROWS
+                    if row[0] != "triple.real.commute_gamma"]
+                 + SO_REAL_ROWS),
+    "no_epsilon": (EVEN_ROWS + REAL_ROWS + [("triple.so_real", True)]
+                   + POINCARE_ROW),
+    "singular_K": EVEN_ROWS + REAL_ROWS + SO_REAL_ROWS + POINCARE_ROW,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_INVENTORY))
+def test_triple_battery_row_inventory(case):
+    # The battery's rows in report order with their advisory flags; the
+    # commutant-sense bimodule conditions are not among them.
+    t = build_triple_from_mass_matrix(np.array([[1.0, 2j], [0.5, -1.0]]))
+    operators = dict(gamma=t.gamma, epsilon=t.epsilon, K=t.K)
+    if case == "singular_K":
+        operators["K"] = np.diag([1.0] * 7 + [0.0])
+    elif case != "four_sector":
+        operators[case[3:]] = None
+    report = check_triple(FiniteSpectralTriple(t.blocks, t.D, **operators))
+    assert [(c.axiom_id, c.advisory)
+            for c in report.checks] == ROW_INVENTORY[case]
+    if case == "singular_K":
+        assert not report.find("triple.real.opposite_algebra").passed
 
 
 class TestSoRealAxioms:

@@ -1,8 +1,8 @@
 """The triple battery's algebra-unit rows against dense oracles.
 
-``check_triple`` computes ``triple.even.algebra_commutes_gamma``,
-``triple.real.opposite_algebra`` and the two commutant diagnostics in
-closed form from rank-one matrix units; ``oracles.dense_unit_rows``
+``check_triple`` computes ``triple.even.algebra_commutes_gamma`` and
+``triple.real.opposite_algebra`` in closed form from rank-one matrix
+units; ``oracles.dense_unit_rows``
 expands every unit into a dense matrix.  Both must give the same
 residuals to rounding, the same decisions and, where the worst unit is
 unique, the same witness.
