@@ -16,12 +16,11 @@ from .report import AxiomCheck, AxiomReport
 from .fellbundle import (BlockStructure, FellBundleFD, SemidirectBundle,
                          UnitaryField, bundle_from_json, bundle_to_json,
                          check_bundle, check_fell_axioms, check_saturated,
-                         check_unital, full_morita_bundle, linking_algebra,
-                         semidirect_bundle)
+                         check_unital, full_morita_bundle, semidirect_bundle)
 from .cstarcat import (CStarCategoryFD, DomainSection, NormaliserClass,
                        bisection_to_normaliser, category_from_bundle,
                        conditional_expectation, is_domain_section,
-                       is_normaliser_bruteforce, normaliser_support)
+                       normaliser_support)
 from .sptriple import (FiniteSpectralTriple, build_triple_from_mass_matrix,
                        check_even_axioms, check_poincare, check_real_axioms,
                        check_so_real, check_triple, extract_mass_matrix,

@@ -75,26 +75,6 @@ def conditional_expectation(bmat, blocks: BlockStructure) -> np.ndarray:
     return blocks.block_diagonal_part(m)
 
 
-def is_normaliser_bruteforce(bmat, blocks: BlockStructure,
-                             tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Direct test of ``b* A b ⊆ A`` and ``b A b* ⊆ A``.
-
-    Runs over every matrix unit of the block-diagonal algebra and measures
-    the off-block-diagonal leakage of the two sandwiches.
-    """
-    n = blocks.total
-    m = as_matrix(bmat, "is_normaliser_bruteforce", (n, n))
-    madj = adjoint(m)
-    scale = max(1.0, frobenius(m)) ** 2
-    bound = tol.bound(scale)
-    for a in blocks.algebra_basis():
-        for sandwich in (madj @ a @ m, m @ a @ madj):
-            leak = frobenius(sandwich - blocks.block_diagonal_part(sandwich))
-            if leak > bound:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class NormaliserClass:
     """Block-support classification of a matrix against the diagonal

@@ -204,6 +204,12 @@ class SubspaceBasis:
         return self.stack.shape[0]
 
     @property
+    def is_full(self) -> bool:
+        """The span is the whole ``rows x cols`` matrix space: the basis
+        is independent, so this is ``dim == rows * cols``."""
+        return self.dim == self.rows * self.cols
+
+    @property
     def ambient_shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 

@@ -10,7 +10,10 @@ dimensions.  ``check_bundle`` decides ``fell.axiom.3``, ``4``, ``7``,
 here ``theorem_rows`` computes them the numeric way: associativity on
 seeded random elements, the SVD of every basis product, ``e** = e``, the
 adjoint-side products of the antihomomorphism, and the SVD and
-eigenvalues of every ``e* e``.  Its row ``fell.saturated`` comes from
+eigenvalues of every ``e* e``.  ``check_bundle`` also decides closure
+into a full fibre by theorem; here ``all_products_closure`` projects
+every basis product on its target fibre, full or not.  The gate's row
+``fell.saturated`` comes from
 ``all_products_saturation`` (``exhaustive_rows``), which takes the SVD of
 every product span; the library skips the SVDs whose outcome a Gram
 certificate already decides.
@@ -19,6 +22,13 @@ unitality rows (``CATEGORY_ROWS``) fail here, and
 ``fell_bundle_triple`` on the first failure of saturation, then
 unitality (``TRIPLE_ROWS``).  Both accept full bundles without running
 the battery, so on those this gate must pass every row.
+
+``is_normaliser_bruteforce`` tests ``b* A b ⊆ A`` and ``b A b* ⊆ A``
+on every matrix unit of ``A``, the question ``normaliser_support``
+answers from block norms; ``loop_block_norms`` takes those norms block by
+block, as ``BlockStructure.block_norms`` does by two reductions.
+``linking_algebra`` assembles every fibre basis element of a bundle into
+``M_n(C)``.
 
 ``dense_unit_rows`` decides the two algebra-unit rows of the triple
 battery by expanding every matrix unit into a dense ``n x n`` matrix and
@@ -44,9 +54,9 @@ import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.fellbundle import (BlockStructure, FellBundleFD, _basis_products,
-                            check_bundle)
-from ncg.matops import (DEFAULT_TOL, Tolerance, frobenius, numerical_rank,
-                        unit_rows)
+                            _composable_arrow_pairs, check_bundle)
+from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
+                        as_matrix, frobenius, numerical_rank, unit_rows)
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
 
@@ -62,7 +72,8 @@ SPOT_CHECK_LIMIT = 48
 def fell_gate(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Every gating row, decided numerically and exhaustively."""
     return _replaced(check_bundle(b, tol), theorem_rows(b, tol)
-                     + (all_products_saturation(b, tol),))
+                     + (all_products_closure(b, tol),
+                        all_products_saturation(b, tol)))
 
 
 def exhaustive_rows(report: AxiomReport, b: FellBundleFD,
@@ -196,6 +207,27 @@ def all_products_submultiplicativity(
     return row.check("fell.axiom.4", "‖e1 e2‖ ≤ ‖e1‖ ‖e2‖ on all basis pairs")
 
 
+def all_products_closure(b: FellBundleFD,
+                         tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+    """``fell.axiom.2`` from the projection of every basis product on its
+    target fibre, a full one included."""
+    closure = WorstResidual(tol)
+    for g, h in _composable_arrow_pairs(b.blocks.p):
+        e1, e2 = b.fibres[g], b.fibres[h]
+        if e1.dim == 0 or e2.dim == 0:
+            continue
+        gh = (g[0], h[1])
+        prods = _basis_products(e1.stack, e2.stack)
+        closure.update_batch(
+            b.fibres[gh].residuals(prods),
+            np.linalg.norm(prods.reshape(prods.shape[0], -1), axis=1),
+            lambda idx, g=g, h=h, gh=gh, dim=e2.dim:
+            f"basis {idx // dim} of {g} x basis {idx % dim} of {h} "
+            f"leaves fibre {gh}")
+    return closure.check("fell.axiom.2",
+                         "all basis products stay in their fibre")
+
+
 def all_products_saturation(b: FellBundleFD,
                             tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
     """``fell.saturated`` from the numerical rank of every product span,
@@ -224,6 +256,52 @@ def failing_ids(report: AxiomReport, rows=None) -> list[str]:
     return [c.axiom_id for c in report.checks
             if not c.advisory and not c.passed
             and (rows is None or c.axiom_id in rows)]
+
+
+def linking_algebra(b: FellBundleFD) -> SubspaceBasis:
+    """Assemble every fibre basis element into its block position inside
+    ``M_n(C)``.
+
+    The result spans the bundle's sectional algebra; for the full bundle
+    this is all of ``M_n(C)``.  When the bundle passes the axioms the span
+    is closed under products and adjoints.
+    """
+    n = b.blocks.total
+    mats = []
+    for g in b.arrows():
+        for e in b.fibres[g].stack:
+            mats.append(b.blocks.embed_block(g[0], g[1], e))
+    return SubspaceBasis(n, n, mats)
+
+
+def is_normaliser_bruteforce(bmat, blocks: BlockStructure,
+                             tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Direct test of ``b* A b ⊆ A`` and ``b A b* ⊆ A``.
+
+    Runs over every matrix unit of the block-diagonal algebra and measures
+    the off-block-diagonal leakage of the two sandwiches.
+    """
+    n = blocks.total
+    m = as_matrix(bmat, "is_normaliser_bruteforce", (n, n))
+    madj = adjoint(m)
+    scale = max(1.0, frobenius(m)) ** 2
+    bound = tol.bound(scale)
+    for a in unit_stack(blocks):
+        for sandwich in (madj @ a @ m, m @ a @ madj):
+            leak = frobenius(sandwich - blocks.block_diagonal_part(sandwich))
+            if leak > bound:
+                return False
+    return True
+
+
+def loop_block_norms(blocks: BlockStructure, m: np.ndarray) -> np.ndarray:
+    """(p, p) array of Frobenius norms of the blocks of ``m``, one
+    ``np.linalg.norm`` per block."""
+    out = np.zeros((blocks.p, blocks.p))
+    for i in range(1, blocks.p + 1):
+        for j in range(1, blocks.p + 1):
+            out[i - 1, j - 1] = float(np.linalg.norm(blocks.block(m, i, j)))
+    return out
 
 
 def unit_stack(blocks: BlockStructure) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 
 from conftest import (crandn, random_admissible_triple, random_normaliser,
                       random_partial_isometry, random_unitary, written_text)
+from oracles import is_normaliser_bruteforce
 
 from ncg import (BlockStructure, FellBundleFD, FiniteSpectralTriple,
                  SubspaceBasis, build_triple_from_mass_matrix, categorify,
@@ -16,9 +17,9 @@ from ncg import (BlockStructure, FellBundleFD, FiniteSpectralTriple,
                  check_real_axioms, check_so_real, conditional_expectation,
                  fell_triple_from_category, fluctuate, full_morita_bundle,
                  gauge_covariance_check, is_domain_section,
-                 is_normaliser_bruteforce, is_partial_isometry,
-                 normaliser_support, one_form, spectral_category,
-                 standard_operators, triple_from_category, triple_to_json)
+                 is_partial_isometry, normaliser_support, one_form,
+                 spectral_category, standard_operators, triple_from_category,
+                 triple_to_json)
 from ncg.climit import LatticeConfig, Profile, convergence_report
 from ncg.cli import run
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import is_normaliser_bruteforce
+
 from ncg import (BlockStructure, InputError, LatticeConfig, Profile,
                  convergence_report, flat_lattice_dirac,
-                 gauge_covariance_check, gauge_unitary,
-                 is_normaliser_bruteforce, normaliser_support, parse_profile)
+                 gauge_covariance_check, gauge_unitary, normaliser_support,
+                 parse_profile)
 from ncg.climit import cyclic_shift
 
 

@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import crandn, json_document, random_normaliser, random_unitary
+from conftest import (crandn, json_document, random_involution,
+                      random_normaliser, random_section_matrix,
+                      random_unitary)
+from oracles import is_normaliser_bruteforce, loop_block_norms
 
-from ncg import (AxiomRefusalError, Bisection, BlockStructure,
+from ncg import (DEFAULT_TOL, AxiomRefusalError, Bisection, BlockStructure,
                  DomainSectionError, FellBundleFD, SubspaceBasis,
                  UnitaryField, UnsupportedConfigurationError, all_bisections,
                  bisection_to_normaliser, build_triple_from_mass_matrix,
                  category_from_bundle, conditional_expectation,
-                 full_morita_bundle, is_domain_section,
-                 is_normaliser_bruteforce, normaliser_support)
+                 full_morita_bundle, is_domain_section, normaliser_support)
 from ncg.cstarcat import domain_section_from_json
 
 
@@ -169,6 +171,66 @@ class TestConditionalExpectation:
                 if r != c:
                     cls = normaliser_support(unit(4, r, c), blocks)
                     assert cls.kind == "free"
+
+
+class TestBlockNorms:
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e40])
+    @pytest.mark.parametrize("sizes", [(1,), (2,) * 8, (1, 2, 3), (4, 1)])
+    def test_agree_with_the_loop(self, sizes, scale):
+        rng = np.random.default_rng([23, len(sizes),
+                                     int(abs(np.log10(scale)))])
+        blocks = BlockStructure(sizes)
+        m = scale * crandn(rng, blocks.total, blocks.total)
+        np.testing.assert_allclose(blocks.block_norms(m),
+                                   loop_block_norms(blocks, m),
+                                   rtol=1e-14, atol=0)
+
+    @staticmethod
+    def leaked(rng, blocks, m, i, j, ratio):
+        """``m`` plus a block at ``(i, j)``, and its adjoint at ``(j, i)``,
+        of norm ``ratio`` times the threshold ``rel * ‖m‖_F``."""
+        blk = crandn(rng, blocks.sizes[i - 1], blocks.sizes[j - 1])
+        blk *= (ratio * DEFAULT_TOL.rel * np.linalg.norm(m)
+                / np.linalg.norm(blk))
+        out = m.copy()
+        out[blocks.block_slice(i), blocks.block_slice(j)] += blk
+        out[blocks.block_slice(j), blocks.block_slice(i)] += blk.conj().T
+        return out
+
+    def cases(self, rng, blocks, base):
+        for ratio in (1 - 1e-6, 1 + 1e-6, 1e-3, 1e3):
+            for i in range(1, blocks.p + 1):
+                for j in range(i, blocks.p + 1):
+                    yield self.leaked(rng, blocks, base, i, j, ratio)
+
+    @staticmethod
+    def section_outcome(m, blocks):
+        try:
+            return is_domain_section(m, blocks).support
+        except DomainSectionError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2, 2), (1, 2)])
+    def test_thresholds_decide_as_with_the_loop(self, sizes, monkeypatch):
+        # Blocks just below and above the threshold rel * ‖m‖_F of
+        # normaliser_support and is_domain_section.
+        rng = np.random.default_rng([29, len(sizes)])
+        blocks = BlockStructure(sizes)
+        # A section pairs blocks of equal size only.
+        involution = tuple(range(1, blocks.p + 1)) if len(set(sizes)) > 1 \
+            else random_involution(rng, blocks.p)
+        bases = [random_normaliser(rng, blocks),
+                 random_section_matrix(rng, blocks, involution)]
+        inputs = [m for base in bases for m in self.cases(rng, blocks, base)]
+        fast = [(normaliser_support(m, blocks),
+                 self.section_outcome(m, blocks)) for m in inputs]
+        monkeypatch.setattr(BlockStructure, "block_norms",
+                            lambda self, m: loop_block_norms(self, m))
+        slow = [(normaliser_support(m, blocks),
+                 self.section_outcome(m, blocks)) for m in inputs]
+        assert fast == slow
+        kinds = {cls.kind for cls, _ in fast}
+        assert "not_normaliser" in kinds and len(kinds) > 1
 
 
 class TestDomainSection:

@@ -11,6 +11,9 @@ where few are, at the rank threshold, at three tolerances and on bundles
 that fail.  ``check_fell_axioms`` reports ``fell.axiom.3``, ``4``, ``7``,
 ``8``, ``9`` and ``10`` as analytic rows; on every bundle here the
 numeric rows of ``oracles.theorem_rows`` agree with that verdict.
+Closure into a full fibre is decided by theorem as well; on bundles that
+mix full and other fibres every row passes or fails as in the
+brute-force gate ``oracles.fell_gate``, which projects every product.
 """
 
 import json
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn, random_unitary
-from oracles import THEOREM_ROWS, exhaustive_rows, theorem_rows
+from oracles import THEOREM_ROWS, exhaustive_rows, fell_gate, theorem_rows
 
 import ncg.fellbundle as fellbundle
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
@@ -265,3 +268,107 @@ def bundle_fixtures():
     planted = planted_bundles(np.random.default_rng(20261112))
     for kind, (b, _) in planted.items():
         yield f"planted {kind}", b
+
+
+def with_full_fibres(rng, b):
+    """``b`` with about half of its fibres replaced by the whole matrix
+    space, spanned by random matrices of the size of the fibre's first
+    basis element (or of unit size for a zero fibre)."""
+    fibres = {}
+    for g, f in b.fibres.items():
+        if rng.random() < 0.5:
+            scale = np.linalg.norm(f.stack[0]) if f.dim else 1.0
+            f = SubspaceBasis(f.rows, f.cols,
+                              scale * crandn(rng, f.rows * f.cols, f.rows,
+                                             f.cols))
+        fibres[g] = f
+    return FellBundleFD(b.blocks, fibres)
+
+
+def mixed_bundles():
+    for seed in range(4):
+        for sizes in [(2, 3), (3, 2, 2), (1, 2, 1, 2)]:
+            rng = np.random.default_rng([20261113, seed, len(sizes)])
+            yield f"generic {sizes}", with_full_fibres(
+                rng, generic_bundle(rng, sizes))
+    for scale in [1e-100, 1e-75, 1e40]:
+        rng = np.random.default_rng([20261114, abs(int(np.log10(scale)))])
+        yield f"scaled {scale:g}", with_full_fibres(
+            rng, conjugated_bundle(rng, (4, 4, 2), 2, scale=scale))
+    for seed in range(300, 308):
+        rng = np.random.default_rng([20261115, seed])
+        yield f"near underflow {seed}", with_full_fibres(
+            rng, near_underflow_bundle(seed))
+    # Fibre (1,1) holds the diagonal matrices, closed to rounding at unit
+    # size, and the full fibre (2,2) has elements of size about 1e6, whose
+    # products the oracle projects with residuals above rel 1e-17.
+    rng = np.random.default_rng(20261117)
+    yield "closed diagonal", FellBundleFD(BlockStructure((2, 3)), {
+        (1, 1): SubspaceBasis(2, 2, _units(2, 2)[[0, 3]]),
+        (2, 2): SubspaceBasis(3, 3, 1e6 * crandn(rng, 9, 3, 3))})
+
+
+@pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
+def test_mixed_bundles_decide_as_the_oracle(tol):
+    # Below rounding (rel 1e-17) the oracle's projections of products into
+    # a full fibre, and its numeric theorem rows, can fail by residuals of
+    # a few units in the last place; the library decides both by theorem.
+    for name, b in mixed_bundles():
+        got = check_bundle(b, tol)
+        want = fell_gate(b, tol)
+        for row, oracle in zip(got, want):
+            assert row.axiom_id == oracle.axiom_id
+            if row.passed == oracle.passed:
+                continue
+            assert tol.rel < 1e-16 and row.passed, (name, row, oracle)
+            assert oracle.residual < 1e-14, (name, oracle)
+            if oracle.axiom_id == "fell.axiom.2":
+                target = oracle.witness.rpartition("leaves fibre (")[2]
+                gh = tuple(int(x) for x in target.rstrip(")").split(","))
+                assert b.fibres[gh].is_full, name
+            else:
+                assert oracle.axiom_id in THEOREM_ROWS, (name, oracle)
+
+
+def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
+    # Closure forms no basis product whose target fibre is full, and
+    # saturation's certificate takes no coordinates in a full target; both
+    # still run on the bundle's other targets.
+    rng = np.random.default_rng(20261116)
+    b = with_full_fibres(rng, conjugated_bundle(rng, (4, 4, 2), 2))
+    arrow = {id(f.stack): g for g, f in b.fibres.items()}
+    targets, projected = [], []
+    products = fellbundle._basis_products
+    coordinates = SubspaceBasis.coordinates
+
+    def spy_products(x, y):
+        targets.append((arrow[id(x)][0], arrow[id(y)][1]))
+        return products(x, y)
+
+    def spy_coordinates(self, stack):
+        projected.append(self)
+        return coordinates(self, stack)
+
+    monkeypatch.setattr(fellbundle, "_basis_products", spy_products)
+    check_fell_axioms(b)
+    monkeypatch.setattr(fellbundle, "_basis_products", products)
+    monkeypatch.setattr(SubspaceBasis, "coordinates", spy_coordinates)
+    check_saturated(b)
+    assert targets and projected
+    assert not any(b.fibres[gh].is_full for gh in targets)
+    assert not any(f.is_full for f in projected)
+    assert any(f.is_full for f in b.fibres.values())
+
+
+def test_closure_is_analytic_when_every_target_is_full():
+    rng = np.random.default_rng(20261118)
+    planted = planted_bundles(rng)
+    for b in (conjugated_bundle(rng, (2, 3, 4)), planted["dropped"][0]):
+        row = check_fell_axioms(b).find("fell.axiom.2")
+        assert (row.passed, row.residual) == (True, 0.0)
+        assert row.witness.startswith("analytic: ")
+    row = check_fell_axioms(planted["extra"][0]).find("fell.axiom.2")
+    assert not row.passed and " leaves fibre " in row.witness
+    empty = FellBundleFD(BlockStructure((2, 1)), {})
+    assert check_fell_axioms(empty).find("fell.axiom.2").witness == \
+        "all basis products stay in their fibre"

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import crandn, json_document, random_unitary
+from oracles import linking_algebra, unit_stack
 
 from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
                  SubspaceBasis, UnitaryField, UnsupportedConfigurationError,
                  bundle_from_json, bundle_to_json, check_bundle,
                  check_fell_axioms, check_saturated, check_unital,
-                 full_morita_bundle, hermitian_spectrum, linking_algebra,
-                 operator_norm, semidirect_bundle)
+                 full_morita_bundle, hermitian_spectrum, operator_norm,
+                 semidirect_bundle)
 from ncg.fellbundle import MAX_DIMENSION, blocks_from_json
 
 
@@ -48,12 +49,12 @@ class TestBlockStructure:
 
     def test_algebra_basis_count(self):
         blocks = BlockStructure((1, 2))
-        assert sum(1 for _ in blocks.algebra_basis()) == 5
+        assert sum(1 for _ in unit_stack(blocks)) == 5
         assert blocks.algebra_dim() == 5
 
     def test_unit_order_is_block_by_block_row_major(self):
         # Witnesses print "algebra unit {k}" in this order; the loop below
-        # is the reference for unit_indices and both ways to build the units.
+        # is the reference for unit_indices and the oracle's unit stack.
         blocks = BlockStructure((2, 1, 3))
         want = [(off + r, off + c) for off, s in ((0, 2), (2, 1), (3, 3))
                 for r in range(s) for c in range(s)]
@@ -62,7 +63,7 @@ class TestBlockStructure:
         reference = np.zeros((len(want), 6, 6), dtype=complex)
         for k, (r, c) in enumerate(want):
             reference[k, r, c] = 1.0
-        np.testing.assert_array_equal(np.stack(list(blocks.algebra_basis())),
+        np.testing.assert_array_equal(np.stack(list(unit_stack(blocks))),
                                       reference)
 
 

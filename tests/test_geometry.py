@@ -3,15 +3,15 @@ import pytest
 
 from conftest import (crandn, json_document, random_admissible_triple,
                       random_unitary)
+from oracles import is_normaliser_bruteforce
 
 from ncg import (AxiomRefusalError, BlockStructure, DomainSectionError,
                  FiniteSpectralTriple, FluctuationTerm, InputError,
                  apply_path_lifting, build_triple_from_mass_matrix,
                  categorify, category_from_bundle, check_even_axioms,
                  fell_triple_from_category, fluctuate, full_morita_bundle,
-                 is_domain_section, is_normaliser_bruteforce,
-                 normaliser_support, one_form, spectral_category,
-                 triple_from_category)
+                 is_domain_section, normaliser_support, one_form,
+                 spectral_category, triple_from_category)
 from ncg.geometry import (fluctuation_terms_from_json,
                           fluctuation_terms_to_json,
                           spectral_category_from_json)
