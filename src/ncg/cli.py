@@ -22,7 +22,7 @@ from .geometry import (categorify, fell_triple_from_category, fluctuate,
                        spectral_category_from_json)
 from .climit import convergence_report, parse_profile
 from .matops import DEFAULT_TOL, Tolerance, write_json
-from .report import AxiomReport
+from .report import AxiomCheck, AxiomReport
 from .sptriple import (FiniteSpectralTriple, check_triple, triple_from_json,
                        triple_to_json)
 
@@ -104,17 +104,19 @@ def _print_json(obj) -> None:
     print("".join(parts))
 
 
+def _format_row(c: AxiomCheck) -> str:
+    status = "info" if c.advisory else ("pass" if c.passed else "FAIL")
+    line = f"  {status:<4}  {c.axiom_id:<38}  residual {c.residual:.3e}"
+    return line + f"  [{c.witness}]" if c.witness else line
+
+
 def _print_report(title: str, report: AxiomReport, fmt: str) -> None:
     if fmt == "json":
         _print_json({"command": title, **report.to_json()})
         return
     print(title)
     for c in report.checks:
-        status = "info" if c.advisory else ("pass" if c.passed else "FAIL")
-        line = f"  {status:<4}  {c.axiom_id:<38}  residual {c.residual:.3e}"
-        if c.witness:
-            line += f"  [{c.witness}]"
-        print(line)
+        print(_format_row(c))
     print(f"result: {'PASS' if report.all_passed else 'FAIL'}")
 
 
@@ -206,8 +208,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         if report is not None:
             for c in report.checks:
                 if not c.advisory and not c.passed:
-                    print(f"  FAIL  {c.axiom_id:<38}  "
-                          f"residual {c.residual:.3e}")
+                    print(_format_row(c))
         return 1
     except (InputError, ShapeError, NcgError) as exc:
         print(f"input error: {exc}")

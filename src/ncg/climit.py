@@ -82,8 +82,6 @@ class Profile:
     def label(self) -> str:
         if self.kind == "tabulated":
             return "tabulated"
-        if self.kind == "constant":
-            return f"constant:{self.param:g}"
         return f"{self.kind}:{self.param:g}"
 
     def sample(self, cfg: LatticeConfig) -> np.ndarray:

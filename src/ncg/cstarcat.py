@@ -161,10 +161,6 @@ class DomainSection:
     blocks_data: Mapping[int, np.ndarray]
     assembled: np.ndarray
 
-    @property
-    def p(self) -> int:
-        return len(self.support)
-
     def permutation(self) -> Bisection:
         return Bisection(self.support)
 

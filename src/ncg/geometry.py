@@ -19,7 +19,7 @@ import numpy as np
 from .cstarcat import (CStarCategoryFD, DomainSection, category_from_bundle,
                        domain_section_from_json, is_domain_section,
                        normaliser_support)
-from .errors import AxiomRefusalError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_to_json, check_saturated, check_unital,
                          fibres_from_json, fibres_to_json, full_morita_bundle)
@@ -97,6 +97,7 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
     algebra whose block support is a full permutation (a global
     bisection); the bundle must be saturated and unital, which a full
     bundle (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) is by theorem.
+    Any other bundle is refused with every failing row of the two.
     """
     n = bundle.blocks.total
     pl = as_matrix(pl, "path-lifting operator", (n, n))
@@ -109,11 +110,8 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
             f"path-lifting support {classification.support_map()} is not a "
             f"global bisection")
     if not bundle.is_full:
-        for check in (check_saturated(bundle, tol), check_unital(bundle, tol)):
-            if not check.passed:
-                raise AxiomRefusalError(
-                    f"bundle fails {check.axiom_id}: {check.witness}",
-                    AxiomReport((check,)))
+        AxiomReport((check_saturated(bundle, tol), check_unital(bundle, tol))
+                    ).require("bundle fails {}; not a bundle triple")
     return FellBundleTriple(bundle, n, pl)
 
 

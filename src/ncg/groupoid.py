@@ -44,10 +44,6 @@ class PairGroupoid:
                              f"{self.p} objects")
         return (int(g[0]), int(g[1]))
 
-    def unit(self, i: int) -> Arrow:
-        self.require((i, i))
-        return (i, i)
-
     def inverse(self, g: Arrow) -> Arrow:
         i, j = self.require(g)
         return (j, i)

@@ -1,9 +1,11 @@
 """Checker reports shared by every battery.
 
-A battery returns an :class:`AxiomReport` of :class:`AxiomCheck` rows, each
-with a stable identifier, a relative residual and a witness.
+A battery answers only in :class:`AxiomCheck` rows (stable identifier,
+relative residual, witness), with an advisory "not applicable" row when
+it does not apply; an :class:`AxiomReport` collects them.
 :class:`WorstResidual` accumulates the worst residual of one row, and
-:meth:`AxiomReport.require` turns a failing report into a refusal.
+:meth:`AxiomReport.require` is the one way a construction refuses a
+failing report.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class AxiomCheck:
 @dataclass(frozen=True)
 class AxiomReport:
     checks: tuple[AxiomCheck, ...]
-    note: str = ""
 
     @property
     def all_passed(self) -> bool:
@@ -68,11 +69,8 @@ class AxiomReport:
             raise AxiomRefusalError(message.format(", ".join(ids)), self)
 
     def to_json(self) -> dict:
-        out = {"passed": self.all_passed,
-               "checks": [c.to_json() for c in self.checks]}
-        if self.note:
-            out["note"] = self.note
-        return out
+        return {"passed": self.all_passed,
+                "checks": [c.to_json() for c in self.checks]}
 
 
 class WorstResidual:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConsistencyError, InputError, StructureError
 from .fellbundle import BlockStructure, blocks_from_json
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
-                     hermitian_spectrum, matrix_from_json)
+                     matrix_from_json)
 from .report import (AxiomCheck, AxiomReport, WorstResidual,
                      residual_checks)
 
@@ -129,7 +129,9 @@ def check_real_axioms(t: FiniteSpectralTriple,
     not reported.
     """
     if t.K is None:
-        return AxiomReport((), note="not applicable: no real structure present")
+        return AxiomReport((AxiomCheck(
+            "triple.real", True, 0.0,
+            "not applicable: no real structure present", advisory=True),))
     K = t.K
     n = t.n
     checks = residual_checks(
@@ -178,7 +180,9 @@ def check_so_real(t: FiniteSpectralTriple,
     balanced ±1 eigenspaces, commuting with ``D`` and anticommuting with
     ``J``."""
     if t.epsilon is None:
-        return AxiomReport((), note="not applicable: no extra grading present")
+        return AxiomReport((AxiomCheck(
+            "triple.so_real", True, 0.0,
+            "not applicable: no extra grading present", advisory=True),))
     eps = t.epsilon
     n = t.n
     checks = residual_checks(
@@ -200,74 +204,55 @@ def check_so_real(t: FiniteSpectralTriple,
         checks.append(AxiomCheck(
             "triple.so_real.multiplicity", False, 1.0,
             f"space dimension {n} is odd; the ±1 eigenspaces cannot balance"))
+    elif not checks[0].passed:  # the triple.so_real.selfadjoint row
+        checks.append(AxiomCheck(
+            "triple.so_real.multiplicity", False, 1.0,
+            "spectrum unavailable: ε is not Hermitian"))
     else:
-        try:
-            spectrum = hermitian_spectrum(eps, tol)
-            target = np.concatenate([-np.ones(n // 2), np.ones(n // 2)])
-            deviation = float(np.max(np.abs(spectrum - target)))
-            checks.append(AxiomCheck(
-                "triple.so_real.multiplicity",
-                deviation <= tol.bound(1.0), deviation,
-                f"eigenvalues must be -1 and +1, each with multiplicity "
-                f"{n // 2}"))
-        except InputError:
-            checks.append(AxiomCheck(
-                "triple.so_real.multiplicity", False, 1.0,
-                "spectrum unavailable: ε is not Hermitian"))
+        spectrum = np.linalg.eigvalsh((eps + adjoint(eps)) / 2.0)
+        target = np.concatenate([-np.ones(n // 2), np.ones(n // 2)])
+        deviation = float(np.max(np.abs(spectrum - target)))
+        checks.append(AxiomCheck(
+            "triple.so_real.multiplicity", deviation <= tol.bound(1.0),
+            deviation, f"eigenvalues must be -1 and +1, each with "
+                       f"multiplicity {n // 2}"))
     return AxiomReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class PoincareResult:
-    """±1 eigenspace dimensions of the grading and their comparison."""
-
-    dim_right: int
-    dim_left: int
-
-    @property
-    def distinct(self) -> bool:
-        return self.dim_right != self.dim_left
-
-    def as_check(self) -> AxiomCheck:
-        verdict = ("satisfied" if self.distinct else "not satisfied")
-        return AxiomCheck(
-            "triple.poincare", self.distinct, 0.0,
-            f"dim H_R = {self.dim_right}, dim H_L = {self.dim_left}; "
-            f"dimension inequality {verdict}", advisory=True)
-
-
 def check_poincare(t: FiniteSpectralTriple,
-                   tol: Tolerance = DEFAULT_TOL) -> PoincareResult:
-    """Compare the multiplicities of +1 and -1 in the spectrum of ``γ``.
-
-    The four-sector construction with a square coupling matrix always has
-    balanced dimensions, so this is reported rather than enforced.
+                   tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+    """The advisory ``triple.poincare`` row, which passes when the
+    multiplicities ``dim H_R`` of +1 and ``dim H_L`` of -1 in the
+    spectrum of ``γ`` differ.  The four-sector construction with a square
+    coupling matrix always has balanced dimensions, so this is reported
+    rather than enforced.  A ``γ`` that is not Hermitian within tolerance
+    gets a "not applicable" row instead.
     """
-    if t.gamma is None:
+    g = t.gamma
+    if g is None:
         raise InputError("check_poincare: triple has no grading")
-    spectrum = hermitian_spectrum(t.gamma, tol)
+    if frobenius(g - adjoint(g)) > tol.bound(frobenius(g)):
+        return AxiomCheck("triple.poincare", True, 0.0,
+                          "not applicable: γ is not Hermitian", advisory=True)
+    spectrum = np.linalg.eigvalsh((g + adjoint(g)) / 2.0)
     plus = int(np.count_nonzero(spectrum > 0))
-    return PoincareResult(dim_right=plus, dim_left=t.n - plus)
+    distinct = 2 * plus != t.n
+    return AxiomCheck(
+        "triple.poincare", distinct, 0.0,
+        f"dim H_R = {plus}, dim H_L = {t.n - plus}; dimension inequality "
+        f"{'satisfied' if distinct else 'not satisfied'}", advisory=True)
 
 
 def check_triple(t: FiniteSpectralTriple,
                  tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
-    """The full triple battery: the even, real and S°-real rows, a "not
-    applicable" row for a battery that does not apply, and the advisory
-    Poincaré row when a grading is present."""
-    rows = list(check_even_axioms(t, tol).checks)
-    for prefix, battery in (("triple.real", check_real_axioms(t, tol)),
-                            ("triple.so_real", check_so_real(t, tol))):
-        rows.extend(battery.checks or (AxiomCheck(
-            prefix, True, 0.0, battery.note, advisory=True),))
+    """The full triple battery: the even, real and S°-real rows (a
+    battery that does not apply returns its "not applicable" row), and
+    the advisory Poincaré row when a grading is present."""
+    rows = (check_even_axioms(t, tol).checks
+            + check_real_axioms(t, tol).checks + check_so_real(t, tol).checks)
     if t.gamma is not None:
-        try:
-            rows.append(check_poincare(t, tol).as_check())
-        except InputError:
-            rows.append(AxiomCheck("triple.poincare", True, 0.0,
-                                   "not applicable: γ is not Hermitian",
-                                   advisory=True))
-    return AxiomReport(tuple(rows))
+        rows += (check_poincare(t, tol),)
+    return AxiomReport(rows)
 
 
 def standard_operators(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

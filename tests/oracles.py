@@ -19,9 +19,10 @@ every product span; the library skips the SVDs whose outcome a Gram
 certificate already decides.
 ``category_from_bundle`` must refuse exactly the bundles whose axiom or
 unitality rows (``CATEGORY_ROWS``) fail here, and
-``fell_bundle_triple`` on the first failure of saturation, then
-unitality (``TRIPLE_ROWS``).  Both accept full bundles without running
-the battery, so on those this gate must pass every row.
+``fell_bundle_triple`` exactly those whose saturation or unitality rows
+(``TRIPLE_ROWS``) fail, listing every failing one.  Both accept full
+bundles without running the battery, so on those this gate must pass
+every row.
 
 ``is_normaliser_bruteforce`` tests ``b* A b ⊆ A`` and ``b A b* ⊆ A``
 on every matrix unit of ``A``, the question ``normaliser_support``

@@ -14,7 +14,8 @@ from conftest import json_document, random_unitary
 
 from ncg import (BlockStructure, FiniteSpectralTriple, Profile,
                  bundle_to_json, build_triple_from_mass_matrix, categorify,
-                 climit, full_morita_bundle, triple_from_json, triple_to_json)
+                 climit, fellbundle, full_morita_bundle, triple_from_json,
+                 triple_to_json)
 import ncg
 from ncg.cli import run
 from ncg.matops import write_json
@@ -320,6 +321,42 @@ def test_coefficient_at_the_bound_is_accepted(tmp_path, capsys):
     assert json.loads(out.read_text())["D"] == [[[-2e48, 0.0]]]
 
 
+@pytest.mark.parametrize("kind", ["triple", "bundle", "category"])
+def test_too_many_blocks_is_exit_two(kind, tmp_path, monkeypatch, capsys):
+    # The refusal must come before any block structure is built: the
+    # bundle batteries would visit all p³ composable pairs of arrows.
+    def building(sizes):
+        raise AssertionError(f"block structure of {len(sizes)} blocks built")
+    monkeypatch.setattr(fellbundle, "BlockStructure", building)
+    p = fellbundle.MAX_BLOCKS + 1
+    body = {"triple": {"blocks": [1] * p, "D": ONE},
+            "bundle": {"blocks": [1] * p},
+            "category": {"blocks": [1] * p,
+                         "sigma": {"perm": [1], "blocks": {"1": ONE}}}}[kind]
+    path = write(tmp_path / f"{kind}.json", body)
+    argv = {"triple": ["check", "triple", path],
+            "bundle": ["check", "bundle", path],
+            "category": ["to-fell", path, "-o", str(tmp_path / "o.json")]}
+    assert run(argv[kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (f"input error: blocks: {p} blocks exceed the "
+                            f"limit of {p - 1}\n")
+    assert captured.err == ""
+
+
+def test_block_count_at_the_limit_is_accepted(tmp_path, capsys):
+    p = fellbundle.MAX_BLOCKS
+    zero = [[[0.0, 0.0]] * p] * p
+    triple = write(tmp_path / "triple.json", {"blocks": [1] * p, "D": zero})
+    bundle = write(tmp_path / "bundle.json", {"blocks": [1] * p})
+    assert run(["check", "triple", triple]) == 0
+    # Zero fibres are not unital: the battery runs and fails a row.
+    assert run(["check", "bundle", bundle]) == 1
+    captured = capsys.readouterr()
+    assert "  FAIL  fell.unital " in captured.out
+    assert captured.err == ""
+
+
 def _unit2(r, c):
     m = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     m[r][c] = [1.0, 0.0]
@@ -327,7 +364,8 @@ def _unit2(r, c):
 
 
 # Categories whose homsets are not full, so the conversions run the
-# exhaustive battery; the expected lines are the refusal reports.
+# exhaustive battery; the expected lines are the refusal reports, whose
+# FAIL rows are printed like those of ``ncg check``, witness included.
 REFUSED_CATEGORIES = {
     "no_22": ({"blocks": [1, 1],
                "homsets": {"1,1": [ONE], "1,2": [ONE], "2,1": [ONE]},
@@ -335,21 +373,22 @@ REFUSED_CATEGORIES = {
               ["check failed: bundle fails fell.axiom.2, fell.unital; "
                "not a C*-category",
                "  FAIL  fell.axiom.2                            "
-               "residual 1.000e+00",
+               "residual 1.000e+00  [basis 0 of (2, 1) x basis 0 of "
+               "(1, 2) leaves fibre (2, 2)]",
                "  FAIL  fell.unital                             "
-               "residual 1.000e+00"]),
+               "residual 1.000e+00  [identity of diagonal fibre (2,2)]"]),
     "corner": ({"blocks": [2], "homsets": {"1,1": [_unit2(0, 0)]},
                 "sigma": {"perm": [1], "blocks": {"1": _unit2(0, 0)}}},
                ["check failed: bundle fails fell.unital; not a C*-category",
                 "  FAIL  fell.unital                             "
-                "residual 7.071e-01"]),
+                "residual 7.071e-01  [identity of diagonal fibre (1,1)]"]),
     "diagonal": ({"blocks": [1, 1], "homsets": {"1,1": [ONE], "2,2": [ONE]},
                   "sigma": {"perm": [1, 2], "blocks": {"1": ONE, "2": ONE}}},
-                 ["check failed: bundle fails fell.saturated: products of "
-                  "(1, 2) x (2, 1) span 0 of the 1 dimensions of fibre "
-                  "(1, 1)",
+                 ["check failed: bundle fails fell.saturated; not a bundle "
+                  "triple",
                   "  FAIL  fell.saturated                          "
-                  "residual 1.000e+00"]),
+                  "residual 1.000e+00  [products of (1, 2) x (2, 1) span 0 "
+                  "of the 1 dimensions of fibre (1, 1)]"]),
 }
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -225,18 +227,22 @@ class TestSemidirectBundle:
             np.testing.assert_allclose(c, a, atol=1e-12)
 
     def test_record_products_embed_to_matrix_products(self):
+        # The theorem the construction relies on: for a multiplicative
+        # field, record products embed to matrix products.  Every
+        # composable pair of arrows, on two objects and on three with a
+        # cocycle field ``u13 = u12 u23``.
         rng = np.random.default_rng(53)
-        blocks = BlockStructure((3, 3))
-        u = random_unitary(rng, 3)
-        sd = semidirect_bundle(
-            blocks, UnitaryField(blocks, {(1, 2): u}))
-        for _ in range(20):
-            g = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-            h = (g[1], int(rng.integers(1, 3)))
-            a, b = crandn(rng, 3, 3), crandn(rng, 3, 3)
-            left = sd.embed(sd.product((g, a), (h, b)))
-            right = sd.embed((g, a)) @ sd.embed((h, b))
-            np.testing.assert_allclose(left, right, atol=1e-10)
+        u12, u23 = random_unitary(rng, 3), random_unitary(rng, 3)
+        fields = ((2, {(1, 2): u12}),
+                  (3, {(1, 2): u12, (2, 3): u23, (1, 3): u12 @ u23}))
+        for p, gens in fields:
+            blocks = BlockStructure((3,) * p)
+            sd = semidirect_bundle(blocks, UnitaryField(blocks, gens))
+            for i, j, k in itertools.product(range(1, p + 1), repeat=3):
+                a, b = crandn(rng, 3, 3), crandn(rng, 3, 3)
+                left = sd.embed(sd.product(((i, j), a), ((j, k), b)))
+                right = sd.embed(((i, j), a)) @ sd.embed(((j, k), b))
+                np.testing.assert_allclose(left, right, atol=1e-10)
 
     def test_unequal_blocks_rejected(self):
         blocks = BlockStructure((1, 2))

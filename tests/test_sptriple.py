@@ -3,12 +3,13 @@ import pytest
 
 from conftest import crandn, json_document, random_partial_isometry
 
-from ncg import (DEFAULT_TOL, BlockStructure, ConsistencyError,
+from ncg import (DEFAULT_TOL, AxiomCheck, BlockStructure, ConsistencyError,
                  FiniteSpectralTriple, InputError, StructureError,
                  build_triple_from_mass_matrix, check_even_axioms,
                  check_poincare, check_real_axioms, check_so_real,
-                 check_triple, extract_mass_matrix, is_partial_isometry,
-                 standard_operators, triple_from_json, triple_to_json)
+                 check_triple, extract_mass_matrix, hermitian_spectrum,
+                 is_partial_isometry, standard_operators, triple_from_json,
+                 triple_to_json)
 
 
 def blocks4(l):
@@ -98,9 +99,9 @@ class TestRealAxioms:
 
     def test_absent_real_structure(self):
         t = FiniteSpectralTriple(blocks4(1), np.eye(4))
-        report = check_real_axioms(t)
-        assert report.checks == ()
-        assert "not applicable" in report.note
+        assert check_real_axioms(t).checks == (AxiomCheck(
+            "triple.real", True, 0.0,
+            "not applicable: no real structure present", advisory=True),)
 
 
 def _rows(prefix, names, advisory=False):
@@ -182,28 +183,73 @@ class TestSoRealAxioms:
 
     def test_absent_grading(self):
         t = FiniteSpectralTriple(blocks4(1), np.eye(4))
-        assert "not applicable" in check_so_real(t).note
+        assert check_so_real(t).checks == (AxiomCheck(
+            "triple.so_real", True, 0.0,
+            "not applicable: no extra grading present", advisory=True),)
 
 
 class TestPoincare:
     def test_standard_square_mass_is_balanced(self):
         t = build_triple_from_mass_matrix(np.array([[1.0]]))
-        result = check_poincare(t)
-        assert (result.dim_right, result.dim_left) == (2, 2)
-        assert not result.distinct
+        row = check_poincare(t)
+        assert not row.passed
+        assert row.witness.startswith("dim H_R = 2, dim H_L = 2;")
 
     def test_unbalanced_grading(self):
         t = FiniteSpectralTriple(blocks4(1), np.zeros((4, 4)),
                                  np.diag([1.0, 1.0, 1.0, -1.0]))
-        result = check_poincare(t)
-        assert result.distinct
-        assert (result.dim_right, result.dim_left) == (3, 1)
+        row = check_poincare(t)
+        assert row.passed
+        assert row.witness.startswith("dim H_R = 3, dim H_L = 1;")
 
     def test_identity_grading(self):
         t = FiniteSpectralTriple(blocks4(1), np.zeros((4, 4)), np.eye(4))
-        result = check_poincare(t)
-        assert (result.dim_right, result.dim_left) == (4, 0)
-        assert result.distinct
+        row = check_poincare(t)
+        assert row.witness.startswith("dim H_R = 4, dim H_L = 0;")
+        assert row.passed
+
+
+def _spectrum_or_none(m):
+    try:
+        return hermitian_spectrum(m)
+    except InputError:
+        return None
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_non_hermitian_fallback_rows_at_the_bound(factor):
+    # ε and γ miss self-adjointness by ``factor`` times the bound
+    # ``tol.bound(‖·‖_F)`` (‖·‖_F = 2 to within 1e-18).  The multiplicity
+    # and Poincaré rows must decide as ``hermitian_spectrum`` does: a
+    # spectrum below the bound, the fallback row above it.
+    t = build_triple_from_mass_matrix(np.array([[1.0]]))
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = factor * DEFAULT_TOL.bound(2.0) / np.sqrt(2.0)
+    eps, gamma = t.epsilon + skew, t.gamma + skew
+    report = check_triple(FiniteSpectralTriple(t.blocks, t.D, gamma, eps,
+                                               t.K))
+    rows = (report.find("triple.so_real.multiplicity"),
+            report.find("triple.poincare"))
+    eps_spectrum, gamma_spectrum = (_spectrum_or_none(eps),
+                                    _spectrum_or_none(gamma))
+    assert (eps_spectrum is None) == (gamma_spectrum is None) == (factor > 1)
+    if factor > 1:
+        assert rows == (
+            AxiomCheck("triple.so_real.multiplicity", False, 1.0,
+                       "spectrum unavailable: ε is not Hermitian"),
+            AxiomCheck("triple.poincare", True, 0.0,
+                       "not applicable: γ is not Hermitian", advisory=True))
+        return
+    deviation = float(np.max(np.abs(eps_spectrum - [-1, -1, 1, 1])))
+    plus = int(np.count_nonzero(gamma_spectrum > 0))
+    assert rows == (
+        AxiomCheck("triple.so_real.multiplicity",
+                   deviation <= DEFAULT_TOL.bound(1.0), deviation,
+                   "eigenvalues must be -1 and +1, each with multiplicity 2"),
+        AxiomCheck("triple.poincare", False, 0.0,
+                   f"dim H_R = {plus}, dim H_L = {4 - plus}; dimension "
+                   f"inequality not satisfied", advisory=True))
+    assert plus == 2
 
 
 class TestExtractMassMatrix:
