@@ -71,6 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: setting argparse up costs more than a parse.
+_PARSER = _build_parser()
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -194,9 +198,8 @@ _COMMANDS = {
 
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse arguments, dispatch, and return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

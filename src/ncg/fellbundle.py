@@ -6,8 +6,9 @@ Fell axioms, saturation and unitality are decidable at this scale.  The
 report entry points, :func:`check_fell_axioms` and :func:`check_bundle`,
 decide the axioms that are identities of matrix algebra by theorem, as
 they do closure of products into a full fibre, which holds every matrix
-of its shape.  Closure into other fibres, the involution, saturation and
-unitality are decided exhaustively on every bundle.  The
+of its shape.  Closure into other fibres, the involution and unitality
+are decided exhaustively on every bundle, saturation from the fibres'
+Gram matrices, with the SVD of the products where that declines.  The
 pass/refuse gates of the conversions (``category_from_bundle``,
 ``fell_bundle_triple``) accept a bundle that :attr:`FellBundleFD.is_full`
 by theorem: a fibre of dimension ``n_i n_j`` is the whole matrix space, so
@@ -276,59 +277,79 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
 def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
     """Saturation: products of two fibres must span the whole target fibre.
 
-    The rank of the stacked basis products (singular values below
-    ``rel * s_max`` treated as zero) is compared with the target dimension
-    ``d`` for every composable pair of arrows.  Let ``C`` hold the
-    products' coordinates in the target's orthonormal basis.  Then
-    ``σ_d(products) ≥ σ_d(C)``, so when ``λ_min(CᴴC)`` exceeds
-    ``max(1e-10, 4 rel²) ‖products‖_F²`` the rank is at least ``d`` and
-    the SVD is skipped; otherwise the rank is computed.  Only the rank
-    reaches the report, which is the one the SVD of every product span
-    gives.  The products are formed by one GEMM per pair of arrows
-    (:func:`_basis_products`) from copies of the two fibre bases scaled
-    to unit Frobenius norm (:func:`matops.unit_rows`).  Rescaling basis
-    elements by positive numbers leaves every span unchanged, and the
-    rank then counts elements of very different size alike.
+    For every composable pair of arrows the rank of the products of the
+    two bases, scaled to unit norm (:func:`matops.unit_rows`), is compared
+    with the target dimension ``d``; singular values below ``rel * s_max``
+    count as zero.  The rank is at least ``d`` when ``λ_min(CᴴC)``, for
+    the products' coordinates ``C`` in the target, exceeds ``max(1e-10,
+    4 rel²) ‖products‖_F²``: ``σ_d(products) ≥ σ_d(C)``.  This certificate
+    is contracted from the Gram matrices of fibres at least half full
+    (:func:`_gram_spectra`) and must clear its rounding error
+    (:func:`_gram_guard`).  Every other span is ranked by the SVD of its
+    products (:func:`_basis_products`).  Only the rank reaches the report.
     """
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
+    p, sizes = b.blocks.p, np.array(b.blocks.sizes)
     units = {g: unit_rows(f.stack) for g, f in b.fibres.items()}
-    worst_deficiency = 0
-    witness = ""
-    for g, h in _composable_arrow_pairs(b.blocks.p):
-        e1, e2 = b.fibres[g], b.fibres[h]
-        target = b.fibres[(g[0], h[1])]
-        if target.dim == 0:
-            continue
-        if e1.dim == 0 or e2.dim == 0:
-            rank = 0
-        else:
-            prods = _basis_products(units[g], units[h])
-            if _spans(target, prods, certify):
-                rank = target.dim
-            else:
-                rank = numerical_rank(prods.reshape(len(prods), -1), tol.rel)
-        if target.dim - rank > worst_deficiency:
-            worst_deficiency = target.dim - rank
-            witness = (f"products of {g} x {h} span {rank} of the "
-                       f"{target.dim} dimensions of fibre {(g[0], h[1])}")
-    return AxiomCheck("fell.saturated", worst_deficiency == 0,
-                      float(worst_deficiency),
-                      witness or "every product span is total")
+    dim = np.array([b.fibres[g].dim for g in b.arrows()]).reshape(p, p)
+    # A Gram matrix of a half-full fibre is at most twice its basis.
+    dense = (dim > 0) & (2 * dim >= np.outer(sizes, sizes))
+    grams = {(i + 1, j + 1): _arranged_gram(units[(i + 1, j + 1)])
+             for i, j in zip(*np.nonzero(dense))}
+    # λ_min(CᴴC) and ‖products‖_F² of each pair (i, j) x (j, k).
+    lam, trace = np.zeros((2, p, p, p))
+    for i, k in b.blocks.groupoid().arrows():
+        js = np.flatnonzero(dense[i - 1] & dense[:, k - 1])
+        if b.fibres[(i, k)].dim and len(js):
+            lam[i - 1, js, k - 1], trace[i - 1, js, k - 1] = _gram_spectra(
+                b.fibres[(i, k)], [(grams[(i, j + 1)], grams[(j + 1, k)])
+                                   for j in js])
+    dg, dh, dt = dim[:, :, None], dim[None, :, :], dim[:, None, :]
+    spans = (lam > certify * trace) & (np.minimum(lam, trace) > _gram_guard(
+        dg, dh, sizes[None, :, None], np.outer(sizes, sizes)[:, None, :]))
+    deficiency = np.where(spans, 0, dt)
+    for i, j, k in zip(*np.nonzero(~spans & (dg > 0) & (dh > 0) & (dt > 0))):
+        prods = _basis_products(units[(i + 1, j + 1)], units[(j + 1, k + 1)])
+        deficiency[i, j, k] -= numerical_rank(prods.reshape(len(prods), -1),
+                                              tol.rel)
+    i, j, k = (np.argwhere(deficiency == deficiency.max())[0] + 1).tolist()
+    worst, d = max(int(deficiency.max()), 0), b.fibres[(i, k)].dim
+    return AxiomCheck("fell.saturated", worst == 0, float(worst),
+                      f"products of {(i, j)} x {(j, k)} span {d - worst} of "
+                      f"the {d} dimensions of fibre {(i, k)}" if worst
+                      else "every product span is total")
 
 
-def _spans(target: SubspaceBasis, prods: np.ndarray, certify: float) -> bool:
-    """Whether ``λ_min(CᴴC) > certify ‖prods‖_F²`` for the coordinates
-    ``C`` of ``prods`` in ``target``; a norm small enough to have lost
-    accuracy to underflow certifies nothing.  The orthonormal basis of a
-    full target is unitary, so ``CᴴC`` has the spectrum of the products'
-    own Gram matrix ``PᴴP``, which is taken instead."""
-    fro2 = np.vdot(prods, prods).real
-    if not fro2 > _TINY_NORM ** 2:
-        return False
-    coords = (prods.reshape(len(prods), -1) if target.is_full
-              else target.coordinates(prods))
-    return bool(np.linalg.eigvalsh(coords.conj().T @ coords)[0]
-                > certify * fro2)
+def _arranged_gram(u: np.ndarray) -> np.ndarray:
+    """The Gram matrix ``X = UᴴU`` of an ``(a, r, s)`` stack flattened to
+    rows ``U``, arranged ``(r², s²)``: ``((r, r'), (s, s'))`` holds
+    ``X[(r, s), (r', s')]``."""
+    a, r, s = u.shape
+    flat = u.reshape(a, r * s)
+    return ((flat.conj().T @ flat).reshape(r, s, r, s).transpose(0, 2, 1, 3)
+            .reshape(r * r, s * s))
+
+
+def _gram_spectra(target: SubspaceBasis, pairs):
+    """``λ_min(CᴴC)`` and ``‖P‖_F² = tr PᴴP`` for the products ``P`` of
+    each pair of :func:`_arranged_gram` matrices into ``target``: ``PᴴP``
+    is their GEMM, transposed, as the product is bilinear, and ``CᴴC`` its
+    :meth:`SubspaceBasis.compress` unless the target is full."""
+    ni, nk = target.ambient_shape
+    gram = (np.stack([x @ y for x, y in pairs])
+            .reshape(-1, ni, ni, nk, nk).transpose(0, 1, 3, 2, 4)
+            .reshape(-1, ni * nk, ni * nk))
+    lam = np.linalg.eigvalsh(gram if target.is_full
+                             else target.compress(gram))[:, 0]
+    return lam, np.einsum("mii->m", gram).real
+
+
+def _gram_guard(dg, dh, nj, n):
+    """Twice the rounding error of :func:`_gram_spectra` (Gram matrices,
+    GEMM, compression, eigvalsh) for unit rows of fibres of dimensions
+    ``dg``, ``dh`` and ``n = n_i n_k``, and at least ``_TINY_NORM²``."""
+    return np.maximum(np.finfo(float).eps * dg * dh * (
+        np.sqrt(n) * (dg + dh + nj ** 2) + 3 * n ** 1.5), _TINY_NORM ** 2)
 
 
 def check_unital(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:

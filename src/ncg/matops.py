@@ -234,6 +234,12 @@ class SubspaceBasis:
         flat = stack.reshape(stack.shape[0], self.rows * self.cols)
         return flat @ self._onb_conj.T
 
+    def compress(self, grams: np.ndarray) -> np.ndarray:
+        """``V G Vᴴ`` for each ``G`` of a stack, ``V`` the orthonormal basis:
+        ``CᴴC`` for the :meth:`coordinates` ``C`` of elements ``P`` whose
+        flattened Gram matrix is ``G = PᴴP``."""
+        return self._onb @ grams @ self._onb_conj.T
+
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack."""
         coords = self.coordinates(stack)

@@ -626,6 +626,38 @@ class TestGrammar:
         capsys.readouterr()
         assert run(["check", "triple", path, "--tol", "1e-3"]) == 0
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # ``run`` parses with one parser built at import.  Calls that
+        # alternate options, subcommands and a parse error must each give
+        # the exit code, stdout and stderr of a fresh interpreter: the
+        # leaky triple passes only under the loosened tolerance.
+        t = build_triple_from_mass_matrix(np.array([[1.0]]))
+        d = t.D.copy()
+        d[0, 1] += 1e-6
+        path = write(tmp_path / "leaky.json", triple_to_json(
+            FiniteSpectralTriple(t.blocks, d, t.gamma, t.epsilon, t.K)))
+        calls = [["check", "triple", path, "--tol", "1e-3", "--format", "json"],
+                 ["check", "triple", path],
+                 ["limit", "--ns", "16,32", "--profile", "sine:1"],
+                 ["check", "triple", path, "--format", "xml"]]
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(ncg.__file__).resolve().parents[1])}
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from ncg.cli import main; main()",
+                 *argv], capture_output=True, text=True, env=env, timeout=60)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 2]
+        assert "invalid choice: 'xml'" in fresh[3][2]
+        parser = ncg.cli._PARSER
+        order = [0, 1, 2, 3, 0, 3, 1, 2, 1, 0]
+        for k in order:
+            code = run(calls[k])
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == fresh[k], calls[k]
+        assert ncg.cli._PARSER is parser
+
 
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, standard_triple_file,

@@ -17,6 +17,7 @@ brute-force gate ``oracles.fell_gate``, which projects every product.
 """
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracles import THEOREM_ROWS, exhaustive_rows, fell_gate, theorem_rows
 import ncg.fellbundle as fellbundle
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
                  check_bundle, check_fell_axioms, check_saturated)
+from ncg.matops import unit_rows
 
 TOLS = [Tolerance(rel=1e-17), Tolerance(), Tolerance(rel=0.5)]
 
@@ -331,33 +333,98 @@ def test_mixed_bundles_decide_as_the_oracle(tol):
 
 
 def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
-    # Closure forms no basis product whose target fibre is full, and
-    # saturation's certificate takes no coordinates in a full target; both
-    # still run on the bundle's other targets.
+    # Closure forms no basis product whose target fibre is full, and still
+    # projects the products of the bundle's other targets.  Saturation
+    # contracts the fibres' Gram matrices instead: on a bundle whose spans
+    # all certify, with full and other targets, it forms no product and
+    # takes no coordinates at all.
     rng = np.random.default_rng(20261116)
     b = with_full_fibres(rng, conjugated_bundle(rng, (4, 4, 2), 2))
     arrow = {id(f.stack): g for g, f in b.fibres.items()}
-    targets, projected = [], []
+    targets = []
     products = fellbundle._basis_products
-    coordinates = SubspaceBasis.coordinates
 
     def spy_products(x, y):
         targets.append((arrow[id(x)][0], arrow[id(y)][1]))
         return products(x, y)
 
-    def spy_coordinates(self, stack):
-        projected.append(self)
-        return coordinates(self, stack)
-
     monkeypatch.setattr(fellbundle, "_basis_products", spy_products)
     check_fell_axioms(b)
-    monkeypatch.setattr(fellbundle, "_basis_products", products)
-    monkeypatch.setattr(SubspaceBasis, "coordinates", spy_coordinates)
-    check_saturated(b)
-    assert targets and projected
+    assert targets
     assert not any(b.fibres[gh].is_full for gh in targets)
-    assert not any(f.is_full for f in projected)
     assert any(f.is_full for f in b.fibres.values())
+
+    # Diagonal fibres M_2 + M_2 inside M_4, full fibres elsewhere: every
+    # product span is total.
+    b = conjugated_bundle(rng, (4, 4, 4), 2)
+    b = FellBundleFD(b.blocks, {g: f if g[0] == g[1] else SubspaceBasis(
+        4, 4, crandn(rng, 16, 4, 4)) for g, f in b.fibres.items()})
+    assert not declined_pairs(b, Tolerance())
+
+    def forbidden(*args):
+        raise AssertionError("saturation formed products or coordinates")
+
+    monkeypatch.setattr(fellbundle, "_basis_products", forbidden)
+    monkeypatch.setattr(SubspaceBasis, "coordinates", forbidden)
+    assert check_saturated(b).passed
+    assert sum(f.is_full for f in b.fibres.values()) == 6
+
+
+def declined_pairs(b, tol):
+    """The composable pairs with nonzero fibres and target that saturation
+    must rank by the SVD of their products: a fibre less than half full,
+    or a Gram certificate that does not fire."""
+    certify = max(fellbundle._GRAM_FLOOR, 4.0 * tol.rel ** 2)
+    sizes = b.blocks.sizes
+    declined = set()
+    for i, j, k in product(range(1, b.blocks.p + 1), repeat=3):
+        g, h, target = b.fibres[(i, j)], b.fibres[(j, k)], b.fibres[(i, k)]
+        if not (g.dim and h.dim and target.dim):
+            continue
+        if 2 * g.dim < g.rows * g.cols or 2 * h.dim < h.rows * h.cols:
+            declined.add(((i, j), (j, k)))
+            continue
+        grams = [fellbundle._arranged_gram(unit_rows(f.stack))
+                 for f in (g, h)]
+        lam, trace = fellbundle._gram_spectra(target, [grams])
+        guard = fellbundle._gram_guard(g.dim, h.dim, sizes[j - 1],
+                                       sizes[i - 1] * sizes[k - 1])
+        if not (lam[0] > certify * trace[0] and lam[0] > guard
+                and trace[0] > guard):
+            declined.add(((i, j), (j, k)))
+    return declined
+
+
+def spy_on_products(monkeypatch, b):
+    """Record the arrow pair of every basis-product stack formed from the
+    unit rows of ``b``'s fibres."""
+    formed = []
+    products = fellbundle._basis_products
+    units = {g: unit_rows(f.stack) for g, f in b.fibres.items() if f.dim}
+
+    def arrow(x):
+        return next(g for g, u in units.items()
+                    if u.shape == x.shape and np.array_equal(u, x))
+
+    def spy(x, y):
+        formed.append((arrow(x), arrow(y)))
+        return products(x, y)
+
+    monkeypatch.setattr(fellbundle, "_basis_products", spy)
+    return formed
+
+
+@pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
+@pytest.mark.parametrize("kind", ["extra", "dropped"])
+def test_planted_bundles_form_products_only_where_declined(kind, tol,
+                                                           monkeypatch):
+    b, _ = planted_bundles(np.random.default_rng(20261107))[kind]
+    formed = spy_on_products(monkeypatch, b)
+    check_saturated(b, tol)
+    assert len(formed) == len(set(formed))
+    assert set(formed) == declined_pairs(b, tol)
+    if tol.rel == 1e-9:
+        assert bool(formed) == (kind == "extra")
 
 
 def test_closure_is_analytic_when_every_target_is_full():
