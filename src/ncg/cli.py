@@ -16,8 +16,8 @@ from typing import Optional
 
 from .errors import (AxiomRefusalError, DomainSectionError, InputError,
                      NcgError, ShapeError)
-from .fellbundle import bundle_from_json, check_bundle
-from .geometry import (categorify, fell_triple_from_category, fluctuate,
+from .geometry import (categorify, check_bundle_document,
+                       fell_triple_from_category, fluctuate,
                        fluctuation_terms_from_json,
                        spectral_category_from_json)
 from .climit import convergence_report, parse_profile
@@ -130,7 +130,7 @@ def _cmd_check(args, tol: Tolerance) -> int:
         report = check_triple(triple_from_json(data), tol)
         title = f"check triple {args.path}"
     else:
-        report = check_bundle(bundle_from_json(data), tol)
+        report = check_bundle_document(data, tol)
         title = f"check bundle {args.path}"
     _print_report(title, report, args.format)
     return 0 if report.all_passed else 1

@@ -28,7 +28,7 @@ from .errors import (InputError, ShapeError,
 from .groupoid import Arrow, PairGroupoid
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                      as_matrix, frobenius, numerical_rank, require_unitary,
-                     subspace_from_json, unit_rows)
+                     subspace_from_json)
 from .report import AxiomCheck, AxiomReport, WorstResidual
 
 # A Frobenius norm below this may have lost its relative accuracy to
@@ -278,7 +278,7 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
     """Saturation: products of two fibres must span the whole target fibre.
 
     For every composable pair of arrows the rank of the products of the
-    two bases, scaled to unit norm (:func:`matops.unit_rows`), is compared
+    two bases, scaled to unit norm (:attr:`SubspaceBasis.units`), is compared
     with the target dimension ``d``; singular values below ``rel * s_max``
     count as zero.  The rank is at least ``d`` when ``λ_min(CᴴC)``, for
     the products' coordinates ``C`` in the target, exceeds ``max(1e-10,
@@ -290,7 +290,7 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
     """
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
     p, sizes = b.blocks.p, np.array(b.blocks.sizes)
-    units = {g: unit_rows(f.stack) for g, f in b.fibres.items()}
+    units = {g: f.units for g, f in b.fibres.items()}
     dim = np.array([b.fibres[g].dim for g in b.arrows()]).reshape(p, p)
     # A Gram matrix of a half-full fibre is at most twice its basis.
     dense = (dim > 0) & (2 * dim >= np.outer(sizes, sizes))

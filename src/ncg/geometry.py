@@ -21,11 +21,12 @@ from .cstarcat import (CStarCategoryFD, DomainSection, category_from_bundle,
                        normaliser_support)
 from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
-                         bundle_to_json, check_saturated, check_unital,
-                         fibres_from_json, fibres_to_json, full_morita_bundle)
+                         bundle_from_json, bundle_to_json, check_bundle,
+                         check_saturated, check_unital, fibres_from_json,
+                         fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
                      frobenius, matrix_from_json, require_unitary)
-from .report import AxiomReport
+from .report import AxiomCheck, AxiomReport, residual_checks
 from .sptriple import FiniteSpectralTriple, check_triple
 
 
@@ -101,18 +102,56 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
     """
     n = bundle.blocks.total
     pl = as_matrix(pl, "path-lifting operator", (n, n))
-    classification = normaliser_support(pl, bundle.blocks, tol)
-    if not classification.is_normaliser:
-        raise InputError("path-lifting operator is not a normaliser of the "
-                         "diagonal algebra")
-    if len(classification.support) != bundle.blocks.p:
-        raise InputError(
-            f"path-lifting support {classification.support_map()} is not a "
-            f"global bisection")
+    bisection = _bisection_check(bundle.blocks, pl, tol)
+    if not bisection.passed:
+        raise InputError(f"path-lifting operator: {bisection.witness}")
     if not bundle.is_full:
         AxiomReport((check_saturated(bundle, tol), check_unital(bundle, tol))
                     ).require("bundle fails {}; not a bundle triple")
     return FellBundleTriple(bundle, n, pl)
+
+
+def _bisection_check(blocks: BlockStructure, pl: np.ndarray,
+                     tol: Tolerance) -> AxiomCheck:
+    """``fell.path_lifting.normaliser``: :func:`normaliser_support` finds
+    a normaliser of the diagonal algebra whose block support is a global
+    bisection.  The residual counts the block columns outside the support,
+    all ``p`` of them for a matrix that is no normaliser."""
+    p = blocks.p
+    cls = normaliser_support(pl, blocks, tol)
+    if not cls.is_normaliser:
+        witness = "not a normaliser of the diagonal algebra"
+    elif len(cls.support) < p:
+        witness = (f"support {cls.support_map()} covers {len(cls.support)} "
+                   f"of the {p} block columns")
+    else:
+        witness = f"support {cls.support_map()} is a global bisection"
+    return AxiomCheck("fell.path_lifting.normaliser", len(cls.support) == p,
+                      float(p - len(cls.support)), witness)
+
+
+def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
+    """The report of ``ncg check bundle`` on a decoded file: the bundle
+    battery (:func:`~ncg.fellbundle.check_bundle`), then, for a bundle
+    triple carrying ``PL``, the support row of :func:`_bisection_check`
+    and ``fell.path_lifting.selfadjoint``, ``‖PL - PL*‖`` within
+    tolerance, as the domain section of the way back requires.  A
+    ``hilbert_dim`` other than ``Σ n_i`` is an input error."""
+    bundle = bundle_from_json(data)
+    n = bundle.blocks.total
+    dim = data.get("hilbert_dim", n)
+    if type(dim) is not int or dim != n:
+        raise InputError(f"hilbert_dim {dim!r} is not the total block "
+                         f"dimension {n}")
+    pl = matrix_from_json(data["PL"], "PL", (n, n)) if "PL" in data else None
+    report = check_bundle(bundle, tol)
+    if pl is None:
+        return report
+    return AxiomReport(report.checks + (
+        _bisection_check(bundle.blocks, pl, tol),
+        *residual_checks(tol, ("fell.path_lifting.selfadjoint",
+                               frobenius(pl - adjoint(pl)), frobenius(pl),
+                               "‖PL - PL*‖"))))
 
 
 def categorify(t: FiniteSpectralTriple,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -155,12 +156,16 @@ class SubspaceBasis:
     The basis is validated for independence at construction (numerical rank
     of the flattened stack, each element scaled to unit norm, must equal
     its length) and an orthonormal basis and its conjugate are precomputed
-    for fast membership tests.  The basis is an iterable of matrices, each
-    checked by :func:`as_matrix`, or one finite ``(k, rows, cols)`` array,
-    checked at once.  Instances are immutable.
+    for fast membership tests.  ``units`` keeps the stack scaled to unit
+    rows (:func:`unit_rows`).  The row-major matrix units, bit for bit,
+    are recognised without an SVD: they are their own unit rows and
+    orthonormal basis, which is what the SVD returns for them.  The basis
+    is an iterable of matrices, each checked by :func:`as_matrix`, or one
+    finite ``(k, rows, cols)`` array, checked at once.  Instances are
+    immutable.
     """
 
-    __slots__ = ("rows", "cols", "stack", "_onb", "_onb_conj")
+    __slots__ = ("rows", "cols", "stack", "units", "_onb", "_onb_conj")
 
     def __init__(self, rows: int, cols: int, matrices: Iterable,
                  tol: Tolerance = DEFAULT_TOL):
@@ -179,10 +184,16 @@ class SubspaceBasis:
             stack = (np.stack(mats) if mats
                      else np.zeros((0, rows, cols), dtype=complex))
         k = len(stack)
-        if k:
+        flat = stack.reshape(k, rows * cols)
+        if (k == rows * cols and (flat.ravel()[::k + 1] == 1).all()
+                and np.count_nonzero(flat.view(np.uint64)) == k):
+            # The identity: its diagonal holds the only nonzero words.
+            units, onb = stack, flat
+        elif k:
             # Rank of the unit-norm rows, so that elements of very
             # different size count alike.
-            u, s, vh = np.linalg.svd(unit_rows(stack.reshape(k, rows * cols)),
+            units = unit_rows(stack)
+            u, s, vh = np.linalg.svd(units.reshape(k, rows * cols),
                                      full_matrices=False)
             rank = int(np.count_nonzero(s > tol.rel * s[0])) if s[0] else 0
             if rank != k:
@@ -192,10 +203,11 @@ class SubspaceBasis:
                 )
             onb = vh[:rank]
         else:
-            onb = np.zeros((0, rows * cols), dtype=complex)
+            units, onb = stack, np.zeros((0, rows * cols), dtype=complex)
         self.rows = rows
         self.cols = cols
         self.stack = stack
+        self.units = units
         self._onb = onb
         self._onb_conj = onb.conj()
 
@@ -352,48 +364,77 @@ def write_json(obj, write) -> None:
     Dicts with string keys, and lists that hold an array, are walked.  A
     nonempty finite float or complex array fills a ``%r`` template of its
     indent layout from one ``tolist()`` of its parts; ``%r`` is the
-    ``repr`` that ``json`` writes numbers with.  Anything else, an empty or
-    non-finite array's nested list included, is spelled by ``json.dumps``
-    and re-indented, which is exact because JSON text holds no raw newline
-    inside a string.
+    ``repr`` that ``json`` writes numbers with.  Each distinct array is
+    formatted once per document: a repeat, equal in part shape, indent,
+    dtype and bytes, writes the stored text again.  A first pass counts
+    the arrays by a hash of their content, and only the text of an array
+    whose content occurs more than once is stored.  Anything else, an
+    empty or non-finite array's nested list included, is spelled by
+    ``json.dumps`` and re-indented, which is exact because JSON text holds
+    no raw newline inside a string.
     """
-    _write_json(obj, write, "\n")
+    counts = Counter(hash(_content(_parts(a))) for a in _arrays(obj))
+    _write_json(obj, write, "\n", {h for h, n in counts.items() if n > 1}, {})
 
 
-def _write_json(obj, write, nl: str) -> None:
+def _write_json(obj, write, nl: str, repeated: set, texts: dict) -> None:
     inner = nl + "  "
     if isinstance(obj, np.ndarray):
-        parts = (np.ascontiguousarray(obj).view(obj.real.dtype)
-                 .reshape(obj.shape + (2,)) if obj.dtype.kind == "c"
-                 else obj)
+        parts = _parts(obj)
         if parts.dtype.kind == "f" and parts.size and np.isfinite(parts).all():
-            write(_array_template(parts.shape, nl)
-                  % tuple(parts.ravel().tolist()))
+            key = _repeat_key(parts, nl, repeated)
+            text = texts.get(key)
+            if text is None:
+                text = (_array_template(parts.shape, nl)
+                        % tuple(parts.ravel().tolist()))
+                if key:
+                    texts[key] = text
+            write(text)
         else:
-            _write_json(parts.tolist(), write, nl)
+            _write_json(parts.tolist(), write, nl, repeated, texts)
     elif isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
         write("{")
         for k, key in enumerate(sorted(obj)):
             write(("," if k else "") + inner + json.dumps(key) + ": ")
-            _write_json(obj[key], write, inner)
+            _write_json(obj[key], write, inner, repeated, texts)
         write(nl + "}")
-    elif isinstance(obj, list) and _holds_array(obj):
+    elif isinstance(obj, list) and next(_arrays(obj), None) is not None:
         write("[")
         for k, item in enumerate(obj):
             write(("," if k else "") + inner)
-            _write_json(item, write, inner)
+            _write_json(item, write, inner, repeated, texts)
         write(nl + "]")
     else:
         write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl))
 
 
-def _holds_array(obj) -> bool:
-    """Whether an ndarray sits anywhere in a nest of dicts and lists."""
-    if isinstance(obj, dict):
-        return any(map(_holds_array, obj.values()))
-    if isinstance(obj, list):
-        return any(map(_holds_array, obj))
-    return isinstance(obj, np.ndarray)
+def _parts(a: np.ndarray) -> np.ndarray:
+    """``a`` with each complex entry spelled as its two real parts."""
+    if a.dtype.kind != "c":
+        return a
+    return np.ascontiguousarray(a).view(a.real.dtype).reshape(a.shape + (2,))
+
+
+def _content(parts: np.ndarray) -> tuple:
+    """Shape, dtype and bytes: what the text of an array depends on,
+    with its indent."""
+    return parts.shape, parts.dtype.str, parts.tobytes()
+
+
+def _repeat_key(parts: np.ndarray, nl: str, repeated: set):
+    """The key of an array's stored text, or None for an array whose
+    content occurs once, which then keeps no copy of its bytes."""
+    content = _content(parts)
+    return (nl, content) if hash(content) in repeated else None
+
+
+def _arrays(obj):
+    """Every ndarray in a nest of dicts and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (dict, list)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(item)
 
 
 def _array_template(shape: tuple, nl: str) -> str:

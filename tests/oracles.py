@@ -41,6 +41,10 @@ lattice sweeps on the explicit ``n x n`` matrices of
 ``flat_lattice_dirac`` and ``gauge_unitary``; the library applies the
 same operators as an O(n) stencil and a phase vector.
 
+``svd_basis`` builds a basis the way ``SubspaceBasis`` does for an
+explicit stack, by the SVD of its unit rows, also for the matrix units,
+which the library recognises and takes as their own orthonormal basis.
+
 ``indented_json`` is the text ``matops.write_json`` reproduces from
 ``%r`` templates, and ``nested_lists`` spells a document's arrays entry
 by entry, as the writer's one ``tolist()`` per array must.
@@ -428,3 +432,20 @@ def nested_lists(obj):
     if isinstance(obj, list):
         return [nested_lists(value) for value in obj]
     return obj
+
+
+def svd_basis(rows: int, cols: int, stack,
+              tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
+    """A :class:`SubspaceBasis` of an independent ``(k, rows, cols)``
+    stack whose orthonormal basis is ``vh`` of the SVD of its unit rows,
+    whatever the stack."""
+    stack = np.array(stack, dtype=complex)
+    k = len(stack)
+    units = unit_rows(stack)
+    _, s, vh = np.linalg.svd(units.reshape(k, rows * cols),
+                             full_matrices=False)
+    assert np.count_nonzero(s > tol.rel * s[0]) == k
+    basis = object.__new__(SubspaceBasis)
+    basis.rows, basis.cols, basis.stack, basis.units = rows, cols, stack, units
+    basis._onb, basis._onb_conj = vh, vh.conj()
+    return basis

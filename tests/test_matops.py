@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -418,3 +419,81 @@ class TestWriteJson:
                             lambda o, **kw: calls.append(o) or dumps(o, **kw))
         assert written_text({"U": [m, m[None]]}) == expected
         assert calls == ["U"]
+
+
+def _ulp_apart(m):
+    n = m.copy()
+    n.real[0, 0] = np.nextafter(n.real[0, 0], np.inf)
+    return n
+
+
+def _documents():
+    rng = np.random.default_rng(41)
+    m = crandn(rng, 3, 2)
+    x = rng.standard_normal((2, 4))
+    zeros = np.zeros((2, 2))
+    non_finite = np.array([[np.nan, 1.0], [np.inf, -0.0]])
+    return {
+        "repeated": {"a": m, "b": m.copy(), "c": [m, m[None], m.copy()],
+                     "d": {"e": m[None].copy()}},
+        "one_ulp": {"a": m, "b": _ulp_apart(m), "c": [m, _ulp_apart(m)]},
+        "signed_zero": {"a": zeros, "b": -zeros, "c": zeros + 0j,
+                        "d": -zeros + 0j, "e": [-zeros, zeros]},
+        "float32_float64": {"a": x.astype(np.float32),
+                            "b": x.astype(np.float32).astype(float),
+                            "c": x.view(np.float32).reshape(2, 8),
+                            "d": x, "e": [x, x.astype(np.float32)]},
+        "real_complex_equal_bytes": {"a": m,
+                                     "b": m.view(float).reshape(3, 2, 2),
+                                     "c": m.view(float), "d": [m.real, m]},
+        "non_finite": {"a": non_finite, "b": non_finite.copy(),
+                       "c": non_finite + 0j, "d": [non_finite, zeros]},
+        "two_depths": {"a": m, "b": {"c": [m, {"d": m}]}, "e": [[m]]},
+    }
+
+
+class TestWriteJsonRepeats:
+    """Each distinct array is formatted once per document, and a repeat
+    writes the stored text."""
+
+    @pytest.mark.parametrize("case", sorted(_documents()))
+    def test_text_is_that_of_json_dumps(self, case):
+        doc = _documents()[case]
+        assert written_text(doc) == indented_json(nested_lists(doc))
+
+    def test_each_distinct_array_is_formatted_once(self, monkeypatch):
+        from ncg import matops
+        shapes, template = [], matops._array_template
+
+        def spy(shape, nl):
+            # The template recurses into itself; count the writer's calls.
+            if sys._getframe(1).f_code.co_name == "_write_json":
+                shapes.append((shape, len(nl)))
+            return template(shape, nl)
+
+        monkeypatch.setattr(matops, "_array_template", spy)
+        doc = _documents()["repeated"]
+        assert written_text(doc) == indented_json(nested_lists(doc))
+        # m at indent 2 (a, b), m at 4 and m[None] at 4 (c), m[None] at 4
+        # (d.e): three distinct texts.
+        assert shapes == [((3, 2, 2), 3), ((3, 2, 2), 5), ((1, 3, 2, 2), 5)]
+        written_text(doc)
+        assert len(shapes) == 6
+
+    def test_only_repeated_contents_keep_their_text(self, monkeypatch):
+        from ncg import matops
+        stores, write = [], matops._write_json
+
+        def spy(obj, out, nl, repeated, texts):
+            stores.append(texts)
+            return write(obj, out, nl, repeated, texts)
+
+        monkeypatch.setattr(matops, "_write_json", spy)
+        m = crandn(np.random.default_rng(42), 3, 2)
+        doc = {"a": m, "b": m.copy(), "c": _ulp_apart(m), "d": [m],
+               "e": m.real.copy()}
+        assert written_text(doc) == indented_json(nested_lists(doc))
+        texts = stores[0]
+        assert all(t is texts for t in stores)
+        # m at the indents of "a" and of "d"'s list; the others occur once.
+        assert sorted(len(nl) for nl, _ in texts) == [3, 5]

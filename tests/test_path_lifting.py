@@ -1,0 +1,137 @@
+"""``ncg check bundle`` on a bundle-triple file checks its path-lifting
+operator: ``PL`` must be a normaliser supported on a global bisection and
+self-adjoint, and ``hilbert_dim`` must be the total block dimension.
+
+The oracles are ``fell_bundle_triple``, which accepts exactly the ``PL``
+whose normaliser row passes, ``is_normaliser_bruteforce`` for the
+normaliser half of that row, and the report of the same file without
+``PL``, which must be today's report byte for byte."""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import json_document, written_text
+from oracles import is_normaliser_bruteforce
+
+from ncg import (BlockStructure, InputError, build_triple_from_mass_matrix,
+                 categorify, full_morita_bundle)
+from ncg.cli import run
+from ncg.geometry import (check_bundle_document, fell_bundle_triple,
+                          fell_triple_from_category)
+
+SWAP = [[0, 1], [1, 0]]
+PATH_ROWS = ("fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint")
+INPUT_ERROR = "input error: hilbert_dim {} is not the total block dimension 2"
+
+# name: (PL over blocks [1, 1], hilbert_dim, exit code, failing rows or the
+# input error line)
+CASES = {
+    "valid": (SWAP, 2, 0, []),
+    "identity": (np.eye(2), 2, 0, []),
+    "all_ones": (np.ones((2, 2)), 2, 1, ["fell.path_lifting.normaliser"]),
+    "partial_support": ([[1, 0], [0, 0]], 2, 1,
+                        ["fell.path_lifting.normaliser"]),
+    "not_selfadjoint": ([[0, 1], [2, 0]], 2, 1,
+                        ["fell.path_lifting.selfadjoint"]),
+    "complex_not_selfadjoint": ([[0, 1j], [1j, 0]], 2, 1,
+                                ["fell.path_lifting.selfadjoint"]),
+    "both": ([[1, 1], [0, 0]], 2, 1, list(PATH_ROWS)),
+    "hilbert_dim_7": (SWAP, 7, 2, INPUT_ERROR.format(7)),
+    "hilbert_dim_float": (SWAP, 2.0, 2, INPUT_ERROR.format(2.0)),
+    "hilbert_dim_true": (SWAP, True, 2, INPUT_ERROR.format(True)),
+    "hilbert_dim_string": (SWAP, "2", 2, INPUT_ERROR.format("'2'")),
+}
+
+WITNESSES = {
+    "valid": "support {1: 2, 2: 1} is a global bisection",
+    "all_ones": "not a normaliser of the diagonal algebra",
+    "partial_support": "support {1: 1} covers 1 of the 2 block columns",
+}
+
+
+def bundle_triple_document(pl, hilbert_dim):
+    unit = np.ones((1, 1, 1), dtype=complex)
+    fibres = {"1,1": unit, "1,2": unit, "2,1": unit, "2,2": unit}
+    doc = json_document({"blocks": [1, 1], "fibres": fibres,
+                         "PL": np.asarray(pl, dtype=complex)})
+    return {**doc, "hilbert_dim": hilbert_dim}
+
+
+def check(tmp_path, capsys, doc, *args):
+    path = tmp_path / "bundle_triple.json"
+    path.write_text(written_text(doc))
+    code = run(["check", "bundle", str(path), *args])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_malformed_path_lifting(case, tmp_path, capsys):
+    pl, dim, code, expected = CASES[case]
+    got, out = check(tmp_path, capsys, bundle_triple_document(pl, dim),
+                     "--format", "json")
+    assert got == code
+    if code == 2:
+        assert out == expected + "\n"
+        return
+    rows = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert [i for i, c in rows.items() if c["status"] == "fail"] == expected
+    if case in WITNESSES:
+        assert rows[PATH_ROWS[0]]["witness"] == WITNESSES[case]
+    row = rows[PATH_ROWS[0]]
+    try:
+        fell_bundle_triple(full_morita_bundle(BlockStructure((1, 1))), pl)
+        assert row["status"] == "pass"
+    except InputError as exc:
+        assert str(exc) == f"path-lifting operator: {row['witness']}"
+    # The residual counts the block columns outside the support.
+    support = 0 if not is_normaliser_bruteforce(pl, BlockStructure((1, 1))) \
+        else np.count_nonzero(np.abs(np.asarray(pl)).sum(axis=0))
+    assert rows[PATH_ROWS[0]]["residual"] == 2.0 - support
+
+
+def test_path_lifting_rows_follow_the_bundle_rows(tmp_path, capsys):
+    doc = bundle_triple_document(SWAP, 2)
+    _, with_pl = check(tmp_path, capsys, doc)
+    del doc["PL"], doc["hilbert_dim"]
+    code, without = check(tmp_path, capsys, doc)
+    assert code == 0
+    head = with_pl.split("result:")[0]
+    bundle_rows = without.split("result:")[0]
+    assert head.startswith(bundle_rows)
+    added = head[len(bundle_rows):].splitlines()
+    assert [line.split()[1] for line in added] == list(PATH_ROWS)
+    assert added[1] == (f"  pass  {PATH_ROWS[1]:<38}  residual 0.000e+00")
+
+
+def test_hilbert_dim_without_pl(tmp_path, capsys):
+    doc = bundle_triple_document(SWAP, 2)
+    del doc["PL"]
+    assert check(tmp_path, capsys, doc)[0] == 0
+    doc["hilbert_dim"] = 3
+    assert check(tmp_path, capsys, doc) == (2, INPUT_ERROR.format(3) + "\n")
+
+
+@pytest.mark.parametrize("pl, message", [
+    ([[[0.0, 0.0]]], "PL: shape (1, 1), expected (2, 2)"),
+    (None, "PL: expected a nonempty array of rows"),
+    ([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], "x"]],
+     "PL: entry (1,1) is not an [re, im] pair"),
+])
+def test_malformed_pl_is_exit_two(pl, message, tmp_path, capsys):
+    doc = bundle_triple_document(SWAP, 2)
+    doc["PL"] = pl
+    assert check(tmp_path, capsys, doc) == (2, f"input error: {message}\n")
+
+
+def test_to_fell_output_passes_with_its_path_lifting_rows():
+    rng = np.random.default_rng(16)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    ft = fell_triple_from_category(categorify(
+        build_triple_from_mass_matrix(m)))
+    report = check_bundle_document(json_document(ft.to_json()))
+    assert report.all_passed
+    assert [c.axiom_id for c in report.checks[-2:]] == list(PATH_ROWS)
+    assert report.checks[-2].witness == (
+        "support {1: 2, 2: 1, 3: 4, 4: 3} is a global bisection")
