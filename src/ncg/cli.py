@@ -10,6 +10,7 @@ Reports are byte-stable across runs on identical inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Optional
@@ -76,6 +77,11 @@ _PARSER = _build_parser()
 
 
 def _load_json(path: str):
+    """Decode a file with the cyclic garbage collector paused: ``json``
+    builds a nested list per matrix row and entry, which holds no cycle
+    yet sets off generation-2 collections as it grows."""
+    paused = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -91,6 +97,9 @@ def _load_json(path: str):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except ValueError:  # an integer literal past the digit limit
         raise InputError(f"{path}: an integer has too many digits")
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _dump_json(path: str, obj) -> None:

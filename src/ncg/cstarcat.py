@@ -96,6 +96,18 @@ class NormaliserClass:
         return self.kind != "not_normaliser"
 
 
+def block_support(m: np.ndarray, blocks: BlockStructure,
+                  tol: Tolerance = DEFAULT_TOL):
+    """The nonzero blocks of an ``n x n`` matrix as sorted ``(column,
+    row)`` pairs, a block counting as nonzero when its Frobenius norm
+    exceeds ``rel * ‖m‖_F``; None when a block row or column carries two,
+    so that ``m`` is no normaliser of the diagonal algebra."""
+    rows, cols = np.nonzero(blocks.block_norms(m) > tol.rel * frobenius(m))
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        return None
+    return tuple(sorted(zip((cols + 1).tolist(), (rows + 1).tolist())))
+
+
 def normaliser_support(bmat, blocks: BlockStructure,
                        tol: Tolerance = DEFAULT_TOL) -> NormaliserClass:
     """Classify a matrix by its block-support pattern.
@@ -108,16 +120,9 @@ def normaliser_support(bmat, blocks: BlockStructure,
     """
     n = blocks.total
     m = as_matrix(bmat, "normaliser_support", (n, n))
-    threshold = tol.rel * frobenius(m)
-    norms = blocks.block_norms(m)
-    entries = [(i, j) for i in range(1, blocks.p + 1)
-               for j in range(1, blocks.p + 1)
-               if norms[i - 1, j - 1] > threshold]
-    rows = [i for i, _ in entries]
-    cols = [j for _, j in entries]
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+    support = block_support(m, blocks, tol)
+    if support is None:
         return NormaliserClass("not_normaliser", ())
-    support = tuple(sorted((j, i) for i, j in entries))
 
     sq_defect = frobenius(m @ m)
     if sq_defect <= tol.bound(max(1.0, frobenius(m)) ** 2):

@@ -8,7 +8,14 @@ decide the axioms that are identities of matrix algebra by theorem, as
 they do closure of products into a full fibre, which holds every matrix
 of its shape.  Closure into other fibres, the involution and unitality
 are decided exhaustively on every bundle, saturation from the fibres'
-Gram matrices, with the SVD of the products where that declines.  The
+Gram matrices, with the SVD of the products where that declines.
+Closure, involution and unitality measure distances to a fibre with
+:meth:`SubspaceBasis.residuals`: through the fibre's orthogonal
+complement when it is at least half full, exactly 0 for a full one, and
+by projection on a thinner one.  Closure writes the basis products of
+all pairs into one target into a buffer of :data:`_BATCH_ENTRIES`
+complex entries and measures them in one call; a pair with more entries
+runs alone.  The
 pass/refuse gates of the conversions (``category_from_bundle``,
 ``fell_bundle_triple``) accept a bundle that :attr:`FellBundleFD.is_full`
 by theorem: a fibre of dimension ``n_i n_j`` is the whole matrix space, so
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +35,7 @@ from .errors import (InputError, ShapeError,
 from .groupoid import Arrow, PairGroupoid
 from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                      as_matrix, frobenius, numerical_rank, require_unitary,
-                     subspace_from_json)
+                     row_norms, subspace_from_json)
 from .report import AxiomCheck, AxiomReport, WorstResidual
 
 # A Frobenius norm below this may have lost its relative accuracy to
@@ -44,6 +51,9 @@ MAX_DIMENSION = 4096
 # Largest block count ``p`` a file may declare.  The bundle batteries
 # visit all p³ composable pairs of arrows, whatever the fibres hold.
 MAX_BLOCKS = 64
+# Complex entries (1 MiB) of the basis products that closure measures
+# against one target fibre in one residual call.
+_BATCH_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -187,20 +197,18 @@ def full_morita_bundle(blocks: BlockStructure) -> FellBundleFD:
     return FellBundleFD(blocks, fibres)
 
 
-def _composable_arrow_pairs(p: int) -> Iterator[tuple[Arrow, Arrow]]:
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            for k in range(1, p + 1):
-                yield (i, j), (j, k)
-
-
-def _basis_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _basis_products(x: np.ndarray, y: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Every product ``x[a] @ y[b]`` of two ``(a, i, j)`` and ``(b, j, k)``
     stacks as an ``(a*b, i, k)`` stack in row-major ``(a, b)`` order,
-    formed by one GEMM and one transposing copy."""
+    formed by one GEMM and one transposing copy, into ``out`` if given."""
     (a, i, j), (b, _, k) = x.shape, y.shape
     flat = x.reshape(a * i, j) @ y.transpose(1, 0, 2).reshape(j, b * k)
-    return flat.reshape(a, i, b, k).transpose(0, 2, 1, 3).reshape(-1, i, k)
+    arranged = flat.reshape(a, i, b, k).transpose(0, 2, 1, 3)
+    if out is None:
+        return arranged.reshape(-1, i, k)
+    out.reshape(a, b, i, k)[...] = arranged
+    return out
 
 
 def _analytic(k: int, identity: str) -> AxiomCheck:
@@ -220,30 +228,27 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     ``analytic:`` witness naming the identity.  Only axioms 2 and 6
     depend on the data.  Closure holds by theorem for a pair of arrows
     whose target fibre is full (:attr:`SubspaceBasis.is_full`), since
-    that fibre holds every ``n_i x n_k`` matrix; for every other pair all
-    basis products are formed, by one GEMM (:func:`_basis_products`), and
-    projected on the target fibre.  When every pair with nonzero fibres
-    has a full target, the row is analytic.  The involution is decided on
-    every basis element: adjoints must land in the reversed fibre.
+    that fibre holds every ``n_i x n_k`` matrix; for every other target
+    the basis products of all its pairs are formed, one GEMM per pair
+    (:func:`_basis_products`), and measured against it by
+    :func:`_closure_residuals`.  When every pair with nonzero fibres has a
+    full target, the row is analytic.  The involution is decided on every
+    basis element: adjoints must land in the reversed fibre.
     """
     closure = WorstResidual(tol)
     full_targets = numeric = False
-    for g, h in _composable_arrow_pairs(b.blocks.p):
-        e1, e2 = b.fibres[g], b.fibres[h]
-        if e1.dim == 0 or e2.dim == 0:
+    p = b.blocks.p
+    buffer = np.empty(_BATCH_ENTRIES, dtype=complex)
+    for gh in b.arrows():
+        pairs = [((gh[0], j), (j, gh[1])) for j in range(1, p + 1)
+                 if b.fibres[(gh[0], j)].dim and b.fibres[(j, gh[1])].dim]
+        if not pairs:
             continue
-        gh = (g[0], h[1])
         if b.fibres[gh].is_full:
             full_targets = True
             continue
         numeric = True
-        prods = _basis_products(e1.stack, e2.stack)
-        closure.update_batch(
-            b.fibres[gh].residuals(prods),
-            np.linalg.norm(prods.reshape(prods.shape[0], -1), axis=1),
-            lambda idx, g=g, h=h, gh=gh, dim=e2.dim:
-            f"basis {idx // dim} of {g} x basis {idx % dim} of {h} "
-            f"leaves fibre {gh}")
+        _closure_residuals(closure, b, gh, pairs, buffer)
 
     invol = WorstResidual(tol)
     for g in b.arrows():
@@ -252,7 +257,7 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
             continue
         invol.update_batch(
             b.fibres[(g[1], g[0])].residuals(np.conj(np.swapaxes(stack, 1, 2))),
-            np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1),
+            row_norms(stack.reshape(stack.shape[0], -1)),
             lambda idx, g=g: f"adjoint of basis {idx} of fibre {g}")
 
     return AxiomReport((
@@ -272,6 +277,49 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
         _analytic(9, "the operator norm satisfies ‖e* e‖ = ‖e‖²"),
         _analytic(10, "e* e is positive semidefinite"),
     ))
+
+
+def _closure_residuals(row: WorstResidual, b: FellBundleFD, gh: Arrow,
+                       pairs: list, buffer: np.ndarray) -> None:
+    """Update ``row`` with the distance from fibre ``gh`` of every basis
+    product of the composable ``pairs`` into it.  Consecutive pairs share
+    one :meth:`SubspaceBasis.residuals` call while their products fit in
+    ``buffer``; a pair with more entries runs alone."""
+    target = b.fibres[gh]
+    size = target.rows * target.cols
+    batch, total = [], 0
+    for g, h in pairs:
+        count = b.fibres[g].dim * b.fibres[h].dim
+        if batch and (total + count) * size > len(buffer):
+            _closure_batch(row, b, gh, batch, total, buffer)
+            batch, total = [], 0
+        batch.append((g, h, total))
+        total += count
+    _closure_batch(row, b, gh, batch, total, buffer)
+
+
+def _closure_batch(row: WorstResidual, b: FellBundleFD, gh: Arrow,
+                   batch: list, total: int, buffer: np.ndarray) -> None:
+    """:func:`_closure_residuals` for the pairs ``(g, h, start)`` of one
+    batch, whose ``total`` products are placed from row ``start`` on."""
+    target = b.fibres[gh]
+    size = target.rows * target.cols
+    if total * size > len(buffer):
+        (g, h, _), = batch
+        prods = _basis_products(b.fibres[g].stack, b.fibres[h].stack)
+    else:
+        prods = buffer[:total * size].reshape(total, *target.ambient_shape)
+        for g, h, start in batch:
+            x, y = b.fibres[g].stack, b.fibres[h].stack
+            _basis_products(x, y, prods[start:start + len(x) * len(y)])
+
+    def witness(idx):
+        g, h, start = next(item for item in reversed(batch) if item[2] <= idx)
+        a, c = divmod(idx - start, b.fibres[h].dim)
+        return f"basis {a} of {g} x basis {c} of {h} leaves fibre {gh}"
+
+    row.update_batch(target.residuals(prods),
+                     row_norms(prods.reshape(total, size)), witness)
 
 
 def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstarcat import (CStarCategoryFD, DomainSection, category_from_bundle,
-                       domain_section_from_json, is_domain_section,
-                       normaliser_support)
+from .cstarcat import (CStarCategoryFD, DomainSection, block_support,
+                       category_from_bundle, domain_section_from_json,
+                       is_domain_section)
 from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_from_json, bundle_to_json, check_bundle,
@@ -113,21 +113,21 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
 
 def _bisection_check(blocks: BlockStructure, pl: np.ndarray,
                      tol: Tolerance) -> AxiomCheck:
-    """``fell.path_lifting.normaliser``: :func:`normaliser_support` finds
-    a normaliser of the diagonal algebra whose block support is a global
+    """``fell.path_lifting.normaliser``: the :func:`block_support` of
+    ``PL`` is that of a normaliser of the diagonal algebra and a global
     bisection.  The residual counts the block columns outside the support,
     all ``p`` of them for a matrix that is no normaliser."""
     p = blocks.p
-    cls = normaliser_support(pl, blocks, tol)
-    if not cls.is_normaliser:
-        witness = "not a normaliser of the diagonal algebra"
-    elif len(cls.support) < p:
-        witness = (f"support {cls.support_map()} covers {len(cls.support)} "
+    support = block_support(pl, blocks, tol)
+    if support is None:
+        support, witness = (), "not a normaliser of the diagonal algebra"
+    elif len(support) < p:
+        witness = (f"support {dict(support)} covers {len(support)} "
                    f"of the {p} block columns")
     else:
-        witness = f"support {cls.support_map()} is a global bisection"
-    return AxiomCheck("fell.path_lifting.normaliser", len(cls.support) == p,
-                      float(p - len(cls.support)), witness)
+        witness = f"support {dict(support)} is a global bisection"
+    return AxiomCheck("fell.path_lifting.normaliser", len(support) == p,
+                      float(p - len(support)), witness)
 
 
 def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:

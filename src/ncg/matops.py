@@ -149,6 +149,13 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     return unit.view(complex).reshape(a.shape)
 
 
+def row_norms(flat: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row of a 2-D complex array, summed on its
+    real view, so that no conjugate copy is made."""
+    parts = np.ascontiguousarray(flat).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
+
+
 class SubspaceBasis:
     """A linear subspace of ``rows x cols`` complex matrices, stored as an
     explicit linearly independent basis.
@@ -163,9 +170,19 @@ class SubspaceBasis:
     is an iterable of matrices, each checked by :func:`as_matrix`, or one
     finite ``(k, rows, cols)`` array, checked at once.  Instances are
     immutable.
+
+    Distances to the span (:meth:`residuals`) are taken one of two ways,
+    chosen by ``k`` and ``N = rows * cols`` alone.  A basis that fills at
+    least half its space (``2k >= N``) keeps the orthonormal complement
+    ``W``, the last ``N - k`` rows of the same SVD taken with
+    ``full_matrices=True``, and the distance of ``p`` is ``‖W̄ p‖``: one
+    GEMM of width ``N - k``, exactly 0 for a full basis, whose ``W`` is
+    empty.  A thinner basis, whose complement would be up to ``N x N``,
+    projects: ``‖p - V̄ᵀ(V̄ p)‖`` for the orthonormal basis ``V``.
     """
 
-    __slots__ = ("rows", "cols", "stack", "units", "_onb", "_onb_conj")
+    __slots__ = ("rows", "cols", "stack", "units", "_onb", "_onb_conj",
+                 "_perp")
 
     def __init__(self, rows: int, cols: int, matrices: Iterable,
                  tol: Tolerance = DEFAULT_TOL):
@@ -183,33 +200,33 @@ class SubspaceBasis:
                     for k, m in enumerate(matrices)]
             stack = (np.stack(mats) if mats
                      else np.zeros((0, rows, cols), dtype=complex))
-        k = len(stack)
-        flat = stack.reshape(k, rows * cols)
-        if (k == rows * cols and (flat.ravel()[::k + 1] == 1).all()
+        k, n = len(stack), rows * cols
+        flat = stack.reshape(k, n)
+        if (k == n and (flat.ravel()[::k + 1] == 1).all()
                 and np.count_nonzero(flat.view(np.uint64)) == k):
             # The identity: its diagonal holds the only nonzero words.
-            units, onb = stack, flat
+            units, vh = stack, flat
         elif k:
             # Rank of the unit-norm rows, so that elements of very
             # different size count alike.
             units = unit_rows(stack)
-            u, s, vh = np.linalg.svd(units.reshape(k, rows * cols),
-                                     full_matrices=False)
+            _, s, vh = np.linalg.svd(units.reshape(k, n),
+                                     full_matrices=2 * k >= n)
             rank = int(np.count_nonzero(s > tol.rel * s[0])) if s[0] else 0
             if rank != k:
                 raise InputError(
                     f"SubspaceBasis: basis is linearly dependent "
                     f"(rank {rank} < {k})"
                 )
-            onb = vh[:rank]
         else:
-            units, onb = stack, np.zeros((0, rows * cols), dtype=complex)
+            units, vh = stack, np.zeros((0, n), dtype=complex)
         self.rows = rows
         self.cols = cols
         self.stack = stack
         self.units = units
-        self._onb = onb
-        self._onb_conj = onb.conj()
+        self._onb = vh[:k]
+        self._onb_conj = self._onb.conj()
+        self._perp = vh[k:].conj().T if 2 * k >= n else None
 
     @property
     def dim(self) -> int:
@@ -233,18 +250,13 @@ class SubspaceBasis:
 
     def residual(self, x: np.ndarray) -> float:
         """Frobenius distance from ``x`` to the span; 0 iff it belongs."""
-        v = as_matrix(x, "residual", (self.rows, self.cols)).reshape(-1)
-        proj = self._onb.T @ (self._onb_conj @ v)
-        return float(np.linalg.norm(v - proj))
+        x = as_matrix(x, "residual", (self.rows, self.cols))
+        return float(self.residuals(x[None])[0])
 
     def coordinates(self, stack: np.ndarray) -> np.ndarray:
         """``(k, dim)`` coordinates, in the span's orthonormal basis, of
         the projections of a ``(k, rows, cols)`` stack."""
-        if stack.ndim != 3 or stack.shape[1:] != (self.rows, self.cols):
-            raise ShapeError(f"coordinates: stack shape {stack.shape}, "
-                             f"expected (k, {self.rows}, {self.cols})")
-        flat = stack.reshape(stack.shape[0], self.rows * self.cols)
-        return flat @ self._onb_conj.T
+        return self._flat(stack, "coordinates") @ self._onb_conj.T
 
     def compress(self, grams: np.ndarray) -> np.ndarray:
         """``V G Vᴴ`` for each ``G`` of a stack, ``V`` the orthonormal basis:
@@ -253,10 +265,20 @@ class SubspaceBasis:
         return self._onb @ grams @ self._onb_conj.T
 
     def residuals(self, stack: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack."""
-        coords = self.coordinates(stack)
-        flat = stack.reshape(len(stack), self.rows * self.cols)
-        return np.linalg.norm(flat - coords @ self._onb, axis=1)
+        """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack:
+        the norm of each element's part in the complement, ``W̄ p``, or
+        of what its projection leaves for a thin basis."""
+        flat = self._flat(stack, "residuals")
+        if self._perp is None:
+            return row_norms(flat - (flat @ self._onb_conj.T) @ self._onb)
+        return row_norms(flat @ self._perp)
+
+    def _flat(self, stack: np.ndarray, label: str) -> np.ndarray:
+        """A ``(k, rows, cols)`` stack as ``(k, rows * cols)`` rows."""
+        if stack.ndim != 3 or stack.shape[1:] != (self.rows, self.cols):
+            raise ShapeError(f"{label}: stack shape {stack.shape}, "
+                             f"expected (k, {self.rows}, {self.cols})")
+        return stack.reshape(stack.shape[0], self.rows * self.cols)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the span."""

@@ -12,7 +12,14 @@ seeded random elements, the SVD of every basis product, ``e** = e``, the
 adjoint-side products of the antihomomorphism, and the SVD and
 eigenvalues of every ``e* e``.  ``check_bundle`` also decides closure
 into a full fibre by theorem; here ``all_products_closure`` projects
-every basis product on its target fibre, full or not.  The gate's row
+every basis product on its target fibre, full or not.  The library
+measures a product's distance from a fibre at least half full through
+the fibre's orthogonal complement, exactly 0 for a full one, and batches
+the products of one target; ``projection_residuals`` keeps the
+projection ``‖p - V̄ᵀ(V̄ p)‖`` on the fibre's orthonormal basis ``V``
+for every fibre, and ``all_products_closure``, ``all_adjoints_involution``
+and ``all_identities_unital`` decide ``fell.axiom.2``, ``fell.axiom.6``
+and ``fell.unital`` by it, pair by pair.  The gate's row
 ``fell.saturated`` comes from
 ``all_products_saturation`` (``exhaustive_rows``), which takes the SVD of
 every product span; the library skips the SVDs whose outcome a Gram
@@ -59,7 +66,7 @@ import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.fellbundle import (BlockStructure, FellBundleFD, _basis_products,
-                            _composable_arrow_pairs, check_bundle)
+                            check_bundle)
 from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                         as_matrix, frobenius, numerical_rank, unit_rows)
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
@@ -78,7 +85,19 @@ def fell_gate(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Every gating row, decided numerically and exhaustively."""
     return _replaced(check_bundle(b, tol), theorem_rows(b, tol)
                      + (all_products_closure(b, tol),
-                        all_products_saturation(b, tol)))
+                        all_adjoints_involution(b, tol),
+                        all_products_saturation(b, tol),
+                        all_identities_unital(b, tol)))
+
+
+def projection_residuals(basis: SubspaceBasis,
+                         stack: np.ndarray) -> np.ndarray:
+    """Distance of each element of a ``(k, rows, cols)`` stack from the
+    span of ``basis``: the norm of what its orthogonal projection on the
+    orthonormal basis leaves, whatever the dimension of the span."""
+    flat = stack.reshape(len(stack), basis.rows * basis.cols)
+    coords = flat @ basis._onb_conj.T
+    return np.linalg.norm(flat - coords @ basis._onb, axis=1)
 
 
 def exhaustive_rows(report: AxiomReport, b: FellBundleFD,
@@ -215,22 +234,47 @@ def all_products_submultiplicativity(
 def all_products_closure(b: FellBundleFD,
                          tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
     """``fell.axiom.2`` from the projection of every basis product on its
-    target fibre, a full one included."""
+    target fibre, a full one included, one pair at a time."""
     closure = WorstResidual(tol)
-    for g, h in _composable_arrow_pairs(b.blocks.p):
-        e1, e2 = b.fibres[g], b.fibres[h]
-        if e1.dim == 0 or e2.dim == 0:
-            continue
+    for g, h, prods in _product_stacks(b):
         gh = (g[0], h[1])
-        prods = _basis_products(e1.stack, e2.stack)
+        pair = _pair_witness(b, g, h)
         closure.update_batch(
-            b.fibres[gh].residuals(prods),
+            projection_residuals(b.fibres[gh], prods),
             np.linalg.norm(prods.reshape(prods.shape[0], -1), axis=1),
-            lambda idx, g=g, h=h, gh=gh, dim=e2.dim:
-            f"basis {idx // dim} of {g} x basis {idx % dim} of {h} "
-            f"leaves fibre {gh}")
+            lambda idx, pair=pair, gh=gh: f"{pair(idx)} leaves fibre {gh}")
     return closure.check("fell.axiom.2",
                          "all basis products stay in their fibre")
+
+
+def all_adjoints_involution(b: FellBundleFD,
+                            tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+    """``fell.axiom.6`` from the projection of the adjoint of every basis
+    element on the reversed fibre."""
+    invol = WorstResidual(tol)
+    for g in b.arrows():
+        stack = b.fibres[g].stack
+        if len(stack):
+            invol.update_batch(
+                projection_residuals(b.fibres[(g[1], g[0])],
+                                     np.conj(np.swapaxes(stack, 1, 2))),
+                np.linalg.norm(stack.reshape(len(stack), -1), axis=1),
+                lambda idx, g=g: f"adjoint of basis {idx} of fibre {g}")
+    return invol.check("fell.axiom.6", "adjoint of every basis element lies "
+                                       "in the reversed fibre")
+
+
+def all_identities_unital(b: FellBundleFD,
+                          tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+    """``fell.unital`` from the projection of each identity matrix on its
+    diagonal fibre."""
+    worst = WorstResidual(tol)
+    for i, size in enumerate(b.blocks.sizes, start=1):
+        raw = projection_residuals(b.fibres[(i, i)],
+                                   np.eye(size, dtype=complex)[None])[0]
+        worst.update(float(raw), float(np.sqrt(size)),
+                     f"identity of diagonal fibre ({i},{i})")
+    return worst.check("fell.unital", "every diagonal fibre is unital")
 
 
 def all_products_saturation(b: FellBundleFD,
@@ -438,14 +482,15 @@ def svd_basis(rows: int, cols: int, stack,
               tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """A :class:`SubspaceBasis` of an independent ``(k, rows, cols)``
     stack whose orthonormal basis is ``vh`` of the SVD of its unit rows,
-    whatever the stack."""
+    whatever the stack, with the complement of that SVD where the basis
+    fills at least half its space."""
     stack = np.array(stack, dtype=complex)
-    k = len(stack)
+    k, n = len(stack), rows * cols
     units = unit_rows(stack)
-    _, s, vh = np.linalg.svd(units.reshape(k, rows * cols),
-                             full_matrices=False)
+    _, s, vh = np.linalg.svd(units.reshape(k, n), full_matrices=2 * k >= n)
     assert np.count_nonzero(s > tol.rel * s[0]) == k
     basis = object.__new__(SubspaceBasis)
     basis.rows, basis.cols, basis.stack, basis.units = rows, cols, stack, units
-    basis._onb, basis._onb_conj = vh, vh.conj()
+    basis._onb, basis._onb_conj = vh[:k], vh[:k].conj()
+    basis._perp = vh[k:].conj().T if 2 * k >= n else None
     return basis

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from ncg import (BlockStructure, FiniteSpectralTriple, Profile,
                  climit, fellbundle, full_morita_bundle, triple_from_json,
                  triple_to_json)
 import ncg
+from ncg import cli
 from ncg.cli import run
 from ncg.matops import write_json
 
@@ -208,6 +210,29 @@ def test_unreadable_or_unwritable_path_is_exit_two(case, tmp_path):
     path = argv[-1]
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, f"input error: {path}: {reason}\n", "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"blocks": [1]}', "[" * 200000, "{"])
+def test_decoding_pauses_the_collector(enabled, text, tmp_path, monkeypatch):
+    # The collector is off while json decodes, and afterwards in the state
+    # it was in before, also when decoding fails.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    seen = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: (
+        seen.append(gc.isenabled()) or load(fh)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            cli._load_json(str(path))
+        except ncg.InputError:
+            pass
+        assert (seen, gc.isenabled()) == ([False], enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_missing_sigma_key_is_exit_two(tmp_path, capsys):

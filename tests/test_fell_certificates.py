@@ -17,6 +17,7 @@ brute-force gate ``oracles.fell_gate``, which projects every product.
 """
 
 import json
+import re
 from itertools import product
 
 import numpy as np
@@ -31,6 +32,8 @@ from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
 from ncg.matops import unit_rows
 
 TOLS = [Tolerance(rel=1e-17), Tolerance(), Tolerance(rel=0.5)]
+# Rows that measure distances to a fibre, exactly 0 for a full one.
+DISTANCE_ROWS = ("fell.axiom.2", "fell.axiom.6", "fell.unital")
 
 
 def _units(rows, cols):
@@ -312,9 +315,11 @@ def mixed_bundles():
 
 @pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
 def test_mixed_bundles_decide_as_the_oracle(tol):
-    # Below rounding (rel 1e-17) the oracle's projections of products into
-    # a full fibre, and its numeric theorem rows, can fail by residuals of
-    # a few units in the last place; the library decides both by theorem.
+    # Below rounding (rel 1e-17) the oracle's projections of products,
+    # adjoints and identities on a full fibre, and its numeric theorem
+    # rows, can fail by residuals of a few units in the last place; the
+    # library decides the theorem rows by theorem and measures distances
+    # from a full fibre through its complement, which is empty.
     for name, b in mixed_bundles():
         got = check_bundle(b, tol)
         want = fell_gate(b, tol)
@@ -324,12 +329,17 @@ def test_mixed_bundles_decide_as_the_oracle(tol):
                 continue
             assert tol.rel < 1e-16 and row.passed, (name, row, oracle)
             assert oracle.residual < 1e-14, (name, oracle)
-            if oracle.axiom_id == "fell.axiom.2":
-                target = oracle.witness.rpartition("leaves fibre (")[2]
-                gh = tuple(int(x) for x in target.rstrip(")").split(","))
-                assert b.fibres[gh].is_full, name
-            else:
-                assert oracle.axiom_id in THEOREM_ROWS, (name, oracle)
+            if oracle.axiom_id in THEOREM_ROWS:
+                continue
+            assert oracle.axiom_id in DISTANCE_ROWS, (name, oracle)
+            assert b.fibres[_witness_target(oracle)].is_full, (name, oracle)
+
+
+def _witness_target(row):
+    """The fibre a failing closure, involution or unitality row names as
+    the one its worst element leaves."""
+    i, j = map(int, re.findall(r"\((\d+), ?(\d+)\)", row.witness)[-1])
+    return (j, i) if row.axiom_id == "fell.axiom.6" else (i, j)
 
 
 def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
@@ -344,9 +354,9 @@ def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
     targets = []
     products = fellbundle._basis_products
 
-    def spy_products(x, y):
+    def spy_products(x, y, out=None):
         targets.append((arrow[id(x)][0], arrow[id(y)][1]))
-        return products(x, y)
+        return products(x, y, out)
 
     monkeypatch.setattr(fellbundle, "_basis_products", spy_products)
     check_fell_axioms(b)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import crandn, json_document, random_unitary, written_text
-from oracles import indented_json, nested_lists
+from oracles import indented_json, nested_lists, projection_residuals
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
                  Tolerance, hermitian_spectrum, is_partial_isometry,
@@ -155,18 +155,22 @@ class TestSpanResidual:
             getattr(basis, call)(arg)
 
     def test_residuals_and_coordinates_match_the_projection(self):
+        # Coordinates are the projection's, bit for bit.  Residuals are
+        # taken through the complement for a basis at least half full
+        # (dim 4 of 6), by the projection for a thinner one (dim 2); both
+        # agree with the projection to rounding.
         rng = np.random.default_rng(29)
-        basis = SubspaceBasis(2, 3, crandn(rng, 4, 2, 3))
-        stack = crandn(rng, 5, 2, 3)
-        flat = stack.reshape(5, -1)
-        onb = basis._onb
-        coords = flat @ onb.conj().T
-        np.testing.assert_array_equal(basis.coordinates(stack), coords)
-        np.testing.assert_array_equal(
-            basis.residuals(stack),
-            np.linalg.norm(flat - coords @ onb, axis=1))
-        assert basis.residuals(np.zeros((0, 2, 3))).shape == (0,)
-        assert basis.coordinates(np.zeros((0, 2, 3))).shape == (0, 4)
+        for dim in (4, 2):
+            basis = SubspaceBasis(2, 3, crandn(rng, dim, 2, 3))
+            stack = crandn(rng, 5, 2, 3)
+            flat = stack.reshape(5, -1)
+            coords = flat @ basis._onb.conj().T
+            np.testing.assert_array_equal(basis.coordinates(stack), coords)
+            np.testing.assert_allclose(
+                basis.residuals(stack), projection_residuals(basis, stack),
+                rtol=0, atol=1e-12 * np.linalg.norm(flat, axis=1).max())
+            assert basis.residuals(np.zeros((0, 2, 3))).shape == (0,)
+            assert basis.coordinates(np.zeros((0, 2, 3))).shape == (0, dim)
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(InputError):

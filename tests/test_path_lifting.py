@@ -16,7 +16,8 @@ from conftest import json_document, written_text
 from oracles import is_normaliser_bruteforce
 
 from ncg import (BlockStructure, InputError, build_triple_from_mass_matrix,
-                 categorify, full_morita_bundle)
+                 categorify, full_morita_bundle, normaliser_support)
+from ncg.cstarcat import block_support
 from ncg.cli import run
 from ncg.geometry import (check_bundle_document, fell_bundle_triple,
                           fell_triple_from_category)
@@ -135,3 +136,49 @@ def test_to_fell_output_passes_with_its_path_lifting_rows():
     assert [c.axiom_id for c in report.checks[-2:]] == list(PATH_ROWS)
     assert report.checks[-2].witness == (
         "support {1: 2, 2: 1, 3: 4, 4: 3} is a global bisection")
+
+
+def random_support_matrix(rng, blocks):
+    """A matrix with a random set of nonzero blocks, some of them at the
+    threshold's scale, so that every support pattern occurs."""
+    n, p = blocks.total, blocks.p
+    m = np.zeros((n, n), dtype=complex)
+    for i, j in np.argwhere(rng.random((p, p)) < 1.5 / p):
+        rows, cols = blocks.block_slice(i + 1), blocks.block_slice(j + 1)
+        shape = (blocks.sizes[i], blocks.sizes[j])
+        m[rows, cols] = (rng.standard_normal(shape) * 10.0 ** rng.choice(
+            [0.0, -8.9, -9.1]))
+    return m
+
+
+def test_block_support_is_the_normaliser_support():
+    # The row takes only the support, without the kinds; it must be the
+    # support normaliser_support finds, and None exactly for its
+    # not_normaliser.
+    rng = np.random.default_rng(20261125)
+    for sizes in [(1, 1), (2, 1, 3), (2, 2, 2, 2)]:
+        blocks = BlockStructure(sizes)
+        for _ in range(60):
+            m = random_support_matrix(rng, blocks)
+            support = block_support(m, blocks)
+            cls = normaliser_support(m, blocks)
+            assert (support is None) == (not cls.is_normaliser)
+            assert (support or ()) == cls.support
+
+
+def test_path_lifting_row_classifies_no_blocks(monkeypatch):
+    # The row needs the support only, not the SVD of each support block
+    # that tells invertible and unitary normalisers apart; these bundles
+    # of matrix units take no SVD either.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the row classified the normaliser")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    for name, (pl, dim, code, failing) in CASES.items():
+        if code == 2:
+            continue
+        report = check_bundle_document(bundle_triple_document(pl, dim))
+        assert [c.axiom_id for c in report.checks
+                if not c.passed] == failing, name
+        if name in WITNESSES:
+            assert report.find(PATH_ROWS[0]).witness == WITNESSES[name]
