@@ -17,7 +17,7 @@ from .fellbundle import (BlockStructure, FellBundleFD, SemidirectBundle,
                          UnitaryField, bundle_from_json, bundle_to_json,
                          check_bundle, check_fell_axioms, check_saturated,
                          check_unital, full_morita_bundle, semidirect_bundle)
-from .cstarcat import (CStarCategoryFD, DomainSection, NormaliserClass,
+from .cstarcat import (DomainSection, NormaliserClass,
                        bisection_to_normaliser, category_from_bundle,
                        conditional_expectation, is_domain_section,
                        normaliser_support)
@@ -25,9 +25,8 @@ from .sptriple import (FiniteSpectralTriple, build_triple_from_mass_matrix,
                        check_even_axioms, check_poincare, check_real_axioms,
                        check_so_real, check_triple, extract_mass_matrix,
                        standard_operators, triple_from_json, triple_to_json)
-from .geometry import (FellBundleTriple, FluctuationTerm,
-                       SpectralCStarCategoryFD, apply_path_lifting,
-                       categorify, fell_bundle_triple,
+from .geometry import (FluctuationTerm, SpectralCStarCategoryFD,
+                       apply_path_lifting, categorify, fell_bundle_triple,
                        fell_triple_from_category, fluctuate, one_form,
                        spectral_category, triple_from_category)
 from .climit import (ConvergenceReport, LatticeConfig, Profile,

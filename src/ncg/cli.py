@@ -155,8 +155,7 @@ def _cmd_categorify(args, tol: Tolerance) -> int:
 
 def _cmd_to_fell(args, tol: Tolerance) -> int:
     sc = spectral_category_from_json(_load_json(args.path), tol)
-    ft = fell_triple_from_category(sc, tol)
-    _dump_json(args.output, ft.to_json())
+    _dump_json(args.output, fell_triple_from_category(sc, tol).to_fell_json())
     print(f"wrote bundle triple to {args.output}")
     return 0
 

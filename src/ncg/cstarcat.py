@@ -2,11 +2,13 @@
 
 The objects of a category here are the diagonal matrix algebras
 ``M_{n_i}(C)`` and ``Hom(j -> i)`` is a subspace of ``n_i x n_j`` matrices,
-so composition is literal matrix multiplication.  The enveloping algebra
-``M_n(C)`` carries the block-diagonal subalgebra ``A``; matrices with at
-most one nonzero block per block-row and block-column are exactly the
-normalisers of ``A``, and self-adjoint matrices whose block support is a
-permutation are domain sections.
+so composition is literal matrix multiplication: a category is a
+:class:`~ncg.fellbundle.FellBundleFD`, homsets as fibres, that passes
+:func:`category_from_bundle`.  The enveloping algebra ``M_n(C)`` carries
+the block-diagonal subalgebra ``A``; matrices with at most one nonzero
+block per block-row and block-column are exactly the normalisers of
+``A``, and self-adjoint matrices whose block support is a permutation
+are domain sections.
 """
 
 from __future__ import annotations
@@ -20,36 +22,19 @@ from .errors import (DomainSectionError, InputError,
                      UnsupportedConfigurationError)
 from .fellbundle import (BlockStructure, FellBundleFD, UnitaryField,
                          check_fell_axioms, check_unital)
-from .groupoid import Arrow, Bisection
-from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
-                     as_matrix, frobenius, matrix_from_json)
+from .groupoid import Bisection
+from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
+                     matrix_from_json)
 from .report import AxiomReport
 
 NORMALISER_KINDS = ("not_normaliser", "normaliser", "free", "invertible",
                     "unitary")
 
 
-@dataclass(frozen=True)
-class CStarCategoryFD:
-    """A finite full C*-category: block objects plus homset bases."""
-
-    blocks: BlockStructure
-    homsets: Mapping[Arrow, SubspaceBasis]
-
-    def homset(self, i: int, j: int) -> SubspaceBasis:
-        return self.homsets[(i, j)]
-
-    @property
-    def object_count(self) -> int:
-        return self.blocks.p
-
-    def as_bundle(self) -> FellBundleFD:
-        return FellBundleFD(self.blocks, dict(self.homsets))
-
-
 def category_from_bundle(b: FellBundleFD,
-                         tol: Tolerance = DEFAULT_TOL) -> CStarCategoryFD:
-    """View a Fell bundle as a category: fibres become homsets.
+                         tol: Tolerance = DEFAULT_TOL) -> FellBundleFD:
+    """The gate of a Fell bundle read as a category, fibres as homsets:
+    returns ``b`` itself.
 
     The bundle must pass the axioms and be unital (each diagonal fibre
     then is a unital C*-algebra, giving the category its identities);
@@ -60,7 +45,7 @@ def category_from_bundle(b: FellBundleFD,
     if not b.is_full:
         AxiomReport(check_fell_axioms(b, tol).checks + (check_unital(b, tol),)
                     ).require("bundle fails {}; not a C*-category")
-    return CStarCategoryFD(b.blocks, dict(b.fibres))
+    return b
 
 
 def conditional_expectation(bmat, blocks: BlockStructure) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Equivalences between triples, spectral categories and bundle triples,
 plus path-lifting application and operator fluctuations.
 
-A spectral category is a full C*-category together with a self-adjoint
-domain section σ; a bundle triple is a saturated unital bundle with a
-path-lifting operator supported on a global bisection.  Both are different
-presentations of the same block data, and the round trips below are exact
-on matrix entries.
+A spectral category (a full C*-category with a self-adjoint domain
+section σ) and a bundle triple (a saturated unital bundle with a
+path-lifting operator ``PL`` on a global bisection) are one record,
+:class:`SpectralCStarCategoryFD`, with two file spellings: the homsets
+are the fibres and ``PL`` is σ assembled.  The round trips below are
+exact on matrix entries.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstarcat import (CStarCategoryFD, DomainSection, block_support,
-                       category_from_bundle, domain_section_from_json,
-                       is_domain_section)
+from .cstarcat import (DomainSection, block_support, category_from_bundle,
+                       domain_section_from_json, is_domain_section)
 from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_from_json, bundle_to_json, check_bundle,
@@ -26,42 +26,50 @@ from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
                      frobenius, matrix_from_json, require_unitary)
-from .report import AxiomCheck, AxiomReport, residual_checks
+from .report import AxiomCheck, AxiomReport, WorstResidual, residual_checks
 from .sptriple import FiniteSpectralTriple, check_triple
 
 
 @dataclass(frozen=True)
 class SpectralCStarCategoryFD:
-    """A full C*-category with a chosen self-adjoint domain section."""
+    """A full C*-category, held as the bundle of its homsets, with a
+    self-adjoint domain section σ; as a bundle triple, ``PL`` is σ."""
 
-    category: CStarCategoryFD
+    bundle: FellBundleFD
     sigma: DomainSection
 
     @property
     def blocks(self) -> BlockStructure:
-        return self.category.blocks
+        return self.bundle.blocks
+
+    @property
+    def PL(self) -> np.ndarray:
+        return self.sigma.assembled
+
+    @property
+    def hilbert_dim(self) -> int:
+        return self.blocks.total
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks.sizes),
-                "homsets": fibres_to_json(self.category.homsets),
+                "homsets": fibres_to_json(self.bundle.fibres),
                 "sigma": self.sigma.to_json()}
 
+    def to_fell_json(self) -> dict:
+        return {**bundle_to_json(self.bundle), "hilbert_dim": self.hilbert_dim,
+                "PL": self.PL}
 
-def spectral_category(category: CStarCategoryFD, sigma: DomainSection,
+
+def spectral_category(category: FellBundleFD, sigma: DomainSection,
                       tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
-    """Pair a category with a section, verifying that the section's
-    blocks actually are morphisms of the category."""
-    if len(sigma.support) != category.blocks.p:
-        raise InputError(
-            f"section over {len(sigma.support)} objects does not match "
-            f"{category.blocks.p} category objects")
-    for j, blk in sigma.blocks_data.items():
-        homset = category.homset(sigma.support[j - 1], j)
-        residual = homset.residual(blk)
-        if residual > tol.bound(max(1.0, frobenius(blk))):
-            raise InputError(
-                f"section block for column {j} is not a morphism "
-                f"{j} -> {sigma.support[j - 1]} (residual {residual:.3e})")
+    """Pair a category with a section, refusing through
+    ``fell.path_lifting.in_fibres`` a section whose blocks are not all
+    morphisms of the category."""
+    blocks = category.blocks
+    if (len(sigma.support), len(sigma.assembled)) != (blocks.p, blocks.total):
+        raise InputError("section does not match the category's blocks")
+    AxiomReport((_in_fibres_check(category, sigma.assembled, tol),)).require(
+        "section fails {}; not a spectral category")
     return SpectralCStarCategoryFD(category, sigma)
 
 
@@ -76,39 +84,39 @@ def spectral_category_from_json(data,
     return spectral_category(category, sigma, tol)
 
 
-@dataclass(frozen=True)
-class FellBundleTriple:
-    """A saturated unital bundle, a Hilbert space dimension, and a
-    path-lifting operator supported on a global bisection."""
-
-    bundle: FellBundleFD
-    hilbert_dim: int
-    PL: np.ndarray
-
-    def to_json(self) -> dict:
-        return {**bundle_to_json(self.bundle), "hilbert_dim": self.hilbert_dim,
-                "PL": self.PL}
-
-
 def fell_bundle_triple(bundle: FellBundleFD, pl,
-                       tol: Tolerance = DEFAULT_TOL) -> FellBundleTriple:
-    """Validate and assemble a bundle triple.
-
-    The path-lifting operator must be a normaliser of the diagonal
-    algebra whose block support is a full permutation (a global
-    bisection); the bundle must be saturated and unital, which a full
-    bundle (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) is by theorem.
-    Any other bundle is refused with every failing row of the two.
-    """
+                       tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
+    """Read a bundle triple back as a spectral category, ``PL`` as its
+    section: the inverse of :func:`fell_triple_from_category`.  After the
+    bundle's gate, ``PL`` is refused with every failing row of
+    :func:`_path_lifting_checks`, those ``ncg check bundle`` appends."""
     n = bundle.blocks.total
     pl = as_matrix(pl, "path-lifting operator", (n, n))
-    bisection = _bisection_check(bundle.blocks, pl, tol)
-    if not bisection.passed:
-        raise InputError(f"path-lifting operator: {bisection.witness}")
+    _require_triple_bundle(bundle, tol)
+    AxiomReport(_path_lifting_checks(bundle, pl, tol)).require(
+        "path-lifting operator fails {}; not a bundle triple")
+    return SpectralCStarCategoryFD(bundle,
+                                   is_domain_section(pl, bundle.blocks, tol))
+
+
+def _require_triple_bundle(bundle: FellBundleFD, tol: Tolerance) -> None:
+    """Refuse a bundle failing saturation or unitality; a full one
+    (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) has both by theorem."""
     if not bundle.is_full:
         AxiomReport((check_saturated(bundle, tol), check_unital(bundle, tol))
                     ).require("bundle fails {}; not a bundle triple")
-    return FellBundleTriple(bundle, n, pl)
+
+
+def _path_lifting_checks(bundle: FellBundleFD, pl: np.ndarray,
+                         tol: Tolerance) -> tuple[AxiomCheck, ...]:
+    """The rows deciding that ``PL`` is a self-adjoint domain section of
+    ``bundle``: support (:func:`_bisection_check`), ``‖PL - PL*‖`` within
+    tolerance, and fibre membership (:func:`_in_fibres_check`)."""
+    return (_bisection_check(bundle.blocks, pl, tol),
+            *residual_checks(tol, ("fell.path_lifting.selfadjoint",
+                                   frobenius(pl - adjoint(pl)), frobenius(pl),
+                                   "‖PL - PL*‖")),
+            _in_fibres_check(bundle, pl, tol))
 
 
 def _bisection_check(blocks: BlockStructure, pl: np.ndarray,
@@ -130,13 +138,25 @@ def _bisection_check(blocks: BlockStructure, pl: np.ndarray,
                       float(p - len(support)), witness)
 
 
+def _in_fibres_check(bundle: FellBundleFD, pl: np.ndarray,
+                     tol: Tolerance) -> AxiomCheck:
+    """``fell.path_lifting.in_fibres``: each nonzero block ``(i, j)`` of
+    ``PL`` (or σ) lies in fibre ``(i, j)``, by its residual relative to its
+    norm (:meth:`~ncg.matops.SubspaceBasis.residual`, 0 into a full fibre)."""
+    row = WorstResidual(tol)
+    blocks = bundle.blocks
+    for i, j in (np.argwhere(blocks.block_norms(pl) > 0) + 1).tolist():
+        blk = blocks.block(pl, i, j)
+        row.update(bundle.fibres[(i, j)].residual(blk), frobenius(blk),
+                   f"block ({i},{j}) leaves fibre ({i},{j})")
+    return row.check("fell.path_lifting.in_fibres")
+
+
 def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """The report of ``ncg check bundle`` on a decoded file: the bundle
     battery (:func:`~ncg.fellbundle.check_bundle`), then, for a bundle
-    triple carrying ``PL``, the support row of :func:`_bisection_check`
-    and ``fell.path_lifting.selfadjoint``, ``‖PL - PL*‖`` within
-    tolerance, as the domain section of the way back requires.  A
-    ``hilbert_dim`` other than ``Σ n_i`` is an input error."""
+    triple carrying ``PL``, the three rows of :func:`_path_lifting_checks`.
+    A ``hilbert_dim`` other than ``Σ n_i`` is an input error."""
     bundle = bundle_from_json(data)
     n = bundle.blocks.total
     dim = data.get("hilbert_dim", n)
@@ -145,13 +165,8 @@ def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
                          f"dimension {n}")
     pl = matrix_from_json(data["PL"], "PL", (n, n)) if "PL" in data else None
     report = check_bundle(bundle, tol)
-    if pl is None:
-        return report
-    return AxiomReport(report.checks + (
-        _bisection_check(bundle.blocks, pl, tol),
-        *residual_checks(tol, ("fell.path_lifting.selfadjoint",
-                               frobenius(pl - adjoint(pl)), frobenius(pl),
-                               "‖PL - PL*‖"))))
+    return report if pl is None else AxiomReport(
+        report.checks + _path_lifting_checks(bundle, pl, tol))
 
 
 def categorify(t: FiniteSpectralTriple,
@@ -166,8 +181,8 @@ def categorify(t: FiniteSpectralTriple,
     """
     check_triple(t, tol).require("triple fails {}")
     sigma = is_domain_section(t.D, t.blocks, tol)
-    category = category_from_bundle(full_morita_bundle(t.blocks), tol)
-    return SpectralCStarCategoryFD(category, sigma)
+    return SpectralCStarCategoryFD(
+        category_from_bundle(full_morita_bundle(t.blocks), tol), sigma)
 
 
 def triple_from_category(sc: SpectralCStarCategoryFD,
@@ -187,12 +202,13 @@ def triple_from_category(sc: SpectralCStarCategoryFD,
 
 
 def fell_triple_from_category(sc: SpectralCStarCategoryFD,
-                              tol: Tolerance = DEFAULT_TOL) -> FellBundleTriple:
-    """Homsets become fibres and the section becomes the path-lifting
-    operator; inverse direction is :func:`category_from_bundle` plus
-    :func:`~ncg.cstarcat.is_domain_section` on ``PL``."""
-    bundle = sc.category.as_bundle()
-    return fell_bundle_triple(bundle, sc.sigma.assembled, tol)
+                              tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
+    """Read a spectral category as a bundle triple: homsets become
+    fibres and σ the path-lifting operator, so this is only the gate of
+    saturation and unitality (:func:`_require_triple_bundle`) and returns
+    ``sc``; the inverse direction is :func:`fell_bundle_triple`."""
+    _require_triple_bundle(sc.bundle, tol)
+    return sc
 
 
 def apply_path_lifting(pl, psi) -> np.ndarray:

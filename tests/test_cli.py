@@ -388,6 +388,9 @@ def _unit2(r, c):
     return m
 
 
+SWAP2 = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
+
 # Categories whose homsets are not full, so the conversions run the
 # exhaustive battery; the expected lines are the refusal reports, whose
 # FAIL rows are printed like those of ``ncg check``, witness included.
@@ -414,6 +417,17 @@ REFUSED_CATEGORIES = {
                   "  FAIL  fell.saturated                          "
                   "residual 1.000e+00  [products of (1, 2) x (2, 1) span 0 "
                   "of the 1 dimensions of fibre (1, 1)]"]),
+    # Every homset the diagonal matrices: a category, but the swap
+    # section's blocks [[0, 1], [1, 0]] are no morphisms of it.
+    "diagonal_swap": ({"blocks": [2, 2],
+                       "homsets": {f"{i},{j}": [_unit2(0, 0), _unit2(1, 1)]
+                                   for i in (1, 2) for j in (1, 2)},
+                       "sigma": {"perm": [2, 1],
+                                 "blocks": {"1": SWAP2, "2": SWAP2}}},
+                      ["check failed: section fails "
+                       "fell.path_lifting.in_fibres; not a spectral category",
+                       "  FAIL  fell.path_lifting.in_fibres             "
+                       "residual 1.000e+00  [block (1,2) leaves fibre (1,2)]"]),
 }
 
 

@@ -26,13 +26,13 @@ def unit(n, r, c):
 class TestCategoryFromBundle:
     def test_four_scalar_objects(self):
         cat = category_from_bundle(full_morita_bundle(BlockStructure((1, 1, 1, 1))))
-        assert cat.object_count == 4
-        assert all(cat.homset(i, j).dim == 1
+        assert cat.blocks.p == 4
+        assert all(cat.fibres[(i, j)].dim == 1
                    for i in range(1, 5) for j in range(1, 5))
 
     def test_rectangular_homset_dimension(self):
         cat = category_from_bundle(full_morita_bundle(BlockStructure((1, 2))))
-        assert cat.homset(1, 2).dim == 2
+        assert cat.fibres[(1, 2)].dim == 2
 
     def test_non_unital_bundle_refused(self):
         blocks = BlockStructure((2,))

@@ -2,26 +2,29 @@ import numpy as np
 import pytest
 
 from conftest import (crandn, json_document, random_admissible_triple,
-                      random_unitary)
+                      random_section_matrix, random_unitary)
 from oracles import is_normaliser_bruteforce
 
 from ncg import (AxiomRefusalError, BlockStructure, DomainSectionError,
                  FiniteSpectralTriple, FluctuationTerm, InputError,
                  apply_path_lifting, build_triple_from_mass_matrix,
                  categorify, category_from_bundle, check_even_axioms,
-                 fell_triple_from_category, fluctuate, full_morita_bundle,
-                 is_domain_section, normaliser_support, one_form,
-                 spectral_category, triple_from_category)
-from ncg.geometry import (fluctuation_terms_from_json,
+                 fell_bundle_triple, fell_triple_from_category, fluctuate,
+                 full_morita_bundle, is_domain_section, normaliser_support,
+                 one_form, spectral_category, triple_from_category)
+from ncg.geometry import (check_bundle_document, fluctuation_terms_from_json,
                           fluctuation_terms_to_json,
                           spectral_category_from_json)
+
+PATH_ROWS = ["fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint",
+             "fell.path_lifting.in_fibres"]
 
 
 class TestCategorify:
     def test_standard_four_sector_triple(self):
         t = build_triple_from_mass_matrix(np.array([[1.5]]))
         sc = categorify(t)
-        assert sc.category.object_count == 4
+        assert sc.blocks.p == 4
         assert sc.sigma.support == (2, 1, 4, 3)
 
     def test_zero_dirac_rejected_with_fallback_hint(self):
@@ -106,9 +109,18 @@ class TestFellTripleFromCategory:
         assert cls.support_map() == {1: 1, 2: 2}
 
     def test_round_trip_exact_on_random_spectral_categories(self):
+        # Random admissible triples, four-sector triples at l = 1..6 and a
+        # paired section on eight blocks of size 2.  The way back is also
+        # one call, fell_bundle_triple, and the written bundle triple
+        # passes its three path-lifting rows.
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            t = random_admissible_triple(rng)
+        paired = BlockStructure((2,) * 8)
+        triples = ([random_admissible_triple(rng) for _ in range(50)]
+                   + [build_triple_from_mass_matrix(crandn(rng, l, l))
+                      for l in range(1, 7)]
+                   + [FiniteSpectralTriple(paired, random_section_matrix(
+                       rng, paired, (2, 1, 4, 3, 6, 5, 8, 7)))])
+        for t in triples:
             sc = categorify(t)
             ft = fell_triple_from_category(sc)
             category = category_from_bundle(ft.bundle)
@@ -118,6 +130,13 @@ class TestFellTripleFromCategory:
                                           sc.sigma.assembled)
             assert sc_back.sigma.support == sc.sigma.support
             assert sc_back.blocks == sc.blocks
+            back = fell_bundle_triple(ft.bundle, ft.PL)
+            assert back.sigma.support == sc.sigma.support
+            assert back.PL.dtype == ft.PL.dtype
+            assert back.PL.tobytes() == ft.PL.tobytes()
+            report = check_bundle_document(json_document(ft.to_fell_json()))
+            assert [(c.axiom_id, c.passed) for c in report.checks[-3:]] == [
+                (row, True) for row in PATH_ROWS]
 
     def test_path_lifting_operator_is_normaliser(self):
         rng = np.random.default_rng(11)

@@ -125,4 +125,4 @@ def test_reading_a_categorify_output_takes_no_svd(svd_calls):
     del svd_calls[:]
     sc = spectral_category_from_json(doc)
     assert svd_calls == []
-    assert all(h.is_full for h in sc.category.homsets.values())
+    assert all(h.is_full for h in sc.bundle.fibres.values())

@@ -1,11 +1,12 @@
 """``ncg check bundle`` on a bundle-triple file checks its path-lifting
-operator: ``PL`` must be a normaliser supported on a global bisection and
-self-adjoint, and ``hilbert_dim`` must be the total block dimension.
+operator: ``PL`` must be a normaliser supported on a global bisection,
+self-adjoint and blockwise in the bundle's fibres, and ``hilbert_dim``
+must be the total block dimension.
 
-The oracles are ``fell_bundle_triple``, which accepts exactly the ``PL``
-whose normaliser row passes, ``is_normaliser_bruteforce`` for the
-normaliser half of that row, and the report of the same file without
-``PL``, which must be today's report byte for byte."""
+The oracles are ``fell_bundle_triple``, which refuses exactly the ``PL``
+whose path-lifting rows fail, with those rows, ``is_normaliser_bruteforce``
+for the normaliser half of the support row, and the report of the same
+file without ``PL``, which must be today's report byte for byte."""
 
 import json
 
@@ -13,49 +14,67 @@ import numpy as np
 import pytest
 
 from conftest import json_document, written_text
-from oracles import is_normaliser_bruteforce
+from oracles import failing_ids, is_normaliser_bruteforce, loop_block_norms
 
-from ncg import (BlockStructure, InputError, build_triple_from_mass_matrix,
-                 categorify, full_morita_bundle, normaliser_support)
+from ncg import (AxiomRefusalError, BlockStructure,
+                 build_triple_from_mass_matrix, bundle_from_json, categorify,
+                 normaliser_support)
 from ncg.cstarcat import block_support
 from ncg.cli import run
 from ncg.geometry import (check_bundle_document, fell_bundle_triple,
                           fell_triple_from_category)
 
 SWAP = [[0, 1], [1, 0]]
-PATH_ROWS = ("fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint")
+PATH_ROWS = ("fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint",
+             "fell.path_lifting.in_fibres")
 INPUT_ERROR = "input error: hilbert_dim {} is not the total block dimension 2"
+DIAGONAL = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex)
 
-# name: (PL over blocks [1, 1], hilbert_dim, exit code, failing rows or the
-# input error line)
+# Bundles by name: blocks and fibres.  "full" is the full bundle over
+# blocks [1, 1]; "diagonal" has every fibre over blocks [2, 2] the
+# diagonal matrices span{E11, E22}, a saturated unital sub-bundle.
+BUNDLES = {
+    "full": ([1, 1], {f"{i},{j}": np.ones((1, 1, 1), dtype=complex)
+                      for i in (1, 2) for j in (1, 2)}),
+    "diagonal": ([2, 2], {f"{i},{j}": DIAGONAL
+                          for i in (1, 2) for j in (1, 2)}),
+}
+
+# name: (bundle, PL, hilbert_dim, exit code, failing rows or the input
+# error line)
 CASES = {
-    "valid": (SWAP, 2, 0, []),
-    "identity": (np.eye(2), 2, 0, []),
-    "all_ones": (np.ones((2, 2)), 2, 1, ["fell.path_lifting.normaliser"]),
-    "partial_support": ([[1, 0], [0, 0]], 2, 1,
+    "valid": ("full", SWAP, 2, 0, []),
+    "identity": ("full", np.eye(2), 2, 0, []),
+    "all_ones": ("full", np.ones((2, 2)), 2, 1,
+                 ["fell.path_lifting.normaliser"]),
+    "partial_support": ("full", [[1, 0], [0, 0]], 2, 1,
                         ["fell.path_lifting.normaliser"]),
-    "not_selfadjoint": ([[0, 1], [2, 0]], 2, 1,
+    "not_selfadjoint": ("full", [[0, 1], [2, 0]], 2, 1,
                         ["fell.path_lifting.selfadjoint"]),
-    "complex_not_selfadjoint": ([[0, 1j], [1j, 0]], 2, 1,
+    "complex_not_selfadjoint": ("full", [[0, 1j], [1j, 0]], 2, 1,
                                 ["fell.path_lifting.selfadjoint"]),
-    "both": ([[1, 1], [0, 0]], 2, 1, list(PATH_ROWS)),
-    "hilbert_dim_7": (SWAP, 7, 2, INPUT_ERROR.format(7)),
-    "hilbert_dim_float": (SWAP, 2.0, 2, INPUT_ERROR.format(2.0)),
-    "hilbert_dim_true": (SWAP, True, 2, INPUT_ERROR.format(True)),
-    "hilbert_dim_string": (SWAP, "2", 2, INPUT_ERROR.format("'2'")),
+    "both": ("full", [[1, 1], [0, 0]], 2, 1, list(PATH_ROWS[:2])),
+    # Off-diagonal blocks [[0, 1], [1, 0]]: a self-adjoint normaliser on
+    # a global bisection, but its blocks leave the diagonal fibres.
+    "outside_fibres": ("diagonal", np.kron(SWAP, SWAP), 4, 1,
+                       ["fell.path_lifting.in_fibres"]),
+    "hilbert_dim_7": ("full", SWAP, 7, 2, INPUT_ERROR.format(7)),
+    "hilbert_dim_float": ("full", SWAP, 2.0, 2, INPUT_ERROR.format(2.0)),
+    "hilbert_dim_true": ("full", SWAP, True, 2, INPUT_ERROR.format(True)),
+    "hilbert_dim_string": ("full", SWAP, "2", 2, INPUT_ERROR.format("'2'")),
 }
 
 WITNESSES = {
     "valid": "support {1: 2, 2: 1} is a global bisection",
     "all_ones": "not a normaliser of the diagonal algebra",
     "partial_support": "support {1: 1} covers 1 of the 2 block columns",
+    "outside_fibres": "support {1: 2, 2: 1} is a global bisection",
 }
 
 
-def bundle_triple_document(pl, hilbert_dim):
-    unit = np.ones((1, 1, 1), dtype=complex)
-    fibres = {"1,1": unit, "1,2": unit, "2,1": unit, "2,2": unit}
-    doc = json_document({"blocks": [1, 1], "fibres": fibres,
+def bundle_triple_document(pl, hilbert_dim, bundle="full"):
+    blocks, fibres = BUNDLES[bundle]
+    doc = json_document({"blocks": blocks, "fibres": fibres,
                          "PL": np.asarray(pl, dtype=complex)})
     return {**doc, "hilbert_dim": hilbert_dim}
 
@@ -69,9 +88,9 @@ def check(tmp_path, capsys, doc, *args):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_malformed_path_lifting(case, tmp_path, capsys):
-    pl, dim, code, expected = CASES[case]
-    got, out = check(tmp_path, capsys, bundle_triple_document(pl, dim),
-                     "--format", "json")
+    bundle, pl, dim, code, expected = CASES[case]
+    doc = bundle_triple_document(pl, dim, bundle)
+    got, out = check(tmp_path, capsys, doc, "--format", "json")
     assert got == code
     if code == 2:
         assert out == expected + "\n"
@@ -80,15 +99,16 @@ def test_malformed_path_lifting(case, tmp_path, capsys):
     assert [i for i, c in rows.items() if c["status"] == "fail"] == expected
     if case in WITNESSES:
         assert rows[PATH_ROWS[0]]["witness"] == WITNESSES[case]
-    row = rows[PATH_ROWS[0]]
     try:
-        fell_bundle_triple(full_morita_bundle(BlockStructure((1, 1))), pl)
-        assert row["status"] == "pass"
-    except InputError as exc:
-        assert str(exc) == f"path-lifting operator: {row['witness']}"
+        sc = fell_bundle_triple(bundle_from_json(doc), pl)
+        assert expected == []
+        np.testing.assert_array_equal(sc.PL, pl)
+    except AxiomRefusalError as exc:
+        assert failing_ids(exc.report) == expected
     # The residual counts the block columns outside the support.
-    support = 0 if not is_normaliser_bruteforce(pl, BlockStructure((1, 1))) \
-        else np.count_nonzero(np.abs(np.asarray(pl)).sum(axis=0))
+    blocks = BlockStructure(tuple(doc["blocks"]))
+    support = 0 if not is_normaliser_bruteforce(pl, blocks) else \
+        np.count_nonzero(loop_block_norms(blocks, np.asarray(pl)).sum(axis=0))
     assert rows[PATH_ROWS[0]]["residual"] == 2.0 - support
 
 
@@ -103,7 +123,8 @@ def test_path_lifting_rows_follow_the_bundle_rows(tmp_path, capsys):
     assert head.startswith(bundle_rows)
     added = head[len(bundle_rows):].splitlines()
     assert [line.split()[1] for line in added] == list(PATH_ROWS)
-    assert added[1] == (f"  pass  {PATH_ROWS[1]:<38}  residual 0.000e+00")
+    for line, row in zip(added[1:], PATH_ROWS[1:]):
+        assert line == f"  pass  {row:<38}  residual 0.000e+00"
 
 
 def test_hilbert_dim_without_pl(tmp_path, capsys):
@@ -131,10 +152,11 @@ def test_to_fell_output_passes_with_its_path_lifting_rows():
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     ft = fell_triple_from_category(categorify(
         build_triple_from_mass_matrix(m)))
-    report = check_bundle_document(json_document(ft.to_json()))
+    report = check_bundle_document(json_document(ft.to_fell_json()))
     assert report.all_passed
-    assert [c.axiom_id for c in report.checks[-2:]] == list(PATH_ROWS)
-    assert report.checks[-2].witness == (
+    assert [c.axiom_id for c in report.checks[-3:]] == list(PATH_ROWS)
+    assert report.checks[-1].residual == 0.0
+    assert report.checks[-3].witness == (
         "support {1: 2, 2: 1, 3: 4, 4: 3} is a global bisection")
 
 
@@ -168,16 +190,17 @@ def test_block_support_is_the_normaliser_support():
 
 def test_path_lifting_row_classifies_no_blocks(monkeypatch):
     # The row needs the support only, not the SVD of each support block
-    # that tells invertible and unitary normalisers apart; these bundles
-    # of matrix units take no SVD either.
+    # that tells invertible and unitary normalisers apart; the full
+    # bundles of matrix units take no SVD either (a thinner fibre takes
+    # one when it is decoded).
     def forbidden(*args, **kwargs):
         raise AssertionError("the row classified the normaliser")
 
     monkeypatch.setattr(np.linalg, "svd", forbidden)
-    for name, (pl, dim, code, failing) in CASES.items():
-        if code == 2:
+    for name, (bundle, pl, dim, code, failing) in CASES.items():
+        if code == 2 or bundle != "full":
             continue
-        report = check_bundle_document(bundle_triple_document(pl, dim))
+        report = check_bundle_document(bundle_triple_document(pl, dim, bundle))
         assert [c.axiom_id for c in report.checks
                 if not c.passed] == failing, name
         if name in WITNESSES:
