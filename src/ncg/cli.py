@@ -15,8 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .errors import (AxiomRefusalError, DomainSectionError, InputError,
-                     NcgError, ShapeError)
+from .errors import AxiomRefusalError, InputError, NcgError, ShapeError
 from .geometry import (categorify, check_bundle_document,
                        fell_triple_from_category, fluctuate,
                        fluctuation_terms_from_json,
@@ -213,13 +212,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         tol = DEFAULT_TOL if args.tol is None else Tolerance(rel=args.tol)
         return _COMMANDS[args.command](args, tol)
-    except (DomainSectionError, AxiomRefusalError) as exc:
+    except AxiomRefusalError as exc:
         print(f"check failed: {exc}")
-        report = getattr(exc, "report", None)
-        if report is not None:
-            for c in report.checks:
-                if not c.advisory and not c.passed:
-                    print(_format_row(c))
+        for c in exc.report.checks:
+            if not c.advisory and not c.passed:
+                print(_format_row(c))
         return 1
     except (InputError, ShapeError, NcgError) as exc:
         print(f"input error: {exc}")

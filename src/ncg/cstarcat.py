@@ -7,25 +7,24 @@ so composition is literal matrix multiplication: a category is a
 :func:`category_from_bundle`.  The enveloping algebra ``M_n(C)`` carries
 the block-diagonal subalgebra ``A``; matrices with at most one nonzero
 block per block-row and block-column are exactly the normalisers of
-``A``, and self-adjoint matrices whose block support is a permutation
-are domain sections.
+``A``, and self-adjoint matrices whose block support is an involutive
+permutation are domain sections, as :func:`section_checks` decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
-from .errors import (DomainSectionError, InputError,
-                     UnsupportedConfigurationError)
-from .fellbundle import (BlockStructure, FellBundleFD, UnitaryField,
-                         check_fell_axioms, check_unital)
+from .errors import InputError
+from .fellbundle import (BlockStructure, FellBundleFD, check_fell_axioms,
+                         check_unital)
 from .groupoid import Bisection
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
                      matrix_from_json)
-from .report import AxiomReport
+from .report import AxiomCheck, AxiomReport, residual_checks
 
 NORMALISER_KINDS = ("not_normaliser", "normaliser", "free", "invertible",
                     "unitary")
@@ -144,7 +143,8 @@ class DomainSection:
     ``blocks_data[j]`` is the block at row ``support[j-1]``, column ``j``;
     ``assembled`` is the full matrix with zeros elsewhere.  Self-adjoint
     sections have involutive support and conjugate-paired blocks; every
-    section built by :func:`is_domain_section` is self-adjoint.
+    section built on a support that :func:`section_checks` accepted is
+    self-adjoint.
     """
 
     support: tuple[int, ...]
@@ -193,81 +193,68 @@ def domain_section_from_json(data, blocks: BlockStructure,
     return is_domain_section(assembled, blocks, tol)
 
 
+def section_checks(m: np.ndarray, blocks: BlockStructure,
+                   tol: Tolerance = DEFAULT_TOL):
+    """The one decision that ``m`` is a self-adjoint domain section: its
+    :func:`block_support` and the two rows ``ncg check bundle`` prints
+    for a path-lifting operator.
+
+    ``fell.path_lifting.normaliser`` passes when the support is that of a
+    normaliser on a global bisection ``π`` that is an involution; its
+    residual counts the block columns ``j`` with ``π(π(j)) ≠ j``, those
+    outside the support included, all ``p`` of them for a matrix that is
+    no normaliser.  ``fell.path_lifting.selfadjoint`` bounds ``‖m - m*‖``
+    by ``tol.bound(‖m‖_F)``.  Self-adjointness pairs the blocks, but a
+    pair straddling the threshold ``rel * ‖m‖_F`` can still leave ``π``
+    no involution, which only the first row sees."""
+    p = blocks.p
+    support = block_support(m, blocks, tol)
+    if support is None:
+        unpaired, witness = p, "not a normaliser of the diagonal algebra"
+    else:
+        pi = dict(support)
+        cols = [j for j in range(1, p + 1) if pi.get(pi.get(j)) != j]
+        unpaired = len(cols)
+        if len(support) < p:
+            witness = (f"support {pi} covers {len(support)} of the {p} "
+                       f"block columns")
+        elif cols:
+            witness = (f"support {pi} is not an involution: columns {cols} "
+                       f"are unpaired")
+        else:
+            witness = f"support {pi} is a global bisection"
+    return support, (
+        AxiomCheck("fell.path_lifting.normaliser", unpaired == 0,
+                   float(unpaired), witness),
+        *residual_checks(tol, ("fell.path_lifting.selfadjoint",
+                               frobenius(m - adjoint(m)), frobenius(m),
+                               "‖PL - PL*‖")))
+
+
+def section_from_support(m: np.ndarray, blocks: BlockStructure,
+                         support) -> DomainSection:
+    """The section of ``m`` on a support that :func:`section_checks`
+    accepted: the block at ``(π(j), j)`` for each column ``j``, zeros
+    elsewhere."""
+    blocks_data = {j: blocks.block(m, i, j).copy() for j, i in support}
+    assembled = np.zeros((blocks.total, blocks.total), dtype=complex)
+    for j, i in support:
+        assembled[blocks.block_slice(i), blocks.block_slice(j)] = \
+            blocks_data[j]
+    return DomainSection(tuple(i for _, i in support), blocks_data, assembled)
+
+
 def is_domain_section(sigma, blocks: BlockStructure,
                       tol: Tolerance = DEFAULT_TOL) -> DomainSection:
-    """Decompose a self-adjoint matrix with permutation block support.
+    """Decompose a self-adjoint matrix with involutive block support.
 
-    Accepts iff every block-column carries exactly one nonzero block, the
-    designated rows form a permutation, and ``σ = σ*`` (which forces the
-    permutation to be an involution).  Rejections raise
-    :class:`DomainSectionError` with the column or residual at fault.
+    The rows of :func:`section_checks` decide; a failing one refuses
+    ``sigma`` through :meth:`~ncg.report.AxiomReport.require`, the refusal
+    carrying the rows.
     """
     n = blocks.total
     m = as_matrix(sigma, "is_domain_section", (n, n))
-    threshold = tol.rel * frobenius(m)
-    norms = blocks.block_norms(m)
-    support = []
-    for j in range(1, blocks.p + 1):
-        rows = [i for i in range(1, blocks.p + 1)
-                if norms[i - 1, j - 1] > threshold]
-        if not rows:
-            raise DomainSectionError(
-                f"column {j} has no nonzero block, so the section has no "
-                f"support there; pass the identity section explicitly if a "
-                f"degenerate operator was intended")
-        if len(rows) > 1:
-            raise DomainSectionError(
-                f"column {j} has {len(rows)} nonzero blocks (rows {rows}); "
-                f"a section designates exactly one")
-        support.append(rows[0])
-    if sorted(support) != list(range(1, blocks.p + 1)):
-        raise DomainSectionError(
-            f"designated rows {support} do not form a permutation")
-    sa_defect = frobenius(m - adjoint(m))
-    if sa_defect > tol.bound(max(1.0, frobenius(m))):
-        raise DomainSectionError(
-            f"matrix is not self-adjoint (‖σ - σ*‖ = {sa_defect:.3e})")
-    # σ = σ* forces the support to pair (j, π(j)) symmetrically.
-    for j, i in enumerate(support, start=1):
-        if support[i - 1] != j:
-            raise DomainSectionError(
-                f"support {support} is not an involution despite "
-                f"self-adjointness; block thresholds are inconsistent")
-    blocks_data = {j: blocks.block(m, support[j - 1], j).copy()
-                   for j in range(1, blocks.p + 1)}
-    assembled = np.zeros((n, n), dtype=complex)
-    for j, blk in blocks_data.items():
-        assembled[blocks.block_slice(support[j - 1]),
-                  blocks.block_slice(j)] = blk
-    return DomainSection(tuple(support), blocks_data, assembled)
-
-
-def bisection_to_normaliser(x: Bisection, blocks: BlockStructure,
-                            field: Optional[UnitaryField] = None) -> np.ndarray:
-    """Lift a global bisection to a unitary normaliser.
-
-    Places a unitary (identity by default) in block position
-    ``(π(j), j)`` for every ``j``; the block projection of the result
-    recovers the bisection, and lifts of composable bisections multiply
-    to a lift of the composite at the support level (exactly, for
-    identity fields).
-    """
-    if x.p != blocks.p:
-        raise InputError(f"bisection on {x.p} objects does not match "
-                         f"{blocks.p} blocks")
-    for j in range(1, blocks.p + 1):
-        if blocks.sizes[x(j) - 1] != blocks.sizes[j - 1]:
-            raise UnsupportedConfigurationError(
-                f"bisection sends block {j} (size {blocks.sizes[j - 1]}) to "
-                f"block {x(j)} (size {blocks.sizes[x(j) - 1]}); a unitary "
-                f"lift needs equal sizes")
-    n = blocks.total
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(1, blocks.p + 1):
-        i = x(j)
-        if field is not None:
-            u = field.unitary_for((i, j))
-        else:
-            u = np.eye(blocks.sizes[j - 1], dtype=complex)
-        out[blocks.block_slice(i), blocks.block_slice(j)] = u
-    return out
+    support, rows = section_checks(m, blocks, tol)
+    AxiomReport(rows).require(
+        "section fails {}; not a self-adjoint domain section")
+    return section_from_support(m, blocks, support)

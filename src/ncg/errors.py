@@ -15,23 +15,12 @@ class InputError(NcgError, ValueError):
     a non-unitary matrix passed as unitary, and so on."""
 
 
-class UnsupportedConfigurationError(InputError):
-    """The requested construction is valid only for a restricted
-    configuration (e.g. equal block sizes) that the input violates."""
-
-
 class StructureError(NcgError, ValueError):
     """An operator's block support violates a required pattern."""
 
 
 class ConsistencyError(NcgError, ValueError):
     """Block support is correct but the blocks fail a required relation."""
-
-
-class DomainSectionError(NcgError, ValueError):
-    """A matrix was rejected as a domain section; the message carries
-    the diagnostic (which column violates, or the self-adjointness
-    residual)."""
 
 
 class AxiomRefusalError(NcgError, RuntimeError):

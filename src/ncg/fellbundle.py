@@ -30,11 +30,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (InputError, ShapeError,
-                     UnsupportedConfigurationError)
+from .errors import InputError, ShapeError
 from .groupoid import Arrow, PairGroupoid
-from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
-                     as_matrix, frobenius, numerical_rank, require_unitary,
+from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, numerical_rank,
                      row_norms, subspace_from_json)
 from .report import AxiomCheck, AxiomReport, WorstResidual
 
@@ -96,13 +94,6 @@ class BlockStructure:
 
     def block(self, m: np.ndarray, i: int, j: int) -> np.ndarray:
         return m[self.block_slice(i), self.block_slice(j)]
-
-    def embed_block(self, i: int, j: int, blk: np.ndarray) -> np.ndarray:
-        blk = as_matrix(blk, f"block ({i},{j})",
-                        (self.sizes[i - 1], self.sizes[j - 1]))
-        out = np.zeros((self.total, self.total), dtype=complex)
-        out[self.block_slice(i), self.block_slice(j)] = blk
-        return out
 
     def block_norms(self, m: np.ndarray) -> np.ndarray:
         """(p, p) array of Frobenius norms of the blocks of ``m``."""
@@ -416,143 +407,6 @@ def check_bundle(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     axioms = check_fell_axioms(b, tol)
     return AxiomReport(axioms.checks + (check_saturated(b, tol),
                                         check_unital(b, tol)))
-
-
-class UnitaryField:
-    """An assignment of unitaries to arrows between equal-size blocks,
-    compatible with units and inversion: ``u_(i,i) = 1`` and
-    ``u_(j,i) = u_(i,j)*``."""
-
-    __slots__ = ("blocks", "assignment")
-
-    def __init__(self, blocks: BlockStructure,
-                 assignment: Mapping[Arrow, np.ndarray],
-                 tol: Tolerance = DEFAULT_TOL):
-        groupoid = blocks.groupoid()
-        fixed: dict[Arrow, np.ndarray] = {}
-        for g, u in assignment.items():
-            g = groupoid.require(g)
-            ni, nj = blocks.sizes[g[0] - 1], blocks.sizes[g[1] - 1]
-            if ni != nj:
-                raise UnsupportedConfigurationError(
-                    f"arrow {g}: blocks have different sizes {ni} != {nj}")
-            fixed[g] = require_unitary(u, ni, tol, f"matrix over {g}")
-        for g, u in list(fixed.items()):
-            rev = (g[1], g[0])
-            if rev in fixed:
-                if frobenius(fixed[rev] - adjoint(u)) > tol.bound(frobenius(u)):
-                    raise InputError(f"field over {rev} is not the adjoint "
-                                     f"of the field over {g}")
-            else:
-                fixed[rev] = adjoint(u)
-        for i in range(1, blocks.p + 1):
-            unit = (i, i)
-            eye = np.eye(blocks.sizes[i - 1], dtype=complex)
-            if unit in fixed:
-                if frobenius(fixed[unit] - eye) > tol.bound(1.0):
-                    raise InputError(f"field over unit arrow {unit} must be "
-                                     f"the identity")
-            else:
-                fixed[unit] = eye
-        self.blocks = blocks
-        self.assignment = fixed
-
-    @classmethod
-    def identity(cls, blocks: BlockStructure) -> "UnitaryField":
-        """Identity unitaries on every arrow between equal-size blocks."""
-        assignment = {}
-        for i in range(1, blocks.p + 1):
-            for j in range(1, blocks.p + 1):
-                if blocks.sizes[i - 1] == blocks.sizes[j - 1]:
-                    assignment[(i, j)] = np.eye(blocks.sizes[j - 1],
-                                                dtype=complex)
-        return cls(blocks, assignment)
-
-    def unitary_for(self, g: Arrow) -> np.ndarray:
-        g = self.blocks.groupoid().require(g)
-        if g not in self.assignment:
-            raise InputError(f"field has no unitary over arrow {g}")
-        return self.assignment[g]
-
-    def is_total(self) -> bool:
-        return all(g in self.assignment
-                   for g in self.blocks.groupoid().arrows())
-
-
-@dataclass(frozen=True)
-class SemidirectBundle:
-    """A full bundle presented by transport records ``(g, a)``.
-
-    ``a`` lives over the domain object of ``g`` and embeds as the matrix
-    ``u_g a`` in block position ``g``.  The record product and involution
-    below multiply identically to the embedded matrices.
-    """
-
-    blocks: BlockStructure
-    field: UnitaryField
-    bundle: FellBundleFD
-
-    def alpha(self, g: Arrow, a: np.ndarray) -> np.ndarray:
-        """Fibre transport along ``g``: conjugation by the field unitary."""
-        u = self.field.unitary_for(g)
-        return u @ a @ adjoint(u)
-
-    def embed(self, element: tuple[Arrow, np.ndarray]) -> np.ndarray:
-        g, a = element
-        u = self.field.unitary_for(g)
-        return self.blocks.embed_block(g[0], g[1], u @ np.asarray(a, dtype=complex))
-
-    def product(self, e1: tuple[Arrow, np.ndarray],
-                e2: tuple[Arrow, np.ndarray]) -> tuple[Arrow, np.ndarray]:
-        g, a = e1
-        h, bmat = e2
-        gh = self.blocks.groupoid().compose_arrows(g, h)
-        if gh is None:
-            raise InputError(f"arrows {g} and {h} are not composable")
-        carried = self.alpha((h[1], h[0]), np.asarray(a, dtype=complex))
-        return gh, carried @ np.asarray(bmat, dtype=complex)
-
-    def involution(self, element: tuple[Arrow, np.ndarray]) -> tuple[Arrow, np.ndarray]:
-        g, a = element
-        return (g[1], g[0]), self.alpha(g, adjoint(np.asarray(a, dtype=complex)))
-
-
-def semidirect_bundle(blocks: BlockStructure, field: UnitaryField,
-                      tol: Tolerance = DEFAULT_TOL) -> SemidirectBundle:
-    """Build the semidirect-product presentation of the full bundle.
-
-    Requires equal block sizes (the transport maps are fibre
-    *-isomorphisms) and a total, multiplicative field:
-    ``u_(i,k) = u_(i,j) u_(j,k)``.  Multiplicativity is exactly the
-    condition under which record products agree with matrix products of
-    the embeddings, and it holds automatically on two objects.
-    """
-    if len(set(blocks.sizes)) != 1:
-        raise UnsupportedConfigurationError(
-            f"semidirect bundle needs equal block sizes, got {blocks.sizes}; "
-            f"use a general bundle for mixed sizes")
-    if field.blocks != blocks:
-        raise InputError("field was built over a different block structure")
-    if not field.is_total():
-        raise InputError("field must assign a unitary to every arrow")
-
-    size = blocks.sizes[0]
-    for i in range(1, blocks.p + 1):
-        for j in range(1, blocks.p + 1):
-            for k in range(1, blocks.p + 1):
-                lhs = field.unitary_for((i, k))
-                rhs = field.unitary_for((i, j)) @ field.unitary_for((j, k))
-                defect = frobenius(lhs - rhs)
-                if defect > tol.bound(float(np.sqrt(size))):
-                    raise InputError(
-                        f"field is not multiplicative along ({i},{j},{k}) "
-                        f"(residual {defect:.3e}); the record and matrix "
-                        f"presentations would disagree")
-
-    units = _matrix_units(size, size)
-    fibres = {g: SubspaceBasis(size, size, field.unitary_for(g) @ units)
-              for g in blocks.groupoid().arrows()}
-    return SemidirectBundle(blocks, field, FellBundleFD(blocks, fibres))
 
 
 def blocks_from_json(data) -> BlockStructure:

@@ -1,5 +1,5 @@
 """Equivalences between triples, spectral categories and bundle triples,
-plus path-lifting application and operator fluctuations.
+plus operator fluctuations.
 
 A spectral category (a full C*-category with a self-adjoint domain
 section σ) and a bundle triple (a saturated unital bundle with a
@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cstarcat import (DomainSection, block_support, category_from_bundle,
-                       domain_section_from_json, is_domain_section)
+from .cstarcat import (DomainSection, category_from_bundle,
+                       domain_section_from_json, is_domain_section,
+                       section_checks, section_from_support)
 from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_from_json, bundle_to_json, check_bundle,
@@ -26,7 +27,7 @@ from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
                      frobenius, matrix_from_json, require_unitary)
-from .report import AxiomCheck, AxiomReport, WorstResidual, residual_checks
+from .report import AxiomCheck, AxiomReport, WorstResidual
 from .sptriple import FiniteSpectralTriple, check_triple
 
 
@@ -89,14 +90,16 @@ def fell_bundle_triple(bundle: FellBundleFD, pl,
     """Read a bundle triple back as a spectral category, ``PL`` as its
     section: the inverse of :func:`fell_triple_from_category`.  After the
     bundle's gate, ``PL`` is refused with every failing row of
-    :func:`_path_lifting_checks`, those ``ncg check bundle`` appends."""
+    :func:`_path_lifting_checks`, those ``ncg check bundle`` appends, and
+    otherwise σ is built on the support those rows decided."""
     n = bundle.blocks.total
     pl = as_matrix(pl, "path-lifting operator", (n, n))
     _require_triple_bundle(bundle, tol)
-    AxiomReport(_path_lifting_checks(bundle, pl, tol)).require(
+    support, rows = _path_lifting_checks(bundle, pl, tol)
+    AxiomReport(rows).require(
         "path-lifting operator fails {}; not a bundle triple")
-    return SpectralCStarCategoryFD(bundle,
-                                   is_domain_section(pl, bundle.blocks, tol))
+    return SpectralCStarCategoryFD(
+        bundle, section_from_support(pl, bundle.blocks, support))
 
 
 def _require_triple_bundle(bundle: FellBundleFD, tol: Tolerance) -> None:
@@ -108,34 +111,13 @@ def _require_triple_bundle(bundle: FellBundleFD, tol: Tolerance) -> None:
 
 
 def _path_lifting_checks(bundle: FellBundleFD, pl: np.ndarray,
-                         tol: Tolerance) -> tuple[AxiomCheck, ...]:
-    """The rows deciding that ``PL`` is a self-adjoint domain section of
-    ``bundle``: support (:func:`_bisection_check`), ``‖PL - PL*‖`` within
-    tolerance, and fibre membership (:func:`_in_fibres_check`)."""
-    return (_bisection_check(bundle.blocks, pl, tol),
-            *residual_checks(tol, ("fell.path_lifting.selfadjoint",
-                                   frobenius(pl - adjoint(pl)), frobenius(pl),
-                                   "‖PL - PL*‖")),
-            _in_fibres_check(bundle, pl, tol))
-
-
-def _bisection_check(blocks: BlockStructure, pl: np.ndarray,
-                     tol: Tolerance) -> AxiomCheck:
-    """``fell.path_lifting.normaliser``: the :func:`block_support` of
-    ``PL`` is that of a normaliser of the diagonal algebra and a global
-    bisection.  The residual counts the block columns outside the support,
-    all ``p`` of them for a matrix that is no normaliser."""
-    p = blocks.p
-    support = block_support(pl, blocks, tol)
-    if support is None:
-        support, witness = (), "not a normaliser of the diagonal algebra"
-    elif len(support) < p:
-        witness = (f"support {dict(support)} covers {len(support)} "
-                   f"of the {p} block columns")
-    else:
-        witness = f"support {dict(support)} is a global bisection"
-    return AxiomCheck("fell.path_lifting.normaliser", len(support) == p,
-                      float(p - len(support)), witness)
+                         tol: Tolerance):
+    """The support of ``PL`` and the rows deciding that it is a
+    self-adjoint domain section of ``bundle``: those of
+    :func:`~ncg.cstarcat.section_checks`, then fibre membership
+    (:func:`_in_fibres_check`)."""
+    support, rows = section_checks(pl, bundle.blocks, tol)
+    return support, rows + (_in_fibres_check(bundle, pl, tol),)
 
 
 def _in_fibres_check(bundle: FellBundleFD, pl: np.ndarray,
@@ -166,7 +148,7 @@ def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     pl = matrix_from_json(data["PL"], "PL", (n, n)) if "PL" in data else None
     report = check_bundle(bundle, tol)
     return report if pl is None else AxiomReport(
-        report.checks + _path_lifting_checks(bundle, pl, tol))
+        report.checks + _path_lifting_checks(bundle, pl, tol)[1])
 
 
 def categorify(t: FiniteSpectralTriple,
@@ -176,8 +158,8 @@ def categorify(t: FiniteSpectralTriple,
     The objects are the algebra's simple summands, the homsets are the
     full rectangular matrix spaces between them, and the section is the
     block decomposition of ``D``.  Refused when the triple fails its own
-    axioms or when ``D`` is not a domain section (a zero ``D`` has no
-    support; the refusal suggests the identity section instead).
+    axioms or when ``D`` fails the rows of
+    :func:`~ncg.cstarcat.section_checks` (a zero ``D`` has no support).
     """
     check_triple(t, tol).require("triple fails {}")
     sigma = is_domain_section(t.D, t.blocks, tol)
@@ -209,20 +191,6 @@ def fell_triple_from_category(sc: SpectralCStarCategoryFD,
     ``sc``; the inverse direction is :func:`fell_bundle_triple`."""
     _require_triple_bundle(sc.bundle, tol)
     return sc
-
-
-def apply_path_lifting(pl, psi) -> np.ndarray:
-    """Transport a state: ``ψ' = PL ψ``.
-
-    When ``PL`` has block support ``π`` and ``ψ`` is supported in block
-    ``j``, the result is supported in block ``π(j)``.
-    """
-    pl = as_matrix(pl, "path-lifting operator")
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.shape[0] != pl.shape[1]:
-        raise ShapeError(f"state of length {psi.shape} does not match "
-                         f"operator of shape {pl.shape}")
-    return pl @ psi
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Finite pair groupoids and their (local) bisections.
+"""Finite pair groupoids and their global bisections.
 
 Objects are labelled ``1..p``.  The arrow ``(i, j)`` is the morphism from
 object ``j`` to object ``i`` — domain ``j``, range ``i`` — so that fibres
@@ -7,9 +7,8 @@ placed over arrows compose like matrix blocks (row ``i``, column ``j``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .errors import InputError
 
@@ -98,79 +97,3 @@ class Bisection:
 
     def to_json(self) -> list[int]:
         return list(self.images)
-
-
-def compose_bisections(x: Bisection, y: Bisection) -> Bisection:
-    """Permutation composition ``(x ∘ y)(j) = x(y(j))``.
-
-    The global bisections of the pair groupoid on ``p`` objects form the
-    symmetric group on ``p`` symbols under this product.
-    """
-    if x.p != y.p:
-        raise InputError("compose_bisections: different object counts")
-    return Bisection(tuple(x(y(j)) for j in range(1, x.p + 1)))
-
-
-@dataclass(frozen=True)
-class LocalBisection:
-    """A partial injective map on the objects; these form an inverse
-    semigroup under partial composition."""
-
-    p: int
-    pairs: tuple[tuple[int, int], ...]  # sorted (source j, target i) pairs
-
-    def __post_init__(self):
-        mapping = dict(self.pairs)
-        if len(mapping) != len(self.pairs):
-            raise InputError("LocalBisection: duplicate sources")
-        if not is_local_bisection(mapping, self.p):
-            raise InputError(f"LocalBisection: {mapping} is not injective")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int], p: int) -> "LocalBisection":
-        return cls(p, tuple(sorted((int(j), int(i))
-                                   for j, i in mapping.items())))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def inverse(self) -> "LocalBisection":
-        return LocalBisection(self.p,
-                              tuple(sorted((i, j) for j, i in self.pairs)))
-
-    def compose(self, other: "LocalBisection") -> "LocalBisection":
-        """``(self ∘ other)(j) = self(other(j))`` where both are defined."""
-        if self.p != other.p:
-            raise InputError("compose: different object counts")
-        mine = self.as_dict()
-        out = {}
-        for j, i in other.pairs:
-            if i in mine:
-                out[j] = mine[i]
-        return LocalBisection.from_mapping(out, self.p)
-
-
-def is_local_bisection(mapping: Mapping[int, int], p: int) -> bool:
-    """True iff the partial map is injective on its domain.
-
-    Out-of-range labels are an input error, not ``False``.
-    """
-    for j, i in mapping.items():
-        if not (1 <= j <= p and 1 <= i <= p):
-            raise InputError(f"label out of range in {j} -> {i} (p={p})")
-    values = list(mapping.values())
-    return len(set(values)) == len(values)
-
-
-def all_local_bisections(p: int) -> Iterator[LocalBisection]:
-    """Enumerate every partial injective map on ``{1..p}``."""
-    objects = list(range(1, p + 1))
-    for k in range(p + 1):
-        for domain in itertools.combinations(objects, k):
-            for image in itertools.permutations(objects, k):
-                yield LocalBisection.from_mapping(dict(zip(domain, image)), p)
-
-
-def all_bisections(p: int) -> Iterator[Bisection]:
-    for perm in itertools.permutations(range(1, p + 1)):
-        yield Bisection(perm)

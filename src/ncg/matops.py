@@ -86,12 +86,6 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def operator_norm(m) -> float:
-    """Largest singular value; realizes the C*-norm on matrices."""
-    m = as_matrix(m, "operator_norm")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
 def is_partial_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``v v* v = v`` within tolerance.
 
@@ -101,25 +95,6 @@ def is_partial_isometry(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     defect = frobenius(v @ adjoint(v) @ v - v)
     scale = max(1.0, frobenius(v)) ** 3
     return defect <= tol.bound(scale)
-
-
-def hermitian_spectrum(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Raises :class:`InputError` when the input is not Hermitian within
-    tolerance.  The sum of the returned values equals the trace up to
-    rounding.
-    """
-    m = as_matrix(m, "hermitian_spectrum")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError("hermitian_spectrum: matrix must be square")
-    herm_defect = frobenius(m - adjoint(m))
-    if herm_defect > tol.bound(max(1.0, frobenius(m))):
-        raise InputError(
-            f"hermitian_spectrum: input is not Hermitian "
-            f"(‖m - m*‖ = {herm_defect:.3e})"
-        )
-    return np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
 
 
 def numerical_rank(flat: np.ndarray, rel: float) -> int:

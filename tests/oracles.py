@@ -36,7 +36,15 @@ on every matrix unit of ``A``, the question ``normaliser_support``
 answers from block norms; ``loop_block_norms`` takes those norms block by
 block, as ``BlockStructure.block_norms`` does by two reductions.
 ``linking_algebra`` assembles every fibre basis element of a bundle into
-``M_n(C)``.
+``M_n(C)``.  ``loop_domain_section`` decides a self-adjoint domain section
+column by column, the question ``section_checks`` answers from
+``block_support`` and one ``‖σ - σ*‖``.
+
+The constructions at the end are used by the tests alone: one block
+embedded in ``M_n(C)``, the bisection enumerations and products of the
+pair groupoid, the semidirect (unitary-transport) presentation of the
+full bundle, the lift of a global bisection to a unitary normaliser, the
+operator norm and the spectrum of a Hermitian matrix.
 
 ``dense_unit_rows`` decides the two algebra-unit rows of the triple
 battery by expanding every matrix unit into a dense ``n x n`` matrix and
@@ -59,16 +67,22 @@ by entry, as the writer's one ``tolist()`` per array must.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
+from ncg.errors import InputError, ShapeError
 from ncg.fellbundle import (BlockStructure, FellBundleFD, _basis_products,
-                            check_bundle)
+                            _matrix_units, check_bundle)
+from ncg.groupoid import Arrow, Bisection
 from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
-                        as_matrix, frobenius, numerical_rank, unit_rows)
+                        as_matrix, frobenius, numerical_rank, require_unitary,
+                        unit_rows)
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
 
@@ -319,7 +333,7 @@ def linking_algebra(b: FellBundleFD) -> SubspaceBasis:
     mats = []
     for g in b.arrows():
         for e in b.fibres[g].stack:
-            mats.append(b.blocks.embed_block(g[0], g[1], e))
+            mats.append(embed_block(b.blocks, g[0], g[1], e))
     return SubspaceBasis(n, n, mats)
 
 
@@ -351,6 +365,33 @@ def loop_block_norms(blocks: BlockStructure, m: np.ndarray) -> np.ndarray:
         for j in range(1, blocks.p + 1):
             out[i - 1, j - 1] = float(np.linalg.norm(blocks.block(m, i, j)))
     return out
+
+
+def loop_domain_section(sigma, blocks: BlockStructure,
+                        tol: Tolerance = DEFAULT_TOL):
+    """The support of ``sigma`` as a self-adjoint domain section, or None,
+    decided column by column: every block column carries exactly one
+    block above ``rel * ‖σ‖_F`` (block norms by ``loop_block_norms``),
+    the designated rows form a permutation, ``‖σ - σ*‖`` is within
+    ``tol.bound(‖σ‖_F)`` and the permutation is an involution."""
+    n = blocks.total
+    m = as_matrix(sigma, "loop_domain_section", (n, n))
+    threshold = tol.rel * frobenius(m)
+    norms = loop_block_norms(blocks, m)
+    support = []
+    for j in range(1, blocks.p + 1):
+        rows = [i for i in range(1, blocks.p + 1)
+                if norms[i - 1, j - 1] > threshold]
+        if len(rows) != 1:
+            return None
+        support.append(rows[0])
+    if sorted(support) != list(range(1, blocks.p + 1)):
+        return None
+    if frobenius(m - adjoint(m)) > tol.bound(max(1.0, frobenius(m))):
+        return None
+    if any(support[i - 1] != j for j, i in enumerate(support, start=1)):
+        return None
+    return tuple(support)
 
 
 def unit_stack(blocks: BlockStructure) -> np.ndarray:
@@ -494,3 +535,288 @@ def svd_basis(rows: int, cols: int, stack,
     basis._onb, basis._onb_conj = vh[:k], vh[:k].conj()
     basis._perp = vh[k:].conj().T if 2 * k >= n else None
     return basis
+
+
+class UnsupportedConfigurationError(InputError):
+    """The requested construction is valid only for a restricted
+    configuration (e.g. equal block sizes) that the input violates."""
+
+
+def embed_block(blocks: BlockStructure, i: int, j: int,
+                blk: np.ndarray) -> np.ndarray:
+    """``blk`` placed at block ``(i, j)`` of an ``n x n`` zero matrix."""
+    blk = as_matrix(blk, f"block ({i},{j})",
+                    (blocks.sizes[i - 1], blocks.sizes[j - 1]))
+    out = np.zeros((blocks.total, blocks.total), dtype=complex)
+    out[blocks.block_slice(i), blocks.block_slice(j)] = blk
+    return out
+
+
+def operator_norm(m) -> float:
+    """Largest singular value; realizes the C*-norm on matrices."""
+    m = as_matrix(m, "operator_norm")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def hermitian_spectrum(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending.
+
+    Raises :class:`InputError` when the input is not Hermitian within
+    tolerance.  The sum of the returned values equals the trace up to
+    rounding.
+    """
+    m = as_matrix(m, "hermitian_spectrum")
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError("hermitian_spectrum: matrix must be square")
+    herm_defect = frobenius(m - adjoint(m))
+    if herm_defect > tol.bound(max(1.0, frobenius(m))):
+        raise InputError(
+            f"hermitian_spectrum: input is not Hermitian "
+            f"(‖m - m*‖ = {herm_defect:.3e})"
+        )
+    return np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
+
+
+def compose_bisections(x: Bisection, y: Bisection) -> Bisection:
+    """Permutation composition ``(x ∘ y)(j) = x(y(j))``.
+
+    The global bisections of the pair groupoid on ``p`` objects form the
+    symmetric group on ``p`` symbols under this product.
+    """
+    if x.p != y.p:
+        raise InputError("compose_bisections: different object counts")
+    return Bisection(tuple(x(y(j)) for j in range(1, x.p + 1)))
+
+
+@dataclass(frozen=True)
+class LocalBisection:
+    """A partial injective map on the objects; these form an inverse
+    semigroup under partial composition."""
+
+    p: int
+    pairs: tuple[tuple[int, int], ...]  # sorted (source j, target i) pairs
+
+    def __post_init__(self):
+        mapping = dict(self.pairs)
+        if len(mapping) != len(self.pairs):
+            raise InputError("LocalBisection: duplicate sources")
+        if not is_local_bisection(mapping, self.p):
+            raise InputError(f"LocalBisection: {mapping} is not injective")
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[int, int], p: int) -> "LocalBisection":
+        return cls(p, tuple(sorted((int(j), int(i))
+                                   for j, i in mapping.items())))
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.pairs)
+
+    def inverse(self) -> "LocalBisection":
+        return LocalBisection(self.p,
+                              tuple(sorted((i, j) for j, i in self.pairs)))
+
+    def compose(self, other: "LocalBisection") -> "LocalBisection":
+        """``(self ∘ other)(j) = self(other(j))`` where both are defined."""
+        if self.p != other.p:
+            raise InputError("compose: different object counts")
+        mine = self.as_dict()
+        out = {}
+        for j, i in other.pairs:
+            if i in mine:
+                out[j] = mine[i]
+        return LocalBisection.from_mapping(out, self.p)
+
+
+def is_local_bisection(mapping: Mapping[int, int], p: int) -> bool:
+    """True iff the partial map is injective on its domain.
+
+    Out-of-range labels are an input error, not ``False``.
+    """
+    for j, i in mapping.items():
+        if not (1 <= j <= p and 1 <= i <= p):
+            raise InputError(f"label out of range in {j} -> {i} (p={p})")
+    values = list(mapping.values())
+    return len(set(values)) == len(values)
+
+
+def all_local_bisections(p: int) -> Iterator[LocalBisection]:
+    """Enumerate every partial injective map on ``{1..p}``."""
+    objects = list(range(1, p + 1))
+    for k in range(p + 1):
+        for domain in itertools.combinations(objects, k):
+            for image in itertools.permutations(objects, k):
+                yield LocalBisection.from_mapping(dict(zip(domain, image)), p)
+
+
+def all_bisections(p: int) -> Iterator[Bisection]:
+    for perm in itertools.permutations(range(1, p + 1)):
+        yield Bisection(perm)
+
+
+class UnitaryField:
+    """An assignment of unitaries to arrows between equal-size blocks,
+    compatible with units and inversion: ``u_(i,i) = 1`` and
+    ``u_(j,i) = u_(i,j)*``."""
+
+    __slots__ = ("blocks", "assignment")
+
+    def __init__(self, blocks: BlockStructure,
+                 assignment: Mapping[Arrow, np.ndarray],
+                 tol: Tolerance = DEFAULT_TOL):
+        groupoid = blocks.groupoid()
+        fixed: dict[Arrow, np.ndarray] = {}
+        for g, u in assignment.items():
+            g = groupoid.require(g)
+            ni, nj = blocks.sizes[g[0] - 1], blocks.sizes[g[1] - 1]
+            if ni != nj:
+                raise UnsupportedConfigurationError(
+                    f"arrow {g}: blocks have different sizes {ni} != {nj}")
+            fixed[g] = require_unitary(u, ni, tol, f"matrix over {g}")
+        for g, u in list(fixed.items()):
+            rev = (g[1], g[0])
+            if rev in fixed:
+                if frobenius(fixed[rev] - adjoint(u)) > tol.bound(frobenius(u)):
+                    raise InputError(f"field over {rev} is not the adjoint "
+                                     f"of the field over {g}")
+            else:
+                fixed[rev] = adjoint(u)
+        for i in range(1, blocks.p + 1):
+            unit = (i, i)
+            eye = np.eye(blocks.sizes[i - 1], dtype=complex)
+            if unit in fixed:
+                if frobenius(fixed[unit] - eye) > tol.bound(1.0):
+                    raise InputError(f"field over unit arrow {unit} must be "
+                                     f"the identity")
+            else:
+                fixed[unit] = eye
+        self.blocks = blocks
+        self.assignment = fixed
+
+    @classmethod
+    def identity(cls, blocks: BlockStructure) -> "UnitaryField":
+        """Identity unitaries on every arrow between equal-size blocks."""
+        assignment = {}
+        for i in range(1, blocks.p + 1):
+            for j in range(1, blocks.p + 1):
+                if blocks.sizes[i - 1] == blocks.sizes[j - 1]:
+                    assignment[(i, j)] = np.eye(blocks.sizes[j - 1],
+                                                dtype=complex)
+        return cls(blocks, assignment)
+
+    def unitary_for(self, g: Arrow) -> np.ndarray:
+        g = self.blocks.groupoid().require(g)
+        if g not in self.assignment:
+            raise InputError(f"field has no unitary over arrow {g}")
+        return self.assignment[g]
+
+    def is_total(self) -> bool:
+        return all(g in self.assignment
+                   for g in self.blocks.groupoid().arrows())
+
+
+@dataclass(frozen=True)
+class SemidirectBundle:
+    """A full bundle presented by transport records ``(g, a)``.
+
+    ``a`` lives over the domain object of ``g`` and embeds as the matrix
+    ``u_g a`` in block position ``g``.  The record product and involution
+    below multiply identically to the embedded matrices.
+    """
+
+    blocks: BlockStructure
+    field: UnitaryField
+    bundle: FellBundleFD
+
+    def alpha(self, g: Arrow, a: np.ndarray) -> np.ndarray:
+        """Fibre transport along ``g``: conjugation by the field unitary."""
+        u = self.field.unitary_for(g)
+        return u @ a @ adjoint(u)
+
+    def embed(self, element: tuple[Arrow, np.ndarray]) -> np.ndarray:
+        g, a = element
+        u = self.field.unitary_for(g)
+        return embed_block(self.blocks, g[0], g[1],
+                           u @ np.asarray(a, dtype=complex))
+
+    def product(self, e1: tuple[Arrow, np.ndarray],
+                e2: tuple[Arrow, np.ndarray]) -> tuple[Arrow, np.ndarray]:
+        g, a = e1
+        h, bmat = e2
+        gh = self.blocks.groupoid().compose_arrows(g, h)
+        if gh is None:
+            raise InputError(f"arrows {g} and {h} are not composable")
+        carried = self.alpha((h[1], h[0]), np.asarray(a, dtype=complex))
+        return gh, carried @ np.asarray(bmat, dtype=complex)
+
+    def involution(self, element: tuple[Arrow, np.ndarray]) -> tuple[Arrow, np.ndarray]:
+        g, a = element
+        return (g[1], g[0]), self.alpha(g, adjoint(np.asarray(a, dtype=complex)))
+
+
+def semidirect_bundle(blocks: BlockStructure, field: UnitaryField,
+                      tol: Tolerance = DEFAULT_TOL) -> SemidirectBundle:
+    """Build the semidirect-product presentation of the full bundle.
+
+    Requires equal block sizes (the transport maps are fibre
+    *-isomorphisms) and a total, multiplicative field:
+    ``u_(i,k) = u_(i,j) u_(j,k)``.  Multiplicativity is exactly the
+    condition under which record products agree with matrix products of
+    the embeddings, and it holds automatically on two objects.
+    """
+    if len(set(blocks.sizes)) != 1:
+        raise UnsupportedConfigurationError(
+            f"semidirect bundle needs equal block sizes, got {blocks.sizes}; "
+            f"use a general bundle for mixed sizes")
+    if field.blocks != blocks:
+        raise InputError("field was built over a different block structure")
+    if not field.is_total():
+        raise InputError("field must assign a unitary to every arrow")
+
+    size = blocks.sizes[0]
+    for i in range(1, blocks.p + 1):
+        for j in range(1, blocks.p + 1):
+            for k in range(1, blocks.p + 1):
+                lhs = field.unitary_for((i, k))
+                rhs = field.unitary_for((i, j)) @ field.unitary_for((j, k))
+                defect = frobenius(lhs - rhs)
+                if defect > tol.bound(float(np.sqrt(size))):
+                    raise InputError(
+                        f"field is not multiplicative along ({i},{j},{k}) "
+                        f"(residual {defect:.3e}); the record and matrix "
+                        f"presentations would disagree")
+
+    units = _matrix_units(size, size)
+    fibres = {g: SubspaceBasis(size, size, field.unitary_for(g) @ units)
+              for g in blocks.groupoid().arrows()}
+    return SemidirectBundle(blocks, field, FellBundleFD(blocks, fibres))
+
+
+def bisection_to_normaliser(x: Bisection, blocks: BlockStructure,
+                            field: Optional[UnitaryField] = None) -> np.ndarray:
+    """Lift a global bisection to a unitary normaliser.
+
+    Places a unitary (identity by default) in block position
+    ``(π(j), j)`` for every ``j``; the block projection of the result
+    recovers the bisection, and lifts of composable bisections multiply
+    to a lift of the composite at the support level (exactly, for
+    identity fields).
+    """
+    if x.p != blocks.p:
+        raise InputError(f"bisection on {x.p} objects does not match "
+                         f"{blocks.p} blocks")
+    for j in range(1, blocks.p + 1):
+        if blocks.sizes[x(j) - 1] != blocks.sizes[j - 1]:
+            raise UnsupportedConfigurationError(
+                f"bisection sends block {j} (size {blocks.sizes[j - 1]}) to "
+                f"block {x(j)} (size {blocks.sizes[x(j) - 1]}); a unitary "
+                f"lift needs equal sizes")
+    n = blocks.total
+    out = np.zeros((n, n), dtype=complex)
+    for j in range(1, blocks.p + 1):
+        i = x(j)
+        if field is not None:
+            u = field.unitary_for((i, j))
+        else:
+            u = np.eye(blocks.sizes[j - 1], dtype=complex)
+        out[blocks.block_slice(i), blocks.block_slice(j)] = u
+    return out

@@ -6,12 +6,14 @@ import pytest
 from conftest import (crandn, json_document, random_involution,
                       random_normaliser, random_section_matrix,
                       random_unitary)
-from oracles import is_normaliser_bruteforce, loop_block_norms
+from oracles import (UnitaryField, UnsupportedConfigurationError,
+                     all_bisections, bisection_to_normaliser,
+                     compose_bisections, failing_ids,
+                     is_normaliser_bruteforce, loop_block_norms,
+                     loop_domain_section)
 
 from ncg import (DEFAULT_TOL, AxiomRefusalError, Bisection, BlockStructure,
-                 DomainSectionError, FellBundleFD, SubspaceBasis,
-                 UnitaryField, UnsupportedConfigurationError, all_bisections,
-                 bisection_to_normaliser, build_triple_from_mass_matrix,
+                 FellBundleFD, SubspaceBasis, build_triple_from_mass_matrix,
                  category_from_bundle, conditional_expectation,
                  full_morita_bundle, is_domain_section, normaliser_support)
 from ncg.cstarcat import domain_section_from_json
@@ -207,8 +209,9 @@ class TestBlockNorms:
     def section_outcome(m, blocks):
         try:
             return is_domain_section(m, blocks).support
-        except DomainSectionError as exc:
-            return str(exc)
+        except AxiomRefusalError as exc:
+            return [(c.axiom_id, c.witness) for c in exc.report
+                    if not c.passed]
 
     @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2, 2), (1, 2)])
     def test_thresholds_decide_as_with_the_loop(self, sizes, monkeypatch):
@@ -231,6 +234,11 @@ class TestBlockNorms:
         assert fast == slow
         kinds = {cls.kind for cls, _ in fast}
         assert "not_normaliser" in kinds and len(kinds) > 1
+        # The section rows accept exactly the supports the column loop
+        # accepts.
+        verdicts = [s if isinstance(s, tuple) else None for _, s in fast]
+        assert verdicts == [loop_domain_section(m, blocks) for m in inputs]
+        assert None in verdicts and any(verdicts)
 
 
 class TestDomainSection:
@@ -246,19 +254,29 @@ class TestDomainSection:
         section = is_domain_section(np.eye(3), BlockStructure((1, 2)))
         assert section.support == (1, 2)
 
+    @staticmethod
+    def refused(m, blocks):
+        with pytest.raises(AxiomRefusalError,
+                           match="not a self-adjoint domain section") as exc:
+            is_domain_section(m, blocks)
+        return {c.axiom_id: c.witness for c in exc.value.report
+                if not c.passed}
+
     def test_missing_column_rejected_with_diagnostic(self):
-        with pytest.raises(DomainSectionError, match="column 1"):
-            is_domain_section(unit(2, 0, 1), BlockStructure((1, 1)))
+        rows = self.refused(unit(2, 0, 1), BlockStructure((1, 1)))
+        assert rows["fell.path_lifting.normaliser"] == \
+            "support {2: 1} covers 1 of the 2 block columns"
 
     def test_two_blocks_in_column_rejected(self):
         m = unit(3, 0, 0) + unit(3, 1, 0) + unit(3, 1, 1) + unit(3, 2, 2)
-        with pytest.raises(DomainSectionError, match="column 1"):
-            is_domain_section(m, BlockStructure((1, 1, 1)))
+        rows = self.refused(m, BlockStructure((1, 1, 1)))
+        assert rows["fell.path_lifting.normaliser"] == \
+            "not a normaliser of the diagonal algebra"
 
     def test_not_self_adjoint_rejected(self):
         m = unit(2, 0, 1) + 2.0 * unit(2, 1, 0)
-        with pytest.raises(DomainSectionError, match="self-adjoint"):
-            is_domain_section(m, BlockStructure((1, 1)))
+        assert self.refused(m, BlockStructure((1, 1))) == {
+            "fell.path_lifting.selfadjoint": "‖PL - PL*‖"}
 
     def test_support_is_involution(self):
         rng = np.random.default_rng(19)
@@ -300,7 +318,6 @@ class TestBisectionToNormaliser:
         blocks = BlockStructure((1, 1, 1))
         for x in all_bisections(3):
             for y in all_bisections(3):
-                from ncg import compose_bisections
                 lift = bisection_to_normaliser(x, blocks) @ \
                     bisection_to_normaliser(y, blocks)
                 composite = compose_bisections(x, y)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import crandn, json_document, random_unitary
-from oracles import linking_algebra, unit_stack
+from oracles import (UnitaryField, UnsupportedConfigurationError,
+                     hermitian_spectrum, linking_algebra, operator_norm,
+                     semidirect_bundle, unit_stack)
 
 from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
-                 SubspaceBasis, UnitaryField, UnsupportedConfigurationError,
-                 bundle_from_json, bundle_to_json, check_bundle,
-                 check_fell_axioms, check_saturated, check_unital,
-                 full_morita_bundle, hermitian_spectrum, operator_norm,
-                 semidirect_bundle)
+                 SubspaceBasis, bundle_from_json, bundle_to_json,
+                 check_bundle, check_fell_axioms, check_saturated,
+                 check_unital, full_morita_bundle)
 from ncg.fellbundle import MAX_DIMENSION, blocks_from_json
 
 

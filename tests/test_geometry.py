@@ -3,11 +3,10 @@ import pytest
 
 from conftest import (crandn, json_document, random_admissible_triple,
                       random_section_matrix, random_unitary)
-from oracles import is_normaliser_bruteforce
+from oracles import failing_ids, is_normaliser_bruteforce
 
-from ncg import (AxiomRefusalError, BlockStructure, DomainSectionError,
-                 FiniteSpectralTriple, FluctuationTerm, InputError,
-                 apply_path_lifting, build_triple_from_mass_matrix,
+from ncg import (AxiomRefusalError, BlockStructure, FiniteSpectralTriple,
+                 FluctuationTerm, InputError, build_triple_from_mass_matrix,
                  categorify, category_from_bundle, check_even_axioms,
                  fell_bundle_triple, fell_triple_from_category, fluctuate,
                  full_morita_bundle, is_domain_section, normaliser_support,
@@ -27,12 +26,15 @@ class TestCategorify:
         assert sc.blocks.p == 4
         assert sc.sigma.support == (2, 1, 4, 3)
 
-    def test_zero_dirac_rejected_with_fallback_hint(self):
+    def test_zero_dirac_rejected_by_the_normaliser_row(self):
         gamma, epsilon, K = __import__("ncg").standard_operators(1)
         t = FiniteSpectralTriple(BlockStructure((1, 1, 1, 1)),
                                  np.zeros((4, 4)), gamma, epsilon, K)
-        with pytest.raises(DomainSectionError, match="identity section"):
+        with pytest.raises(AxiomRefusalError) as exc:
             categorify(t)
+        row = exc.value.report.find("fell.path_lifting.normaliser")
+        assert failing_ids(exc.value.report) == [row.axiom_id]
+        assert row.witness == "support {} covers 0 of the 4 block columns"
 
     def test_failing_battery_refused(self):
         t = build_triple_from_mass_matrix(np.array([[1.0]]))
@@ -165,12 +167,12 @@ class TestApplyPathLifting:
     def test_swap_transport(self):
         pl = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(
-            apply_path_lifting(pl, np.array([1.0, 0.0])),
+            pl @ np.array([1.0, 0.0]),
             np.array([0.0, 1.0]))
 
     def test_identity(self):
         psi = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(apply_path_lifting(np.eye(3), psi), psi)
+        np.testing.assert_array_equal(np.eye(3) @ psi, psi)
 
     def test_block_support_transport(self):
         rng = np.random.default_rng(17)
@@ -182,16 +184,11 @@ class TestApplyPathLifting:
             psi = np.zeros(blocks.total, dtype=complex)
             sl = blocks.block_slice(j)
             psi[sl] = crandn(rng, blocks.sizes[j - 1])
-            out = apply_path_lifting(t.D, psi)
+            out = t.D @ psi
             target = blocks.block_slice(section.support[j - 1])
             mask = np.ones(blocks.total, dtype=bool)
             mask[target] = False
             assert np.all(out[mask] == 0)
-
-    def test_shape_mismatch(self):
-        from ncg import ShapeError
-        with pytest.raises(ShapeError):
-            apply_path_lifting(np.eye(2), np.ones(3))
 
 
 class TestFluctuate:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncg import (Bisection, InputError, LocalBisection, PairGroupoid,
-                 all_bisections, all_local_bisections, compose_bisections,
-                 is_local_bisection)
+from oracles import (LocalBisection, all_bisections, all_local_bisections,
+                     compose_bisections, is_local_bisection)
+
+from ncg import Bisection, InputError, PairGroupoid
 
 
 class TestArrows:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import crandn, json_document, random_unitary, written_text
-from oracles import indented_json, nested_lists, projection_residuals
+from oracles import (hermitian_spectrum, indented_json, nested_lists,
+                     operator_norm, projection_residuals)
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
-                 Tolerance, hermitian_spectrum, is_partial_isometry,
-                 operator_norm)
+                 Tolerance, is_partial_isometry)
 from ncg.matops import ENTRY_BOUND, matrix_from_json
 
 

@@ -1,12 +1,13 @@
 """``ncg check bundle`` on a bundle-triple file checks its path-lifting
-operator: ``PL`` must be a normaliser supported on a global bisection,
-self-adjoint and blockwise in the bundle's fibres, and ``hilbert_dim``
-must be the total block dimension.
+operator: ``PL`` must be a normaliser supported on a global bisection
+that is an involution, self-adjoint and blockwise in the bundle's
+fibres, and ``hilbert_dim`` must be the total block dimension.
 
 The oracles are ``fell_bundle_triple``, which refuses exactly the ``PL``
 whose path-lifting rows fail, with those rows, ``is_normaliser_bruteforce``
-for the normaliser half of the support row, and the report of the same
-file without ``PL``, which must be today's report byte for byte."""
+for the normaliser half of the support row, whose support must also be
+an involution, and the report of the same file without ``PL``, which must
+be today's report byte for byte."""
 
 import json
 
@@ -16,7 +17,7 @@ import pytest
 from conftest import json_document, written_text
 from oracles import failing_ids, is_normaliser_bruteforce, loop_block_norms
 
-from ncg import (AxiomRefusalError, BlockStructure,
+from ncg import (DEFAULT_TOL, AxiomRefusalError, BlockStructure,
                  build_triple_from_mass_matrix, bundle_from_json, categorify,
                  normaliser_support)
 from ncg.cstarcat import block_support
@@ -30,12 +31,33 @@ PATH_ROWS = ("fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint",
 INPUT_ERROR = "input error: hilbert_dim {} is not the total block dimension 2"
 DIAGONAL = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex)
 
-# Bundles by name: blocks and fibres.  "full" is the full bundle over
-# blocks [1, 1]; "diagonal" has every fibre over blocks [2, 2] the
-# diagonal matrices span{E11, E22}, a saturated unital sub-bundle.
+
+def cycle_pl():
+    """Objects 1 and 2 swapped by entries 1; objects 3 -> 4 -> 5 -> 3 by
+    entries 1.05 rel ‖PL‖_F, with mirror entries 0.95 rel ‖PL‖_F.  The
+    support is {1: 2, 2: 1, 3: 4, 4: 5, 5: 3}, no involution, though
+    ‖PL - PL*‖ is within tolerance."""
+    pl = np.zeros((5, 5))
+    pl[0, 1] = pl[1, 0] = 1.0
+    threshold = DEFAULT_TOL.rel * np.sqrt(2.0)
+    for j, i in ((3, 4), (4, 5), (5, 3)):
+        pl[i - 1, j - 1] = 1.05 * threshold
+        pl[j - 1, i - 1] = 0.95 * threshold
+    return pl
+
+
+def full_bundle(p):
+    return ([1] * p, {f"{i},{j}": np.ones((1, 1, 1), dtype=complex)
+                      for i in range(1, p + 1) for j in range(1, p + 1)})
+
+
+# Bundles by name: blocks and fibres.  "full" and "full_5" are the full
+# bundles over blocks [1, 1] and [1] * 5; "diagonal" has every fibre
+# over blocks [2, 2] the diagonal matrices span{E11, E22}, a saturated
+# unital sub-bundle.
 BUNDLES = {
-    "full": ([1, 1], {f"{i},{j}": np.ones((1, 1, 1), dtype=complex)
-                      for i in (1, 2) for j in (1, 2)}),
+    "full": full_bundle(2),
+    "full_5": full_bundle(5),
     "diagonal": ([2, 2], {f"{i},{j}": DIAGONAL
                           for i in (1, 2) for j in (1, 2)}),
 }
@@ -58,6 +80,7 @@ CASES = {
     # a global bisection, but its blocks leave the diagonal fibres.
     "outside_fibres": ("diagonal", np.kron(SWAP, SWAP), 4, 1,
                        ["fell.path_lifting.in_fibres"]),
+    "cycle": ("full_5", cycle_pl(), 5, 1, ["fell.path_lifting.normaliser"]),
     "hilbert_dim_7": ("full", SWAP, 7, 2, INPUT_ERROR.format(7)),
     "hilbert_dim_float": ("full", SWAP, 2.0, 2, INPUT_ERROR.format(2.0)),
     "hilbert_dim_true": ("full", SWAP, True, 2, INPUT_ERROR.format(True)),
@@ -69,6 +92,8 @@ WITNESSES = {
     "all_ones": "not a normaliser of the diagonal algebra",
     "partial_support": "support {1: 1} covers 1 of the 2 block columns",
     "outside_fibres": "support {1: 2, 2: 1} is a global bisection",
+    "cycle": "support {1: 2, 2: 1, 3: 4, 4: 5, 5: 3} is not an "
+             "involution: columns [3, 4, 5] are unpaired",
 }
 
 
@@ -105,11 +130,15 @@ def test_malformed_path_lifting(case, tmp_path, capsys):
         np.testing.assert_array_equal(sc.PL, pl)
     except AxiomRefusalError as exc:
         assert failing_ids(exc.report) == expected
-    # The residual counts the block columns outside the support.
+    # The residual counts the block columns j with π(π(j)) ≠ j, those
+    # outside the support included, all of them for no normaliser.
     blocks = BlockStructure(tuple(doc["blocks"]))
-    support = 0 if not is_normaliser_bruteforce(pl, blocks) else \
-        np.count_nonzero(loop_block_norms(blocks, np.asarray(pl)).sum(axis=0))
-    assert rows[PATH_ROWS[0]]["residual"] == 2.0 - support
+    m = np.asarray(pl, dtype=complex)
+    above = loop_block_norms(blocks, m) > DEFAULT_TOL.rel * np.linalg.norm(m)
+    pi = {int(j): int(i) for i, j in zip(*np.nonzero(above))}
+    paired = 0 if not is_normaliser_bruteforce(pl, blocks) else \
+        sum(pi.get(pi.get(j)) == j for j in range(blocks.p))
+    assert rows[PATH_ROWS[0]]["residual"] == blocks.p - paired
 
 
 def test_path_lifting_rows_follow_the_bundle_rows(tmp_path, capsys):

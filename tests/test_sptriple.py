@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import crandn, json_document, random_partial_isometry
+from oracles import hermitian_spectrum
 
 from ncg import (DEFAULT_TOL, AxiomCheck, BlockStructure, ConsistencyError,
                  FiniteSpectralTriple, InputError, StructureError,
                  build_triple_from_mass_matrix, check_even_axioms,
                  check_poincare, check_real_axioms, check_so_real,
-                 check_triple, extract_mass_matrix, hermitian_spectrum,
-                 is_partial_isometry, standard_operators, triple_from_json,
-                 triple_to_json)
+                 check_triple, extract_mass_matrix, is_partial_isometry,
+                 standard_operators, triple_from_json, triple_to_json)
 
 
 def blocks4(l):
