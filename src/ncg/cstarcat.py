@@ -21,7 +21,6 @@ import numpy as np
 from .errors import InputError
 from .fellbundle import (BlockStructure, FellBundleFD, check_fell_axioms,
                          check_unital)
-from .groupoid import Bisection
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
                      matrix_from_json)
 from .report import AxiomCheck, AxiomReport, residual_checks
@@ -150,9 +149,6 @@ class DomainSection:
     support: tuple[int, ...]
     blocks_data: Mapping[int, np.ndarray]
     assembled: np.ndarray
-
-    def permutation(self) -> Bisection:
-        return Bisection(self.support)
 
     def to_json(self) -> dict:
         return {"perm": list(self.support),

@@ -12,10 +12,14 @@ Gram matrices, with the SVD of the products where that declines.
 Closure, involution and unitality measure distances to a fibre with
 :meth:`SubspaceBasis.residuals`: through the fibre's orthogonal
 complement when it is at least half full, exactly 0 for a full one, and
-by projection on a thinner one.  Closure writes the basis products of
-all pairs into one target into a buffer of :data:`_BATCH_ENTRIES`
-complex entries and measures them in one call; a pair with more entries
-runs alone.  The
+by projection on a thinner one.  The batteries run once per shape class,
+not once per fibre: the pairs of arrows of one class ``(n_i, n_j, n_k,
+d_ij, d_jk, d_ik)`` are formed and measured by stacked calls
+(:class:`~ncg.matops.SpanStack`), as many at a time as fill a buffer of
+:data:`_BATCH_ENTRIES` complex entries, and so are the adjoints of a
+class of fibres and the Gram matrices of saturation.  Reports keep the
+order of a pass over the arrows: a witness is the first worst element
+in arrow order.  The
 pass/refuse gates of the conversions (``category_from_bundle``,
 ``fell_bundle_triple``) accept a bundle that :attr:`FellBundleFD.is_full`
 by theorem: a fibre of dimension ``n_i n_j`` is the whole matrix space, so
@@ -30,10 +34,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError, NcgError, ShapeError
 from .groupoid import Arrow, PairGroupoid
-from .matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, numerical_rank,
-                     row_norms, subspace_from_json)
+from .matops import (BATCH_ENTRIES as _BATCH_ENTRIES, DEFAULT_TOL, SpanStack,
+                     SubspaceBasis, Tolerance, numerical_rank, row_norms,
+                     stack_from_json, take)
 from .report import AxiomCheck, AxiomReport, WorstResidual
 
 # A Frobenius norm below this may have lost its relative accuracy to
@@ -47,11 +52,9 @@ _GRAM_FLOOR = 1e-10
 # checks hold dense ``n x n`` complex matrices, 256 MB each at this size.
 MAX_DIMENSION = 4096
 # Largest block count ``p`` a file may declare.  The bundle batteries
-# visit all p³ composable pairs of arrows, whatever the fibres hold.
+# index all p³ composable pairs of arrows, whatever the fibres hold, but
+# make their numpy calls per shape class of fibres or of pairs.
 MAX_BLOCKS = 64
-# Complex entries (1 MiB) of the basis products that closure measures
-# against one target fibre in one residual call.
-_BATCH_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -179,27 +182,90 @@ def full_morita_bundle(blocks: BlockStructure) -> FellBundleFD:
     Its sectional algebra is all of ``M_n(C)``; it passes every axiom,
     saturation and unitality.
     """
-    fibres = {}
-    for i in range(1, blocks.p + 1):
-        for j in range(1, blocks.p + 1):
-            fibres[(i, j)] = SubspaceBasis(
-                blocks.sizes[i - 1], blocks.sizes[j - 1],
-                _matrix_units(blocks.sizes[i - 1], blocks.sizes[j - 1]))
-    return FellBundleFD(blocks, fibres)
+    arrows = list(blocks.groupoid().arrows())
+    return FellBundleFD(blocks, dict(zip(arrows, SubspaceBasis.batch([
+        _matrix_units(blocks.sizes[i - 1], blocks.sizes[j - 1])
+        for i, j in arrows]))))
 
 
 def _basis_products(x: np.ndarray, y: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """Every product ``x[a] @ y[b]`` of two ``(a, i, j)`` and ``(b, j, k)``
-    stacks as an ``(a*b, i, k)`` stack in row-major ``(a, b)`` order,
-    formed by one GEMM and one transposing copy, into ``out`` if given."""
-    (a, i, j), (b, _, k) = x.shape, y.shape
-    flat = x.reshape(a * i, j) @ y.transpose(1, 0, 2).reshape(j, b * k)
-    arranged = flat.reshape(a, i, b, k).transpose(0, 2, 1, 3)
+    """Every product ``x[..., a] @ y[..., b]`` of two ``(..., a, i, j)`` and
+    ``(..., b, j, k)`` stacks as an ``(..., a*b, i, k)`` stack in row-major
+    ``(a, b)`` order, formed by one (stacked) GEMM and one transposing
+    copy, into ``out`` if given."""
+    lead, (a, i, j), (b, _, k) = x.shape[:-3], x.shape[-3:], y.shape[-3:]
+    flat = (x.reshape(lead + (a * i, j))
+            @ y.swapaxes(-3, -2).reshape(lead + (j, b * k)))
+    arranged = flat.reshape(lead + (a, i, b, k)).swapaxes(-3, -2)
     if out is None:
-        return arranged.reshape(-1, i, k)
-    out.reshape(a, b, i, k)[...] = arranged
+        return arranged.reshape(lead + (a * b, i, k))
+    out.reshape(lead + (a, b, i, k))[...] = arranged
     return out
+
+
+class _ShapeClasses:
+    """The fibres of a bundle by shape class ``(n_i, n_j, dim)``:
+    ``key[i, j]`` is the class of fibre ``(i+1, j+1)``, ``pos[i, j]`` its
+    place in ``members[key[i, j]]``, which lists a class in arrow order.
+    ``dim`` and ``full`` are the ``(p, p)`` arrays of the fibres'
+    dimensions and fullness."""
+
+    def __init__(self, b: FellBundleFD):
+        p = b.blocks.p
+        self.key = np.empty((p, p), dtype=np.int64)
+        self.pos = np.empty((p, p), dtype=np.int64)
+        self.members: list[list[SubspaceBasis]] = []
+        self._stacks: dict = {}
+        ids: dict = {}
+        for (i, j), f in sorted(b.fibres.items()):
+            c = ids.setdefault((f.rows, f.cols, f.dim), len(ids))
+            if c == len(self.members):
+                self.members.append([])
+            self.key[i - 1, j - 1] = c
+            self.pos[i - 1, j - 1] = len(self.members[c])
+            self.members[c].append(f)
+        self.dim = np.array([f[0].dim for f in self.members])[self.key]
+        sizes = np.array(b.blocks.sizes)
+        self.full = self.dim == np.outer(sizes, sizes)
+
+    def stacked(self, c: int) -> np.ndarray:
+        """The ``(m, dim, n_i, n_j)`` basis stack of class ``c``, formed
+        once."""
+        if c not in self._stacks:
+            self._stacks[c] = np.stack([f.stack for f in self.members[c]])
+        return self._stacks[c]
+
+    def groups(self, *arrows):
+        """Sort items given by the arrows ``(i, j)`` (0-based index arrays)
+        of each tuple by the shape classes of their fibres: the stable
+        sorting order, and for each group of items its class of each tuple
+        and its slice of that order."""
+        n = len(self.members)
+        ids = np.zeros(len(arrows[0][0]), dtype=np.int64)
+        for i, j in arrows:
+            ids = ids * n + self.key[i, j]
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        groups = []
+        if not len(ids):
+            return order, groups
+        bounds = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), len(ids)]
+        for start, stop in zip(bounds, bounds[1:]):
+            code, key = int(ids[start]), []
+            for _ in arrows:
+                code, c = divmod(code, n)
+                key.insert(0, c)
+            groups.append((tuple(key), slice(start, stop)))
+        return order, groups
+
+
+def _runs(group: slice, entries: int) -> list:
+    """``group`` in slices of items whose ``entries`` each fill the
+    buffer of :data:`_BATCH_ENTRIES` entries, at least one per slice."""
+    step = max(1, _BATCH_ENTRIES // max(entries, 1))
+    return [slice(s, min(s + step, group.stop))
+            for s in range(group.start, group.stop, step)]
 
 
 def _analytic(k: int, identity: str) -> AxiomCheck:
@@ -219,43 +285,27 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     ``analytic:`` witness naming the identity.  Only axioms 2 and 6
     depend on the data.  Closure holds by theorem for a pair of arrows
     whose target fibre is full (:attr:`SubspaceBasis.is_full`), since
-    that fibre holds every ``n_i x n_k`` matrix; for every other target
-    the basis products of all its pairs are formed, one GEMM per pair
-    (:func:`_basis_products`), and measured against it by
+    that fibre holds every ``n_i x n_k`` matrix; the basis products of
+    every other pair are formed and measured against its target by
     :func:`_closure_residuals`.  When every pair with nonzero fibres has a
     full target, the row is analytic.  The involution is decided on every
-    basis element: adjoints must land in the reversed fibre.
+    basis element (:func:`_involution_residuals`): adjoints must land in
+    the reversed fibre.
     """
-    closure = WorstResidual(tol)
-    full_targets = numeric = False
-    p = b.blocks.p
-    buffer = np.empty(_BATCH_ENTRIES, dtype=complex)
-    for gh in b.arrows():
-        pairs = [((gh[0], j), (j, gh[1])) for j in range(1, p + 1)
-                 if b.fibres[(gh[0], j)].dim and b.fibres[(j, gh[1])].dim]
-        if not pairs:
-            continue
-        if b.fibres[gh].is_full:
-            full_targets = True
-            continue
-        numeric = True
-        _closure_residuals(closure, b, gh, pairs, buffer)
-
-    invol = WorstResidual(tol)
-    for g in b.arrows():
-        stack = b.fibres[g].stack
-        if stack.shape[0] == 0:
-            continue
-        invol.update_batch(
-            b.fibres[(g[1], g[0])].residuals(np.conj(np.swapaxes(stack, 1, 2))),
-            row_norms(stack.reshape(stack.shape[0], -1)),
-            lambda idx, g=g: f"adjoint of basis {idx} of fibre {g}")
+    classes = _ShapeClasses(b)
+    dim, full = classes.dim, classes.full
+    # Pairs (i, j) x (j, k) of nonzero fibres, by target (i, k), then j.
+    i, k, j = np.nonzero((dim[:, None, :] > 0) & (dim.T[None, :, :] > 0))
+    numeric = ~full[i, k]
+    closure = _closure_residuals(tol, classes, i[numeric], j[numeric],
+                                 k[numeric])
+    invol = _involution_residuals(tol, classes)
 
     return AxiomReport((
         AxiomCheck("fell.axiom.1", True, 0.0,
                    "structural: products are placed at the composed arrow"),
         (_analytic(2, "a full fibre holds every matrix of its shape")
-         if full_targets and not numeric else
+         if len(i) and not numeric.any() else
          closure.check("fell.axiom.2", "all basis products stay in their fibre")),
         _analytic(3, "matrix multiplication is associative"),
         _analytic(4, "the operator norm is submultiplicative"),
@@ -270,47 +320,102 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     ))
 
 
-def _closure_residuals(row: WorstResidual, b: FellBundleFD, gh: Arrow,
-                       pairs: list, buffer: np.ndarray) -> None:
-    """Update ``row`` with the distance from fibre ``gh`` of every basis
-    product of the composable ``pairs`` into it.  Consecutive pairs share
-    one :meth:`SubspaceBasis.residuals` call while their products fit in
-    ``buffer``; a pair with more entries runs alone."""
-    target = b.fibres[gh]
-    size = target.rows * target.cols
-    batch, total = [], 0
-    for g, h in pairs:
-        count = b.fibres[g].dim * b.fibres[h].dim
-        if batch and (total + count) * size > len(buffer):
-            _closure_batch(row, b, gh, batch, total, buffer)
-            batch, total = [], 0
-        batch.append((g, h, total))
-        total += count
-    _closure_batch(row, b, gh, batch, total, buffer)
+def _closure_residuals(tol: Tolerance, classes: _ShapeClasses,
+                       i: np.ndarray, j: np.ndarray, k: np.ndarray) -> _Worst:
+    """The distance from fibre ``(i, k)`` of every basis product of the
+    pairs ``(i, j) x (j, k)`` (0-based index arrays in report order).
+    The pairs of one shape class ``(n_i, n_j, n_k, d_ij, d_jk, d_ik)``
+    are formed by one stacked GEMM and measured by one stacked residual
+    call while their products fit in a buffer of :data:`_BATCH_ENTRIES`
+    entries; a pair with more runs alone."""
+    dim, pos = classes.dim, classes.pos
+
+    def describe(place, t):
+        left = (int(i[t]) + 1, int(j[t]) + 1)
+        right = (int(j[t]) + 1, int(k[t]) + 1)
+        a, c = divmod(place - int(offsets[t]), int(dim[j[t], k[t]]))
+        return (f"basis {a} of {left} x basis {c} of {right} leaves fibre "
+                f"{(left[0], right[1])}")
+
+    offsets = np.concatenate([[0], np.cumsum(dim[i, j] * dim[j, k])])
+    row = _Worst(tol, offsets, describe)
+    buffer = np.empty(_BATCH_ENTRIES, dtype=complex)
+    order, groups = classes.groups((i, j), (j, k), (i, k))
+    si, sj, sk = i[order], j[order], k[order]
+    g, h, gh = pos[si, sj], pos[sj, sk], pos[si, sk]
+    for (cg, ch, ct), group in groups:
+        x, y = classes.stacked(cg), classes.stacked(ch)
+        target = SpanStack(classes.members[ct])
+        (_, a, ni, _), (_, b, _, nk) = x.shape, y.shape
+        for run in _runs(group, a * b * ni * nk):
+            m = run.stop - run.start
+            size = m * a * b * ni * nk
+            prods = _basis_products(
+                take(x, g[run]), take(y, h[run]),
+                buffer[:size].reshape(m, a * b, ni, nk)
+                if size <= len(buffer) else None)
+            flat = prods.reshape(m, a * b, ni * nk)
+            row.add(order[run], target.residuals(flat, gh[run]),
+                    row_norms(flat.reshape(m * a * b, ni * nk)))
+    return row
 
 
-def _closure_batch(row: WorstResidual, b: FellBundleFD, gh: Arrow,
-                   batch: list, total: int, buffer: np.ndarray) -> None:
-    """:func:`_closure_residuals` for the pairs ``(g, h, start)`` of one
-    batch, whose ``total`` products are placed from row ``start`` on."""
-    target = b.fibres[gh]
-    size = target.rows * target.cols
-    if total * size > len(buffer):
-        (g, h, _), = batch
-        prods = _basis_products(b.fibres[g].stack, b.fibres[h].stack)
-    else:
-        prods = buffer[:total * size].reshape(total, *target.ambient_shape)
-        for g, h, start in batch:
-            x, y = b.fibres[g].stack, b.fibres[h].stack
-            _basis_products(x, y, prods[start:start + len(x) * len(y)])
+def _involution_residuals(tol: Tolerance, classes: _ShapeClasses) -> _Worst:
+    """The distance of the adjoint of every basis element from the
+    reversed fibre, one stacked residual call per shape class of the fibre
+    and its reverse; a full reverse holds them all."""
+    dim, pos = classes.dim, classes.pos
+    i, j = np.nonzero((dim > 0) & ~classes.full.T)
 
-    def witness(idx):
-        g, h, start = next(item for item in reversed(batch) if item[2] <= idx)
-        a, c = divmod(idx - start, b.fibres[h].dim)
-        return f"basis {a} of {g} x basis {c} of {h} leaves fibre {gh}"
+    def describe(place, t):
+        return (f"adjoint of basis {place - int(offsets[t])} of fibre "
+                f"{(int(i[t]) + 1, int(j[t]) + 1)}")
 
-    row.update_batch(target.residuals(prods),
-                     row_norms(prods.reshape(total, size)), witness)
+    offsets = np.concatenate([[0], np.cumsum(dim[i, j])])
+    row = _Worst(tol, offsets, describe)
+    order, groups = classes.groups((i, j), (j, i))
+    g, r = pos[i[order], j[order]], pos[j[order], i[order]]
+    for (cg, cr), group in groups:
+        stack = classes.stacked(cg)
+        reverse = SpanStack(classes.members[cr])
+        _, d, ni, nj = stack.shape
+        for run in _runs(group, d * ni * nj):
+            elems = take(stack, g[run])
+            m = len(elems)
+            adjoints = np.conj(elems.transpose(0, 1, 3, 2)).reshape(
+                m, d, ni * nj)
+            row.add(order[run], reverse.residuals(adjoints, r[run]),
+                    row_norms(elems.reshape(m * d, ni * nj)))
+    return row
+
+
+class _Worst:
+    """:class:`WorstResidual` of one row over runs measured out of report
+    order: item ``t`` owns the report places ``offsets[t]`` to
+    ``offsets[t + 1]``, and the witness, ``describe(place, item)``, is the
+    first worst element in report order."""
+
+    def __init__(self, tol: Tolerance, offsets: np.ndarray, describe):
+        self.tol, self.offsets, self.describe = tol, offsets, describe
+        self.passed, self.residual, self.place = True, 0.0, None
+
+    def add(self, t: np.ndarray, raws: np.ndarray, scales: np.ndarray):
+        """The ``(len(t), count)`` residuals of the items ``t``, ascending,
+        and the scales of their elements."""
+        count = raws.shape[1]
+        run = WorstResidual(self.tol)
+        run.update_batch(raws.ravel(), scales, lambda q: int(
+            self.offsets[t[q // count]]) + q % count)
+        self.passed &= run.passed
+        tie = run.residual == self.residual > 0
+        if run.residual > self.residual or (tie and run.witness < self.place):
+            self.residual, self.place = run.residual, run.witness
+
+    def check(self, axiom_id: str, default_witness: str) -> AxiomCheck:
+        witness = default_witness if self.place is None else self.describe(
+            self.place, int(np.searchsorted(self.offsets, self.place,
+                                            side="right")) - 1)
+        return AxiomCheck(axiom_id, self.passed, self.residual, witness)
 
 
 def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
@@ -323,32 +428,50 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
     the products' coordinates ``C`` in the target, exceeds ``max(1e-10,
     4 rel²) ‖products‖_F²``: ``σ_d(products) ≥ σ_d(C)``.  This certificate
     is contracted from the Gram matrices of fibres at least half full
-    (:func:`_gram_spectra`) and must clear its rounding error
-    (:func:`_gram_guard`).  Every other span is ranked by the SVD of its
-    products (:func:`_basis_products`).  Only the rank reaches the report.
+    (:func:`_gram_spectra`), one stacked call per shape class of the
+    pairs, and must clear its rounding error (:func:`_gram_guard`).
+    Every other span is ranked by the SVD of its products
+    (:func:`_basis_products`).  Only the rank reaches the report.
     """
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
     p, sizes = b.blocks.p, np.array(b.blocks.sizes)
-    units = {g: f.units for g, f in b.fibres.items()}
-    dim = np.array([b.fibres[g].dim for g in b.arrows()]).reshape(p, p)
+    classes = _ShapeClasses(b)
+    dim, pos = classes.dim, classes.pos
     # A Gram matrix of a half-full fibre is at most twice its basis.
     dense = (dim > 0) & (2 * dim >= np.outer(sizes, sizes))
-    grams = {(i + 1, j + 1): _arranged_gram(units[(i + 1, j + 1)])
-             for i, j in zip(*np.nonzero(dense))}
     # λ_min(CᴴC) and ‖products‖_F² of each pair (i, j) x (j, k).
     lam, trace = np.zeros((2, p, p, p))
-    for i, k in b.blocks.groupoid().arrows():
-        js = np.flatnonzero(dense[i - 1] & dense[:, k - 1])
-        if b.fibres[(i, k)].dim and len(js):
-            lam[i - 1, js, k - 1], trace[i - 1, js, k - 1] = _gram_spectra(
-                b.fibres[(i, k)], [(grams[(i, j + 1)], grams[(j + 1, k)])
-                                   for j in js])
+    i, j, k = np.nonzero(dense[:, :, None] & dense[None, :, :]
+                         & (dim[:, None, :] > 0))
+    order, groups = classes.groups((i, j), (j, k), (i, k))
+    i, j, k = i[order], j[order], k[order]
+    g, h, gh = pos[i, j], pos[j, k], pos[i, k]
+    grams: dict = {}
+    spectra = []
+    for (cg, ch, ct), group in groups:
+        for c in (cg, ch):
+            if c not in grams:
+                grams[c] = _arranged_gram(np.stack(
+                    [f.units for f in classes.members[c]]))
+        target = classes.members[ct][0]
+        ni, nk = target.ambient_shape
+        nj = classes.members[cg][0].cols
+        target = None if target.is_full else SpanStack(classes.members[ct])
+        # The Gram matrices a run gathers and forms.
+        for run in _runs(group, (ni * nj) ** 2 + (nj * nk) ** 2
+                         + (ni * nk) ** 2):
+            spectra.append(_gram_spectra(take(grams[cg], g[run]),
+                                         take(grams[ch], h[run]),
+                                         ni, nk, target, gh[run]))
+    if spectra:
+        lam[i, j, k], trace[i, j, k] = np.concatenate(spectra, axis=1)
     dg, dh, dt = dim[:, :, None], dim[None, :, :], dim[:, None, :]
     spans = (lam > certify * trace) & (np.minimum(lam, trace) > _gram_guard(
         dg, dh, sizes[None, :, None], np.outer(sizes, sizes)[:, None, :]))
     deficiency = np.where(spans, 0, dt)
     for i, j, k in zip(*np.nonzero(~spans & (dg > 0) & (dh > 0) & (dt > 0))):
-        prods = _basis_products(units[(i + 1, j + 1)], units[(j + 1, k + 1)])
+        prods = _basis_products(b.fibres[(i + 1, j + 1)].units,
+                                b.fibres[(j + 1, k + 1)].units)
         deficiency[i, j, k] -= numerical_rank(prods.reshape(len(prods), -1),
                                               tol.rel)
     i, j, k = (np.argwhere(deficiency == deficiency.max())[0] + 1).tolist()
@@ -362,25 +485,29 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
 def _arranged_gram(u: np.ndarray) -> np.ndarray:
     """The Gram matrix ``X = UᴴU`` of an ``(a, r, s)`` stack flattened to
     rows ``U``, arranged ``(r², s²)``: ``((r, r'), (s, s'))`` holds
-    ``X[(r, s), (r', s')]``."""
-    a, r, s = u.shape
-    flat = u.reshape(a, r * s)
-    return ((flat.conj().T @ flat).reshape(r, s, r, s).transpose(0, 2, 1, 3)
-            .reshape(r * r, s * s))
+    ``X[(r, s), (r', s')]``; of each such stack of an ``(m, a, r, s)``
+    array, in one stacked GEMM."""
+    *lead, a, r, s = u.shape
+    flat = u.reshape(-1, a, r * s)
+    gram = np.conjugate(flat.transpose(0, 2, 1), order="C") @ flat
+    return (gram.reshape(-1, r, s, r, s).transpose(0, 1, 3, 2, 4)
+            .reshape(*lead, r * r, s * s))
 
 
-def _gram_spectra(target: SubspaceBasis, pairs):
+def _gram_spectra(x: np.ndarray, y: np.ndarray, ni: int, nk: int,
+                  target: SpanStack | None, which):
     """``λ_min(CᴴC)`` and ``‖P‖_F² = tr PᴴP`` for the products ``P`` of
-    each pair of :func:`_arranged_gram` matrices into ``target``: ``PᴴP``
-    is their GEMM, transposed, as the product is bilinear, and ``CᴴC`` its
-    :meth:`SubspaceBasis.compress` unless the target is full."""
-    ni, nk = target.ambient_shape
-    gram = (np.stack([x @ y for x, y in pairs])
-            .reshape(-1, ni, ni, nk, nk).transpose(0, 1, 3, 2, 4)
+    each pair ``x[t], y[t]`` of :func:`_arranged_gram` matrices into
+    fibres of shape ``(ni, nk)``: ``PᴴP`` is their GEMM, transposed, as
+    the product is bilinear, and ``CᴴC`` its compression by basis
+    ``which[t]`` of ``target`` (:meth:`SpanStack.compress`), or itself
+    when the targets are full (``target`` None); the two as the rows of a
+    ``(2, m)`` array."""
+    gram = ((x @ y).reshape(-1, ni, ni, nk, nk).transpose(0, 1, 3, 2, 4)
             .reshape(-1, ni * nk, ni * nk))
-    lam = np.linalg.eigvalsh(gram if target.is_full
-                             else target.compress(gram))[:, 0]
-    return lam, np.einsum("mii->m", gram).real
+    lam = np.linalg.eigvalsh(gram if target is None
+                             else target.compress(gram, which))[:, 0]
+    return np.stack([lam, np.einsum("mii->m", gram).real])
 
 
 def _gram_guard(dg, dh, nj, n):
@@ -441,20 +568,29 @@ def fibres_from_json(data, blocks: BlockStructure,
         return {}
     if not isinstance(data, dict):
         raise InputError(f"{label}s: expected an object keyed by 'i,j'")
-    fibres = {}
-    for key, mats in data.items():
-        try:
-            i, j = (int(x) for x in key.split(","))
-        except ValueError:
-            raise InputError(f"{label} key {key!r} is not of the form 'i,j'")
-        if not (1 <= i <= blocks.p and 1 <= j <= blocks.p):
-            raise InputError(f"{label} key {key!r} out of range for "
-                             f"{blocks.p} objects")
-        if (i, j) in fibres:
-            raise InputError(f"{label} key {key!r} repeats arrow ({i},{j})")
-        fibres[(i, j)] = subspace_from_json(
-            mats, blocks.sizes[i - 1], blocks.sizes[j - 1], f"{label} {key}")
-    return fibres
+    stacks = {}
+    try:
+        for key, mats in data.items():
+            try:
+                i, j = (int(x) for x in key.split(","))
+            except ValueError:
+                raise InputError(f"{label} key {key!r} is not of the form "
+                                 f"'i,j'")
+            if not (1 <= i <= blocks.p and 1 <= j <= blocks.p):
+                raise InputError(f"{label} key {key!r} out of range for "
+                                 f"{blocks.p} objects")
+            if (i, j) in stacks:
+                raise InputError(f"{label} key {key!r} repeats arrow "
+                                 f"({i},{j})")
+            stacks[(i, j)] = stack_from_json(
+                mats, blocks.sizes[i - 1], blocks.sizes[j - 1],
+                f"{label} {key}")
+    except NcgError:
+        # Fibres are refused in key order: a dependent one read before
+        # the faulty entry comes first.
+        SubspaceBasis.batch(list(stacks.values()))
+        raise
+    return dict(zip(stacks, SubspaceBasis.batch(list(stacks.values()))))
 
 
 def bundle_to_json(b: FellBundleFD) -> dict:

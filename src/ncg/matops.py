@@ -9,7 +9,7 @@ ndarrays, converted to and from text once, at the file boundary:
 :func:`write_json` is the single writer, byte for byte
 ``json.dumps(obj, indent=2, sort_keys=True)`` of the document with each
 array spelled as its nested lists of pairs, and :func:`matrix_from_json` /
-:func:`subspace_from_json` decode a whole matrix or basis list in one
+:func:`stack_from_json` decode a whole matrix or basis list in one
 checked step, falling back to a cell-by-cell decoder that names the fault.
 """
 
@@ -51,6 +51,10 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Complex entries (1 MiB) of the stacks that one batched call takes;
+# a single stack with more entries runs alone.
+BATCH_ENTRIES = 2 ** 16
 
 
 def as_matrix(value, label: str = "matrix", shape=None) -> np.ndarray:
@@ -143,8 +147,9 @@ class SubspaceBasis:
     are recognised without an SVD: they are their own unit rows and
     orthonormal basis, which is what the SVD returns for them.  The basis
     is an iterable of matrices, each checked by :func:`as_matrix`, or one
-    finite ``(k, rows, cols)`` array, checked at once.  Instances are
-    immutable.
+    finite ``(k, rows, cols)`` array, checked at once.  :meth:`batch`
+    decides many stacks at once, one vectorised pass per shape; a single
+    basis is a batch of one.  Instances are immutable.
 
     Distances to the span (:meth:`residuals`) are taken one of two ways,
     chosen by ``k`` and ``N = rows * cols`` alone.  A basis that fills at
@@ -160,48 +165,30 @@ class SubspaceBasis:
                  "_perp")
 
     def __init__(self, rows: int, cols: int, matrices: Iterable,
-                 tol: Tolerance = DEFAULT_TOL):
-        rows = int(rows)
-        cols = int(cols)
-        if rows < 1 or cols < 1:
-            raise ShapeError("SubspaceBasis: ambient shape must be positive")
-        if (isinstance(matrices, np.ndarray)
-                and matrices.dtype.kind in "biufc"
-                and matrices.shape[1:] == (rows, cols)
-                and np.isfinite(matrices).all()):
-            stack = np.array(matrices, dtype=complex, order="C")
-        else:
-            mats = [as_matrix(m, f"SubspaceBasis element {k}", (rows, cols))
-                    for k, m in enumerate(matrices)]
-            stack = (np.stack(mats) if mats
-                     else np.zeros((0, rows, cols), dtype=complex))
-        k, n = len(stack), rows * cols
-        flat = stack.reshape(k, n)
-        if (k == n and (flat.ravel()[::k + 1] == 1).all()
-                and np.count_nonzero(flat.view(np.uint64)) == k):
-            # The identity: its diagonal holds the only nonzero words.
-            units, vh = stack, flat
-        elif k:
-            # Rank of the unit-norm rows, so that elements of very
-            # different size count alike.
-            units = unit_rows(stack)
-            _, s, vh = np.linalg.svd(units.reshape(k, n),
-                                     full_matrices=2 * k >= n)
-            rank = int(np.count_nonzero(s > tol.rel * s[0])) if s[0] else 0
-            if rank != k:
-                raise InputError(
-                    f"SubspaceBasis: basis is linearly dependent "
-                    f"(rank {rank} < {k})"
-                )
-        else:
-            units, vh = stack, np.zeros((0, n), dtype=complex)
-        self.rows = rows
-        self.cols = cols
+                 tol: Tolerance = DEFAULT_TOL, *, _parts=None):
+        # ``_parts``: the stack and its :func:`_orthonormal_bases` entry,
+        # when :meth:`batch` has decided them.
+        if _parts is None:
+            stack = _basis_stack(rows, cols, matrices)
+            _parts = (stack, *_orthonormal_bases([stack], tol)[0])
+        stack, units, vh, vh_conj = _parts
+        k, self.rows, self.cols = stack.shape
         self.stack = stack
         self.units = units
         self._onb = vh[:k]
-        self._onb_conj = self._onb.conj()
-        self._perp = vh[k:].conj().T if 2 * k >= n else None
+        self._onb_conj = vh_conj[:k]
+        self._perp = vh_conj[k:].T if 2 * k >= self.rows * self.cols else None
+
+    @classmethod
+    def batch(cls, stacks, tol: Tolerance = DEFAULT_TOL) -> list:
+        """One basis per ``(k, rows, cols)`` stack of :func:`stack_from_json`
+        (complex, C-contiguous, finite), in order.  The stacks of one shape
+        are decided together, by one :func:`unit_rows` and one stacked SVD
+        per :data:`BATCH_ENTRIES` entries; a dependent stack is refused as
+        by the constructor, the first in order."""
+        return [cls(*stack.shape[1:], None, tol, _parts=(stack, *parts))
+                for stack, parts in zip(stacks,
+                                        _orthonormal_bases(stacks, tol))]
 
     @property
     def dim(self) -> int:
@@ -237,16 +224,14 @@ class SubspaceBasis:
         """``V G Vᴴ`` for each ``G`` of a stack, ``V`` the orthonormal basis:
         ``CᴴC`` for the :meth:`coordinates` ``C`` of elements ``P`` whose
         flattened Gram matrix is ``G = PᴴP``."""
-        return self._onb @ grams @ self._onb_conj.T
+        return SpanStack((self,)).compress(grams, [0])
 
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack:
         the norm of each element's part in the complement, ``W̄ p``, or
         of what its projection leaves for a thin basis."""
         flat = self._flat(stack, "residuals")
-        if self._perp is None:
-            return row_norms(flat - (flat @ self._onb_conj.T) @ self._onb)
-        return row_norms(flat @ self._perp)
+        return SpanStack((self,)).residuals(flat[None], [0])[0]
 
     def _flat(self, stack: np.ndarray, label: str) -> np.ndarray:
         """A ``(k, rows, cols)`` stack as ``(k, rows * cols)`` rows."""
@@ -261,6 +246,131 @@ class SubspaceBasis:
         v = x.reshape(-1)
         proj = self._onb.T @ (self._onb_conj @ v)
         return proj.reshape(self.rows, self.cols)
+
+
+def _basis_stack(rows: int, cols: int, matrices: Iterable) -> np.ndarray:
+    """The complex ``(k, rows, cols)`` stack of a basis given as an
+    iterable of matrices, each checked by :func:`as_matrix`, or as one
+    finite ``(k, rows, cols)`` array, checked at once."""
+    rows = int(rows)
+    cols = int(cols)
+    if rows < 1 or cols < 1:
+        raise ShapeError("SubspaceBasis: ambient shape must be positive")
+    if (isinstance(matrices, np.ndarray)
+            and matrices.dtype.kind in "biufc"
+            and matrices.shape[1:] == (rows, cols)
+            and np.isfinite(matrices).all()):
+        return np.array(matrices, dtype=complex, order="C")
+    mats = [as_matrix(m, f"SubspaceBasis element {k}", (rows, cols))
+            for k, m in enumerate(matrices)]
+    return (np.stack(mats) if mats
+            else np.zeros((0, rows, cols), dtype=complex))
+
+
+def _orthonormal_bases(stacks, tol: Tolerance) -> list:
+    """``(units, vh, conj(vh))`` of each stack of a list: its
+    :func:`unit_rows` and ``vh`` of their SVD, all ``N = rows * cols``
+    rows of it for a stack of ``2k >= N`` elements.  The row-major matrix
+    units, bit for bit, are their own unit rows and ``vh``.  Stacks of one
+    shape share each vectorised step, as many as fill
+    :data:`BATCH_ENTRIES`; a stack whose unit rows have numerical rank
+    below ``k`` is refused, the first in order."""
+    out = [None] * len(stacks)
+    shapes: dict = {}
+    for idx, stack in enumerate(stacks):
+        shapes.setdefault(stack.shape, []).append(idx)
+    refused = []
+    for (k, rows, cols), members in shapes.items():
+        n = rows * cols
+        if not k:
+            vh = np.zeros((0, n), dtype=complex)
+            for idx in members:
+                out[idx] = (stacks[idx], vh, vh)
+            continue
+        step = max(1, BATCH_ENTRIES // (k * n))
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            flats = np.stack([stacks[idx] for idx in chunk]).reshape(-1, k, n)
+            rest = np.arange(len(chunk))
+            if k == n:
+                # The identity: its diagonal holds the only nonzero words.
+                identity = (flats.reshape(len(chunk), -1)[:, ::k + 1]
+                            == 1).all(axis=1)
+                if identity.any():
+                    words = flats.view(np.uint64).reshape(len(chunk), -1)
+                    identity &= np.count_nonzero(words, axis=1) == k
+                for pos in np.flatnonzero(identity).tolist():
+                    stack = stacks[chunk[pos]]
+                    flat = stack.reshape(k, n)
+                    out[chunk[pos]] = (stack, flat, flat.conj())
+                rest = rest[~identity]
+            if not len(rest):
+                continue
+            # Rank of the unit-norm rows, so that elements of very
+            # different size count alike.
+            units = unit_rows(take(flats, rest).reshape(-1, n)).reshape(
+                -1, k, rows, cols)
+            _, s, vh = np.linalg.svd(units.reshape(-1, k, n),
+                                     full_matrices=2 * k >= n)
+            vh_conj = vh.conj()
+            ranks = np.count_nonzero(s > tol.rel * s[:, :1], axis=1).tolist()
+            for c, pos in enumerate(rest.tolist()):
+                if ranks[c] != k:
+                    refused.append((chunk[pos], ranks[c], k))
+                out[chunk[pos]] = (units[c], vh[c], vh_conj[c])
+    if refused:
+        _, rank, k = min(refused)
+        raise InputError(f"SubspaceBasis: basis is linearly dependent "
+                         f"(rank {rank} < {k})")
+    return out
+
+
+def take(a: np.ndarray, which) -> np.ndarray:
+    """``a[which]`` for an index array, a view of ``a`` for one index."""
+    return a[which[0]:which[0] + 1] if len(which) == 1 else a[which]
+
+
+class SpanStack:
+    """Bases of one shape and dimension, each operand of theirs stacked on
+    first use, so that one stacked matmul measures or compresses a batch
+    of elements, element ``t`` against basis ``which[t]``.  The
+    complements are stacked by rows and passed as their transposes, the
+    layout :meth:`SubspaceBasis.residuals` of a single basis has always
+    used, so that a one-row batch takes the same BLAS path."""
+
+    __slots__ = ("bases", "_stacks")
+
+    _OPERANDS = {"onb": lambda b: b._onb, "onb_conj": lambda b: b._onb_conj,
+                 "perp_rows": lambda b: b._perp.T}
+
+    def __init__(self, bases):
+        self.bases = bases
+        self._stacks: dict = {}
+
+    def _take(self, name: str, which) -> np.ndarray:
+        """Operand ``name`` of basis ``which[t]`` for each ``t``."""
+        if name not in self._stacks:
+            self._stacks[name] = np.stack(
+                [self._OPERANDS[name](b) for b in self.bases])
+        return take(self._stacks[name], which)
+
+    def residuals(self, flat: np.ndarray, which) -> np.ndarray:
+        """:meth:`SubspaceBasis.residuals` of the rows ``flat[t]`` of an
+        ``(m, c, rows * cols)`` array from basis ``which[t]``, as an
+        ``(m, c)`` array."""
+        if self.bases[0]._perp is None:
+            conj = self._take("onb_conj", which).transpose(0, 2, 1)
+            part = flat - (flat @ conj) @ self._take("onb", which)
+        else:
+            part = flat @ self._take("perp_rows", which).transpose(0, 2, 1)
+        m, c, width = part.shape
+        return row_norms(part.reshape(m * c, width)).reshape(m, c)
+
+    def compress(self, grams: np.ndarray, which) -> np.ndarray:
+        """:meth:`SubspaceBasis.compress` of each ``grams[t]`` by basis
+        ``which[t]``."""
+        return (self._take("onb", which) @ grams
+                @ self._take("onb_conj", which).transpose(0, 2, 1))
 
 
 # JSON numbers decode to exactly these types; ``bool`` is excluded.
@@ -282,16 +392,18 @@ def matrix_from_json(data, label: str = "matrix", shape=None) -> np.ndarray:
     return m
 
 
-def subspace_from_json(data, rows: int, cols: int,
-                       label: str = "fibre") -> SubspaceBasis:
-    """Decode a list of ``rows x cols`` matrices into their span."""
+def stack_from_json(data, rows: int, cols: int,
+                    label: str = "fibre") -> np.ndarray:
+    """Decode a list of ``rows x cols`` matrices into the stack that
+    :meth:`SubspaceBasis.batch` takes."""
     if not isinstance(data, list):
         raise InputError(f"{label}: expected an array of matrices")
     stack = _checked_array(data, 3)
     if stack is None or stack.shape[1:] != (rows, cols):
-        stack = [_matrix_from_cells(m, f"{label}[{k}]")
-                 for k, m in enumerate(data)]
-    return SubspaceBasis(rows, cols, stack)
+        return _basis_stack(rows, cols, [
+            _matrix_from_cells(m, f"{label}[{k}]")
+            for k, m in enumerate(data)])
+    return stack
 
 
 def _checked_array(data, ndim: int):

@@ -15,7 +15,7 @@ into a full fibre by theorem; here ``all_products_closure`` projects
 every basis product on its target fibre, full or not.  The library
 measures a product's distance from a fibre at least half full through
 the fibre's orthogonal complement, exactly 0 for a full one, and batches
-the products of one target; ``projection_residuals`` keeps the
+the products of one shape class of pairs; ``projection_residuals`` keeps the
 projection ``‖p - V̄ᵀ(V̄ p)‖`` on the fibre's orthonormal basis ``V``
 for every fibre, and ``all_products_closure``, ``all_adjoints_involution``
 and ``all_identities_unital`` decide ``fell.axiom.2``, ``fell.axiom.6``

@@ -106,7 +106,8 @@ def check_bundle_json(path, threads):
 
 
 @pytest.mark.parametrize("sizes,split", [((6, 6, 6, 6), None),
-                                         ((8, 8, 8, 8), 4)])
+                                         ((8, 8, 8, 8), 4),
+                                         ((2,) * 8, None), ((4,) * 8, 2)])
 def test_reports_do_not_depend_on_blas_threads(sizes, split, tmp_path):
     b = conjugated_bundle(np.random.default_rng([20261204, len(sizes)]),
                           sizes, split)

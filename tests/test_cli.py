@@ -500,6 +500,23 @@ class TestCheckBundle:
         assert run(["check", "bundle", path]) == 1
         assert "FAIL  fell.saturated" in capsys.readouterr().out
 
+    def test_module_run_exits_as_main(self, tmp_path):
+        # ``python -m ncg.cli`` runs the command: a failing check exits 1
+        # with the report ``main()`` prints.
+        data = {"blocks": [1, 1],
+                "fibres": {"1,1": [[[[1.0, 0.0]]]], "2,2": [[[[1.0, 0.0]]]]}}
+        path = write(tmp_path / "unsaturated.json", data)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(ncg.__file__).resolve().parents[1])}
+        procs = [subprocess.run(
+            [sys.executable, *launch, "check", "bundle", path],
+            capture_output=True, text=True, env=env, timeout=60)
+            for launch in (["-m", "ncg.cli"],
+                           ["-c", "from ncg.cli import main; main()"])]
+        assert [(p.returncode, p.stderr) for p in procs] == [(1, "")] * 2
+        assert procs[0].stdout == procs[1].stdout
+        assert "FAIL  fell.saturated" in procs[0].stdout
+
 
 class TestPipelines:
     def test_categorify_then_to_fell(self, standard_triple_file, tmp_path,

@@ -1,5 +1,5 @@
 """The one-step decode of ``matops.matrix_from_json`` and
-``subspace_from_json`` against the per-cell decoder behind it.
+``stack_from_json`` against the per-cell decoder behind it.
 
 For every input the bulk step ``_checked_array`` either accepts, and its
 values are bit for bit those of the per-cell loop ``_matrix_from_cells``,
@@ -22,7 +22,7 @@ from ncg import (SubspaceBasis, build_triple_from_mass_matrix, categorify,
                  fell_triple_from_category)
 from ncg.errors import InputError, NcgError
 from ncg.matops import (ENTRY_BOUND, _checked_array, _matrix_from_cells,
-                        matrix_from_json, subspace_from_json)
+                        matrix_from_json, stack_from_json)
 
 
 def outcome(fn, *args):
@@ -36,8 +36,14 @@ def outcome(fn, *args):
     return ("ok", a.dtype.str, a.shape, a.tobytes())
 
 
+def bulk_basis(data, rows, cols, label):
+    """A fibre as the bundle reader decodes it: :func:`stack_from_json`,
+    then :meth:`SubspaceBasis.batch`."""
+    return SubspaceBasis.batch([stack_from_json(data, rows, cols, label)])[0]
+
+
 def cell_basis(data, rows, cols, label):
-    """:func:`subspace_from_json` with the per-cell decoder alone."""
+    """:func:`bulk_basis` with the per-cell decoder alone."""
     if not isinstance(data, list):
         raise InputError(f"{label}: expected an array of matrices")
     return SubspaceBasis(rows, cols, [_matrix_from_cells(m, f"{label}[{k}]")
@@ -62,7 +68,7 @@ def check_basis(data, rows, cols) -> bool:
         for k, m in enumerate(data):
             assert outcome(_matrix_from_cells, m, "D") == (
                 "ok", bulk.dtype.str, bulk.shape[1:], bulk[k].tobytes())
-    assert (outcome(subspace_from_json, data, rows, cols, "fibre 1,2")
+    assert (outcome(bulk_basis, data, rows, cols, "fibre 1,2")
             == outcome(cell_basis, data, rows, cols, "fibre 1,2"))
     return bulk is not None
 

@@ -1,10 +1,10 @@
 """Distances to a span through its orthogonal complement, and closure
-batched per target fibre, against the projection of ``oracles``.
+batched per shape class of pairs, against the projection of ``oracles``.
 
 ``SubspaceBasis.residuals`` measures ``‖W̄ p‖`` on the complement ``W`` of
 a basis at least half full, exactly 0 for a full one, and projects for a
-thinner one; ``check_fell_axioms`` measures the products of every pair
-into one target in as few calls as its buffer allows.  These seeded
+thinner one; ``check_fell_axioms`` measures the products of the pairs of
+one shape class in as few calls as its buffer allows.  These seeded
 property tests compare both with ``oracles.projection_residuals``, pair
 by pair, on targets that are thin, half full, more than half full, full
 and explicit, the matrix units and empty, with out-of-fibre components
@@ -193,9 +193,10 @@ def plant_of(kind, margin):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
 def test_closure_agrees_with_the_oracle(kind, tol, cap, monkeypatch):
-    # "alone" runs every pair with its own products, "split" fills the
-    # buffer with the pair through object 1 and flushes before the one
-    # through object 2, "shared" measures both in one call.
+    # "alone" runs every pair with its own products, "split" gives the
+    # buffer room for the products of one pair into the target, "shared"
+    # is the default buffer.  The pairs through objects 1 and 2 differ in
+    # shape class once the plant enlarges fibre (2,3).
     for seed in SEEDS:
         for margin in MARGINS:
             rng = np.random.default_rng([20261121, seed, KINDS.index(kind)])
@@ -248,3 +249,16 @@ def test_batching_changes_no_row(monkeypatch):
     for row in rows.values():
         assert (row.passed, row.witness) == (first.passed, first.witness)
         assert row.residual == pytest.approx(first.residual, rel=1e-14)
+
+
+def test_runs_keep_the_report_order():
+    # Shape classes are measured out of report order: among equal worst
+    # residuals the witness is the first in report order, whichever run
+    # measured it first.  Item 0 owns places 0-1 and item 1 places 2-4.
+    worst = fellbundle._Worst(Tolerance(), np.array([0, 2, 5]),
+                              lambda place, t: f"place {place} of item {t}")
+    worst.add(np.array([1]), np.array([[0.0, 3.0, 3.0]]), np.ones(3))
+    worst.add(np.array([0]), np.array([[1.0, 3.0]]), np.ones(2))
+    row = worst.check("fell.axiom.2", "")
+    assert (row.passed, row.residual, row.witness) == (
+        False, 3.0, "place 1 of item 0")

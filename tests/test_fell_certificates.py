@@ -23,13 +23,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import crandn, random_unitary
+from conftest import crandn, json_document, random_unitary
 from oracles import THEOREM_ROWS, exhaustive_rows, fell_gate, theorem_rows
 
 import ncg.fellbundle as fellbundle
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
-                 check_bundle, check_fell_axioms, check_saturated)
-from ncg.matops import unit_rows
+                 bundle_from_json, bundle_to_json, check_bundle,
+                 check_fell_axioms, check_saturated)
+from ncg.matops import SpanStack, unit_rows
 
 TOLS = [Tolerance(rel=1e-17), Tolerance(), Tolerance(rel=0.5)]
 # Rows that measure distances to a fibre, exactly 0 for a full one.
@@ -141,25 +142,31 @@ def test_products_at_the_axiom_4_margin(seed, side):
         assert check_bundle(b, tol).find("fell.axiom.4").residual == 0.0
 
 
-def rank_threshold_bundle(rng, t):
+def rank_threshold_bundle(rng, t, copies=1):
     """Blocks (2, 1): fibre (1,2) is spanned by two unit columns at angle
     ``θ = 2 atan t``, whose singular values have ratio ``tan(θ/2) = t``,
     and fibre (2,1) by orthonormal rows.  Their products span the full
     fibre (1,1) with singular values in the same ratio.  The elements
     have unit norm, so saturation's rescaling keeps the ratio, and the
     small entry ``sin θ`` is exact even below rounding; fibre (1,2) is
-    built without a rank test."""
+    built without a rank test.  With ``copies`` objects of size 1, each
+    is attached to object 1 the same way, with its own phases and rows,
+    and the fibres among them hold the scalars, so that several pairs
+    share each shape class."""
     theta = 2 * np.arctan(t)
-    phases = np.exp(2j * np.pi * rng.random(2))
-    x = phases[:, None] * np.array([[1.0, np.cos(theta)],
-                                    [0.0, np.sin(theta)]])
-    y = random_unitary(rng, 2)
-    fibres = {(1, 1): SubspaceBasis(2, 2, _units(2, 2)),
-              (1, 2): SubspaceBasis(2, 1, x.T[:, :, None],
-                                    Tolerance(rel=0.0)),
-              (2, 1): SubspaceBasis(1, 2, y[:, None, :]),
-              (2, 2): SubspaceBasis(1, 1, [[[1.0]]])}
-    return FellBundleFD(BlockStructure((2, 1)), fibres)
+    ones = range(2, copies + 2)
+    fibres = {(m, n): SubspaceBasis(1, 1, [[[1.0]]])
+              for m in ones for n in ones}
+    fibres[(1, 1)] = SubspaceBasis(2, 2, _units(2, 2))
+    for m in ones:
+        phases = np.exp(2j * np.pi * rng.random(2))
+        x = phases[:, None] * np.array([[1.0, np.cos(theta)],
+                                        [0.0, np.sin(theta)]])
+        y = random_unitary(rng, 2)
+        fibres[(1, m)] = SubspaceBasis(2, 1, x.T[:, :, None],
+                                       Tolerance(rel=0.0))
+        fibres[(m, 1)] = SubspaceBasis(1, 2, y[:, None, :])
+    return FellBundleFD(BlockStructure((2,) + (1,) * copies), fibres)
 
 
 @pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
@@ -167,10 +174,11 @@ def rank_threshold_bundle(rng, t):
 @pytest.mark.parametrize("seed", range(3))
 def test_span_at_the_rank_threshold(seed, side, tol):
     rng = np.random.default_rng([20261105, seed])
-    b = rank_threshold_bundle(rng, tol.rel * side)
-    same_report(b, [tol])
-    if tol.rel == 1e-9:
-        assert check_saturated(b, tol).passed == (side > 1)
+    for copies in (1, 3):
+        b = rank_threshold_bundle(rng, tol.rel * side, copies)
+        same_report(b, [tol])
+        if tol.rel == 1e-9:
+            assert check_saturated(b, tol).passed == (side > 1)
 
 
 # At rel = 0.5 the threshold is ‖products‖_F², above the λ_min(CᴴC) ≤
@@ -233,6 +241,23 @@ def test_matrix_unit_bundle_skips_the_idle_svds(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden("eigvalsh"))
     assert check_fell_axioms(b).all_passed
     assert seen == []
+
+
+def test_svd_and_eigvalsh_calls_follow_the_shape_classes(monkeypatch):
+    # All fibres of a conjugated (2,)*16 bundle form one shape class, and
+    # all its 4096 pairs another: reading it takes one SVD and saturation
+    # one eigvalsh per buffer of Gram matrices, four in all, not one per
+    # fibre or per target fibre (256 each).
+    b = conjugated_bundle(np.random.default_rng(20261121), (2,) * 16)
+    doc = json_document(bundle_to_json(b))
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        kernel = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name,
+                            kernel=kernel, **kw: (calls.append(name)
+                                                  or kernel(*args, **kw)))
+    assert check_bundle(bundle_from_json(doc)).all_passed
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (1, 4)
 
 
 @pytest.mark.parametrize("tol", TOLS, ids=lambda t: f"rel{t.rel:g}")
@@ -304,6 +329,22 @@ def mixed_bundles():
         rng = np.random.default_rng([20261115, seed])
         yield f"near underflow {seed}", with_full_fibres(
             rng, near_underflow_bundle(seed))
+    # Many small blocks, and sizes that make several shape classes of
+    # fibres and of pairs in one bundle.
+    for sizes in [(2,) * 8, (1,) * 12, (1, 2, 1, 3, 2, 2)]:
+        rng = np.random.default_rng([20261119, len(sizes)])
+        yield f"generic {sizes}", with_full_fibres(
+            rng, generic_bundle(rng, sizes))
+    # M_2 + M_2 fibres on six objects with an off-diagonal corner element
+    # planted in fibre (1,2) and the pair of fibres (2,5), (5,2) dropped.
+    rng = np.random.default_rng(20261120)
+    b = conjugated_bundle(rng, (4,) * 6, 2)
+    corner = np.zeros((4, 4), dtype=complex)
+    corner[0, 3] = 1.0
+    fibres = {g: f for g, f in b.fibres.items() if g not in ((2, 5), (5, 2))}
+    fibres[(1, 2)] = SubspaceBasis(4, 4, list(fibres[(1, 2)].stack)
+                                   + [corner])
+    yield "split planted", FellBundleFD(b.blocks, fibres)
     # Fibre (1,1) holds the diagonal matrices, closed to rounding at unit
     # size, and the full fibre (2,2) has elements of size about 1e6, whose
     # products the oracle projects with residuals above rel 1e-17.
@@ -349,19 +390,22 @@ def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
     # all certify, with full and other targets, it forms no product and
     # takes no coordinates at all.
     rng = np.random.default_rng(20261116)
+    # Closure batches pairs across targets, so the products it forms are
+    # counted: exactly those of the pairs into fibres that are not full.
     b = with_full_fibres(rng, conjugated_bundle(rng, (4, 4, 2), 2))
-    arrow = {id(f.stack): g for g, f in b.fibres.items()}
-    targets = []
+    formed = []
     products = fellbundle._basis_products
 
     def spy_products(x, y, out=None):
-        targets.append((arrow[id(x)][0], arrow[id(y)][1]))
+        formed.append(x.size // x.shape[-1] // x.shape[-2] * y.shape[-3])
         return products(x, y, out)
 
     monkeypatch.setattr(fellbundle, "_basis_products", spy_products)
     check_fell_axioms(b)
-    assert targets
-    assert not any(b.fibres[gh].is_full for gh in targets)
+    want = sum(b.fibres[(i, j)].dim * b.fibres[(j, k)].dim
+               for i, j, k in product(range(1, 4), repeat=3)
+               if not b.fibres[(i, k)].is_full)
+    assert want and sum(formed) == want
     assert any(f.is_full for f in b.fibres.values())
 
     # Diagonal fibres M_2 + M_2 inside M_4, full fibres elsewhere: every
@@ -396,13 +440,21 @@ def declined_pairs(b, tol):
             continue
         grams = [fellbundle._arranged_gram(unit_rows(f.stack))
                  for f in (g, h)]
-        lam, trace = fellbundle._gram_spectra(target, [grams])
+        lam, trace = gram_spectra(target, *grams)
         guard = fellbundle._gram_guard(g.dim, h.dim, sizes[j - 1],
                                        sizes[i - 1] * sizes[k - 1])
         if not (lam[0] > certify * trace[0] and lam[0] > guard
                 and trace[0] > guard):
             declined.add(((i, j), (j, k)))
     return declined
+
+
+def gram_spectra(target, x, y):
+    """``fellbundle._gram_spectra`` of one pair of arranged Gram matrices
+    into the fibre ``target``."""
+    spans = None if target.is_full else SpanStack((target,))
+    return fellbundle._gram_spectra(x[None], y[None], target.rows,
+                                    target.cols, spans, [0])
 
 
 def spy_on_products(monkeypatch, b):

@@ -19,14 +19,15 @@ import pytest
 from conftest import crandn, random_unitary
 from oracles import all_products_saturation
 from test_fell_certificates import (TOLS, conjugated_bundle,
-                                    generic_bundle, planted_bundles,
-                                    rank_threshold_bundle, spy_on_products)
+                                    generic_bundle, gram_spectra,
+                                    planted_bundles, rank_threshold_bundle,
+                                    spy_on_products)
 
 import ncg.fellbundle as fellbundle
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
                  check_saturated, full_morita_bundle)
 from ncg.fellbundle import (MAX_BLOCKS, _arranged_gram, _basis_products,
-                            _gram_guard, _gram_spectra)
+                            _gram_guard)
 from ncg.matops import unit_rows
 
 ALL_TOLS = TOLS + [Tolerance(rel=1e-6), Tolerance(rel=0.9)]
@@ -52,8 +53,7 @@ def test_contraction_matches_the_products(seed, scale):
     uh = unit_rows(scale * crandn(rng, dh, nj, nk))
     dt = ni * nk if seed % 2 else int(rng.integers(1, ni * nk + 1))
     target = SubspaceBasis(ni, nk, crandn(rng, dt, ni, nk))
-    lam, trace = _gram_spectra(target,
-                               [(_arranged_gram(ug), _arranged_gram(uh))])
+    lam, trace = gram_spectra(target, _arranged_gram(ug), _arranged_gram(uh))
     want_lam, want_trace = explicit_spectra(target, ug, uh)
     guard = _gram_guard(dg, dh, nj, ni * nk)
     assert abs(lam[0] - want_lam) <= guard
@@ -84,8 +84,9 @@ def test_products_vanishing_to_rounding_are_declined(seed, target_full,
     g, h = b.fibres[(1, 2)], b.fibres[(2, 3)]
     prods = _basis_products(unit_rows(g.stack), unit_rows(h.stack))
     assert np.abs(prods).max() < 1e-15
-    lam, trace = _gram_spectra(b.fibres[(1, 3)], [
-        (_arranged_gram(unit_rows(g.stack)), _arranged_gram(unit_rows(h.stack)))])
+    lam, trace = gram_spectra(b.fibres[(1, 3)],
+                              _arranged_gram(unit_rows(g.stack)),
+                              _arranged_gram(unit_rows(h.stack)))
     assert max(lam[0], trace[0]) <= _gram_guard(2, 2, 2, 4)
     for tol in ALL_TOLS:
         formed = spy_on_products(monkeypatch, b)
