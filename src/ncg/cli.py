@@ -154,7 +154,7 @@ def _cmd_categorify(args, tol: Tolerance) -> int:
 
 def _cmd_to_fell(args, tol: Tolerance) -> int:
     sc = spectral_category_from_json(_load_json(args.path), tol)
-    _dump_json(args.output, fell_triple_from_category(sc, tol).to_fell_json())
+    _dump_json(args.output, fell_triple_from_category(sc))
     print(f"wrote bundle triple to {args.output}")
     return 0
 

@@ -2,13 +2,18 @@
 
 The objects of a category here are the diagonal matrix algebras
 ``M_{n_i}(C)`` and ``Hom(j -> i)`` is a subspace of ``n_i x n_j`` matrices,
-so composition is literal matrix multiplication: a category is a
+so composition is literal matrix multiplication: a full category is a
 :class:`~ncg.fellbundle.FellBundleFD`, homsets as fibres, that passes
-:func:`category_from_bundle`.  The enveloping algebra ``M_n(C)`` carries
-the block-diagonal subalgebra ``A``; matrices with at most one nonzero
-block per block-row and block-column are exactly the normalisers of
-``A``, and self-adjoint matrices whose block support is an involutive
-permutation are domain sections, as :func:`section_checks` decides.
+every row of :func:`~ncg.fellbundle.check_bundle` (fullness is
+saturation), as :func:`category_from_bundle` decides.  The enveloping
+algebra ``M_n(C)`` carries the block-diagonal subalgebra ``A``; matrices
+with at most one nonzero block per block-row and block-column are
+exactly the normalisers of ``A``, and self-adjoint matrices whose block
+support is an involutive permutation are domain sections, as
+:func:`is_domain_section` decides by the rows of :func:`section_checks`.
+:func:`category_from_bundle` and :func:`is_domain_section` are the two
+halves of the one gate of a spectral category,
+:func:`ncg.geometry.spectral_category`.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .fellbundle import (BlockStructure, FellBundleFD, check_fell_axioms,
-                         check_unital)
+from .fellbundle import BlockStructure, FellBundleFD, check_bundle
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
                      matrix_from_json)
 from .report import AxiomCheck, AxiomReport, residual_checks
@@ -31,31 +35,20 @@ NORMALISER_KINDS = ("not_normaliser", "normaliser", "free", "invertible",
 
 def category_from_bundle(b: FellBundleFD,
                          tol: Tolerance = DEFAULT_TOL) -> FellBundleFD:
-    """The gate of a Fell bundle read as a category, fibres as homsets:
-    returns ``b`` itself.
+    """The bundle half of the spectral-category gate: returns ``b``
+    itself, its fibres read as the homsets of a full C*-category.
 
-    The bundle must pass the axioms and be unital (each diagonal fibre
-    then is a unital C*-algebra, giving the category its identities);
-    otherwise the failing report is attached to the refusal.  A full
-    bundle (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) is accepted by
-    theorem; any other bundle runs the exhaustive battery.
+    The bundle must pass every row of
+    :func:`~ncg.fellbundle.check_bundle`: the Fell axioms, saturation
+    (the category is full) and unitality (each diagonal fibre then is a
+    unital C*-algebra, giving the category its identities); otherwise the
+    failing report is attached to the refusal.  A full bundle
+    (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) passes them by
+    theorem; any other bundle runs the battery.
     """
     if not b.is_full:
-        AxiomReport(check_fell_axioms(b, tol).checks + (check_unital(b, tol),)
-                    ).require("bundle fails {}; not a C*-category")
+        check_bundle(b, tol).require("bundle fails {}; not a full C*-category")
     return b
-
-
-def conditional_expectation(bmat, blocks: BlockStructure) -> np.ndarray:
-    """Block-diagonal truncation ``P``: the faithful conditional
-    expectation of ``M_n(C)`` onto the block-diagonal algebra.
-
-    ``P`` is an idempotent *-map fixing the diagonal algebra; its kernel
-    is spanned by the free normalisers when all blocks have size one.
-    """
-    n = blocks.total
-    m = as_matrix(bmat, "conditional_expectation", (n, n))
-    return blocks.block_diagonal_part(m)
 
 
 @dataclass(frozen=True)
@@ -156,8 +149,11 @@ class DomainSection:
                            for j, blk in sorted(self.blocks_data.items())}}
 
 
-def domain_section_from_json(data, blocks: BlockStructure,
-                             tol: Tolerance = DEFAULT_TOL) -> DomainSection:
+def domain_section_from_json(data, blocks: BlockStructure) -> np.ndarray:
+    """Decode a ``sigma`` value, ``{"perm": [...], "blocks": {...}}``,
+    into its ``n x n`` matrix: block ``j`` at block row ``perm[j]``, zeros
+    elsewhere.  Decoding decides no row; :func:`is_domain_section` does,
+    inside :func:`ncg.geometry.spectral_category`."""
     if (not isinstance(data, dict) or not isinstance(data.get("perm"), list)
             or not isinstance(data.get("blocks"), dict)):
         raise InputError("domain section: expected {'perm': [...], "
@@ -186,7 +182,7 @@ def domain_section_from_json(data, blocks: BlockStructure,
     if missing:
         raise InputError(f"domain section: blocks has no key for "
                          f"column(s) {missing}")
-    return is_domain_section(assembled, blocks, tol)
+    return assembled
 
 
 def section_checks(m: np.ndarray, blocks: BlockStructure,
@@ -227,30 +223,24 @@ def section_checks(m: np.ndarray, blocks: BlockStructure,
                                "‖PL - PL*‖")))
 
 
-def section_from_support(m: np.ndarray, blocks: BlockStructure,
-                         support) -> DomainSection:
-    """The section of ``m`` on a support that :func:`section_checks`
-    accepted: the block at ``(π(j), j)`` for each column ``j``, zeros
-    elsewhere."""
-    blocks_data = {j: blocks.block(m, i, j).copy() for j, i in support}
-    assembled = np.zeros((blocks.total, blocks.total), dtype=complex)
-    for j, i in support:
-        assembled[blocks.block_slice(i), blocks.block_slice(j)] = \
-            blocks_data[j]
-    return DomainSection(tuple(i for _, i in support), blocks_data, assembled)
-
-
 def is_domain_section(sigma, blocks: BlockStructure,
                       tol: Tolerance = DEFAULT_TOL) -> DomainSection:
-    """Decompose a self-adjoint matrix with involutive block support.
+    """Decompose a self-adjoint matrix with involutive block support: the
+    section half of the spectral-category gate.
 
     The rows of :func:`section_checks` decide; a failing one refuses
     ``sigma`` through :meth:`~ncg.report.AxiomReport.require`, the refusal
-    carrying the rows.
+    carrying the rows.  The section takes the block at ``(π(j), j)`` for
+    each column ``j``, zeros elsewhere.
     """
     n = blocks.total
     m = as_matrix(sigma, "is_domain_section", (n, n))
     support, rows = section_checks(m, blocks, tol)
     AxiomReport(rows).require(
         "section fails {}; not a self-adjoint domain section")
-    return section_from_support(m, blocks, support)
+    blocks_data = {j: blocks.block(m, i, j).copy() for j, i in support}
+    assembled = np.zeros((n, n), dtype=complex)
+    for j, i in support:
+        assembled[blocks.block_slice(i), blocks.block_slice(j)] = \
+            blocks_data[j]
+    return DomainSection(tuple(i for _, i in support), blocks_data, assembled)

@@ -19,11 +19,11 @@ d_ij, d_jk, d_ik)`` are formed and measured by stacked calls
 :data:`_BATCH_ENTRIES` complex entries, and so are the adjoints of a
 class of fibres and the Gram matrices of saturation.  Reports keep the
 order of a pass over the arrows: a witness is the first worst element
-in arrow order.  The
-pass/refuse gates of the conversions (``category_from_bundle``,
-``fell_bundle_triple``) accept a bundle that :attr:`FellBundleFD.is_full`
-by theorem: a fibre of dimension ``n_i n_j`` is the whole matrix space, so
-the bundle's sectional algebra is ``M_n(C)``.
+in arrow order.  The bundle gate of the conversions
+(``category_from_bundle``, the bundle half of ``spectral_category``)
+accepts a bundle that :attr:`FellBundleFD.is_full` by theorem: a fibre
+of dimension ``n_i n_j`` is the whole matrix space, so the bundle's
+sectional algebra is ``M_n(C)``.
 """
 
 from __future__ import annotations

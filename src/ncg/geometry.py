@@ -5,8 +5,10 @@ A spectral category (a full C*-category with a self-adjoint domain
 section σ) and a bundle triple (a saturated unital bundle with a
 path-lifting operator ``PL`` on a global bisection) are one record,
 :class:`SpectralCStarCategoryFD`, with two file spellings: the homsets
-are the fibres and ``PL`` is σ assembled.  The round trips below are
-exact on matrix entries.
+are the fibres, fullness of the category is saturation of the bundle,
+and ``PL`` is σ assembled.  One constructor, :func:`spectral_category`,
+decides the record by every row ``ncg check bundle`` prints on it.  The
+round trips below are exact on matrix entries.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 
 from .cstarcat import (DomainSection, category_from_bundle,
                        domain_section_from_json, is_domain_section,
-                       section_checks, section_from_support)
+                       section_checks)
 from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_from_json, bundle_to_json, check_bundle,
-                         check_saturated, check_unital, fibres_from_json,
-                         fibres_to_json, full_morita_bundle)
+                         fibres_from_json, fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
                      frobenius, matrix_from_json, require_unitary)
 from .report import AxiomCheck, AxiomReport, WorstResidual
@@ -56,68 +57,37 @@ class SpectralCStarCategoryFD:
                 "homsets": fibres_to_json(self.bundle.fibres),
                 "sigma": self.sigma.to_json()}
 
-    def to_fell_json(self) -> dict:
-        return {**bundle_to_json(self.bundle), "hilbert_dim": self.hilbert_dim,
-                "PL": self.PL}
 
-
-def spectral_category(category: FellBundleFD, sigma: DomainSection,
+def spectral_category(bundle: FellBundleFD, section,
                       tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
-    """Pair a category with a section, refusing through
-    ``fell.path_lifting.in_fibres`` a section whose blocks are not all
-    morphisms of the category."""
-    blocks = category.blocks
-    if (len(sigma.support), len(sigma.assembled)) != (blocks.p, blocks.total):
-        raise InputError("section does not match the category's blocks")
-    AxiomReport((_in_fibres_check(category, sigma.assembled, tol),)).require(
+    """The one gate of the record: ``bundle`` (its fibres the homsets)
+    with the ``n x n`` operator ``section``, σ assembled, which is ``PL``.
+
+    After the shape of ``section``, the bundle half
+    (:func:`~ncg.cstarcat.category_from_bundle`: every row of
+    :func:`~ncg.fellbundle.check_bundle`) and the section half (the rows of
+    :func:`~ncg.cstarcat.is_domain_section`, then
+    ``fell.path_lifting.in_fibres``) decide; each refuses with its own
+    text."""
+    n = bundle.blocks.total
+    pl = as_matrix(section, "section", (n, n))
+    category = category_from_bundle(bundle, tol)
+    sigma = is_domain_section(pl, category.blocks, tol)
+    AxiomReport((_in_fibres_check(category, pl, tol),)).require(
         "section fails {}; not a spectral category")
     return SpectralCStarCategoryFD(category, sigma)
 
 
 def spectral_category_from_json(data,
                                 tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
+    """Decode a spectral category file, σ included, before any row is
+    decided, then gate it through :func:`spectral_category`."""
     if not isinstance(data, dict) or "blocks" not in data or "sigma" not in data:
         raise InputError("spectral category: expected 'blocks' and 'sigma'")
     blocks = blocks_from_json(data["blocks"])
     fibres = fibres_from_json(data.get("homsets"), blocks, "homset")
-    category = category_from_bundle(FellBundleFD(blocks, fibres), tol)
-    sigma = domain_section_from_json(data["sigma"], blocks, tol)
-    return spectral_category(category, sigma, tol)
-
-
-def fell_bundle_triple(bundle: FellBundleFD, pl,
-                       tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
-    """Read a bundle triple back as a spectral category, ``PL`` as its
-    section: the inverse of :func:`fell_triple_from_category`.  After the
-    bundle's gate, ``PL`` is refused with every failing row of
-    :func:`_path_lifting_checks`, those ``ncg check bundle`` appends, and
-    otherwise σ is built on the support those rows decided."""
-    n = bundle.blocks.total
-    pl = as_matrix(pl, "path-lifting operator", (n, n))
-    _require_triple_bundle(bundle, tol)
-    support, rows = _path_lifting_checks(bundle, pl, tol)
-    AxiomReport(rows).require(
-        "path-lifting operator fails {}; not a bundle triple")
-    return SpectralCStarCategoryFD(
-        bundle, section_from_support(pl, bundle.blocks, support))
-
-
-def _require_triple_bundle(bundle: FellBundleFD, tol: Tolerance) -> None:
-    """Refuse a bundle failing saturation or unitality; a full one
-    (:attr:`~ncg.fellbundle.FellBundleFD.is_full`) has both by theorem."""
-    if not bundle.is_full:
-        AxiomReport((check_saturated(bundle, tol), check_unital(bundle, tol))
-                    ).require("bundle fails {}; not a bundle triple")
-
-
-def _path_lifting_checks(bundle: FellBundleFD, pl: np.ndarray,
-                         tol: Tolerance):
-    """The support of ``PL`` and the rows deciding that it is a
-    self-adjoint domain section of ``bundle``: those of
-    :func:`~ncg.cstarcat.section_checks`, then fibre membership
-    (:func:`_in_fibres_check`)."""
-    support, rows = section_checks(pl, bundle.blocks, tol)
-    return support, rows + (_in_fibres_check(bundle, pl, tol),)
+    section = domain_section_from_json(data["sigma"], blocks)
+    return spectral_category(FellBundleFD(blocks, fibres), section, tol)
 
 
 def _in_fibres_check(bundle: FellBundleFD, pl: np.ndarray,
@@ -137,8 +107,9 @@ def _in_fibres_check(bundle: FellBundleFD, pl: np.ndarray,
 def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """The report of ``ncg check bundle`` on a decoded file: the bundle
     battery (:func:`~ncg.fellbundle.check_bundle`), then, for a bundle
-    triple carrying ``PL``, the three rows of :func:`_path_lifting_checks`.
-    A ``hilbert_dim`` other than ``Σ n_i`` is an input error."""
+    triple carrying ``PL``, the rows of :func:`~ncg.cstarcat.section_checks`
+    and :func:`_in_fibres_check`.  A ``hilbert_dim`` other than ``Σ n_i``
+    is an input error."""
     bundle = bundle_from_json(data)
     n = bundle.blocks.total
     dim = data.get("hilbert_dim", n)
@@ -148,7 +119,8 @@ def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     pl = matrix_from_json(data["PL"], "PL", (n, n)) if "PL" in data else None
     report = check_bundle(bundle, tol)
     return report if pl is None else AxiomReport(
-        report.checks + _path_lifting_checks(bundle, pl, tol)[1])
+        report.checks + section_checks(pl, bundle.blocks, tol)[1]
+        + (_in_fibres_check(bundle, pl, tol),))
 
 
 def categorify(t: FiniteSpectralTriple,
@@ -160,6 +132,8 @@ def categorify(t: FiniteSpectralTriple,
     block decomposition of ``D``.  Refused when the triple fails its own
     axioms or when ``D`` fails the rows of
     :func:`~ncg.cstarcat.section_checks` (a zero ``D`` has no support).
+    The bundle is full, so the record skips :func:`spectral_category`:
+    its bundle rows and fibre membership hold by theorem.
     """
     check_triple(t, tol).require("triple fails {}")
     sigma = is_domain_section(t.D, t.blocks, tol)
@@ -183,14 +157,13 @@ def triple_from_category(sc: SpectralCStarCategoryFD,
     return triple
 
 
-def fell_triple_from_category(sc: SpectralCStarCategoryFD,
-                              tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
-    """Read a spectral category as a bundle triple: homsets become
-    fibres and σ the path-lifting operator, so this is only the gate of
-    saturation and unitality (:func:`_require_triple_bundle`) and returns
-    ``sc``; the inverse direction is :func:`fell_bundle_triple`."""
-    _require_triple_bundle(sc.bundle, tol)
-    return sc
+def fell_triple_from_category(sc: SpectralCStarCategoryFD) -> dict:
+    """The bundle-triple spelling of the record, the document ``ncg
+    to-fell`` writes: the homsets as fibres, ``hilbert_dim`` and σ
+    assembled as ``PL``.  The record already holds a bundle triple, so
+    nothing is decided here; the way back is :func:`spectral_category`."""
+    return {**bundle_to_json(sc.bundle), "hilbert_dim": sc.hilbert_dim,
+            "PL": sc.PL}
 
 
 @dataclass(frozen=True)

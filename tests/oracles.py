@@ -24,12 +24,11 @@ and ``fell.unital`` by it, pair by pair.  The gate's row
 ``all_products_saturation`` (``exhaustive_rows``), which takes the SVD of
 every product span; the library skips the SVDs whose outcome a Gram
 certificate already decides.
-``category_from_bundle`` must refuse exactly the bundles whose axiom or
-unitality rows (``CATEGORY_ROWS``) fail here, and
-``fell_bundle_triple`` exactly those whose saturation or unitality rows
-(``TRIPLE_ROWS``) fail, listing every failing one.  Both accept full
-bundles without running the battery, so on those this gate must pass
-every row.
+``category_from_bundle``, and through it ``spectral_category``, must
+refuse exactly the bundles for which one of the twelve rows of
+``check_bundle`` (``BUNDLE_ROWS``) fails here, listing every failing
+one.  Both accept full bundles without running the battery, so on those
+this gate must pass every row.
 
 ``is_normaliser_bruteforce`` tests ``b* A b ⊆ A`` and ``b A b* ⊆ A``
 on every matrix unit of ``A``, the question ``normaliser_support``
@@ -86,9 +85,8 @@ from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
 from ncg.report import AxiomCheck, AxiomReport, WorstResidual
 from ncg.sptriple import FiniteSpectralTriple
 
-CATEGORY_ROWS = tuple(f"fell.axiom.{k}" for k in range(1, 11)) + (
-    "fell.unital",)
-TRIPLE_ROWS = ("fell.saturated", "fell.unital")
+BUNDLE_ROWS = tuple(f"fell.axiom.{k}" for k in range(1, 11)) + (
+    "fell.saturated", "fell.unital")
 THEOREM_ROWS = tuple(f"fell.axiom.{k}" for k in (3, 4, 7, 8, 9, 10))
 # Samples of the associativity spot check, as the numeric row drew them.
 SPOT_CHECK_SEED = 20260810

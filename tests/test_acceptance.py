@@ -13,13 +13,11 @@ from oracles import is_normaliser_bruteforce
 
 from ncg import (BlockStructure, FellBundleFD, FiniteSpectralTriple,
                  SubspaceBasis, build_triple_from_mass_matrix, categorify,
-                 category_from_bundle, check_bundle, check_even_axioms,
-                 check_real_axioms, check_so_real, conditional_expectation,
-                 fell_triple_from_category, fluctuate, full_morita_bundle,
-                 gauge_covariance_check, is_domain_section,
-                 is_partial_isometry, normaliser_support, one_form,
-                 spectral_category, standard_operators, triple_from_category,
-                 triple_to_json)
+                 check_bundle, check_even_axioms, check_real_axioms,
+                 check_so_real, fluctuate, full_morita_bundle,
+                 gauge_covariance_check, is_partial_isometry,
+                 normaliser_support, one_form, spectral_category,
+                 standard_operators, triple_from_category, triple_to_json)
 from ncg.climit import LatticeConfig, Profile, convergence_report
 from ncg.cli import run
 
@@ -119,10 +117,7 @@ def test_criterion_03_categorification_round_trip():
     for _ in range(50):
         t = random_admissible_triple(rng)
         sc = categorify(t)
-        ft = fell_triple_from_category(sc)
-        category = category_from_bundle(ft.bundle)
-        section = is_domain_section(ft.PL, ft.bundle.blocks)
-        back = triple_from_category(spectral_category(category, section),
+        back = triple_from_category(spectral_category(sc.bundle, sc.PL),
                                     t.gamma)
         ok = ok and back.blocks == t.blocks
         ok = ok and np.array_equal(back.D, t.D)
@@ -181,16 +176,16 @@ def test_criterion_06_conditional_expectation():
         n = blocks.total
         for _ in range(20):
             m = crandn(rng, n, n)
-            p = conditional_expectation(m, blocks)
-            ok = ok and np.array_equal(conditional_expectation(p, blocks), p)
+            p = blocks.block_diagonal_part(m)
+            ok = ok and np.array_equal(blocks.block_diagonal_part(p), p)
             ok = ok and np.array_equal(
-                conditional_expectation(m.conj().T, blocks), p.conj().T)
+                blocks.block_diagonal_part(m.conj().T), p.conj().T)
         images = []
         for r in range(n):
             for c in range(n):
                 e = np.zeros((n, n), dtype=complex)
                 e[r, c] = 1.0
-                images.append(conditional_expectation(e, blocks).reshape(-1))
+                images.append(blocks.block_diagonal_part(e).reshape(-1))
         kernel_dim = n * n - np.linalg.matrix_rank(np.stack(images))
         ok = ok and kernel_dim == want_kernel
         free_ok = True

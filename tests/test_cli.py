@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import math
@@ -392,28 +393,33 @@ SWAP2 = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 
 
 # Categories whose homsets are not full, so the conversions run the
-# exhaustive battery; the expected lines are the refusal reports, whose
-# FAIL rows are printed like those of ``ncg check``, witness included.
+# exhaustive battery, all of ``check bundle``'s bundle rows; the expected
+# lines are the refusal reports, whose FAIL rows are printed like those
+# of ``ncg check``, witness included.
 REFUSED_CATEGORIES = {
     "no_22": ({"blocks": [1, 1],
                "homsets": {"1,1": [ONE], "1,2": [ONE], "2,1": [ONE]},
                "sigma": {"perm": [2, 1], "blocks": {"1": ONE, "2": ONE}}},
-              ["check failed: bundle fails fell.axiom.2, fell.unital; "
-               "not a C*-category",
+              ["check failed: bundle fails fell.axiom.2, fell.saturated, "
+               "fell.unital; not a full C*-category",
                "  FAIL  fell.axiom.2                            "
                "residual 1.000e+00  [basis 0 of (2, 1) x basis 0 of "
                "(1, 2) leaves fibre (2, 2)]",
+               "  FAIL  fell.saturated                          "
+               "residual 1.000e+00  [products of (1, 2) x (2, 2) span 0 "
+               "of the 1 dimensions of fibre (1, 2)]",
                "  FAIL  fell.unital                             "
                "residual 1.000e+00  [identity of diagonal fibre (2,2)]"]),
     "corner": ({"blocks": [2], "homsets": {"1,1": [_unit2(0, 0)]},
                 "sigma": {"perm": [1], "blocks": {"1": _unit2(0, 0)}}},
-               ["check failed: bundle fails fell.unital; not a C*-category",
+               ["check failed: bundle fails fell.unital; not a full "
+                "C*-category",
                 "  FAIL  fell.unital                             "
                 "residual 7.071e-01  [identity of diagonal fibre (1,1)]"]),
     "diagonal": ({"blocks": [1, 1], "homsets": {"1,1": [ONE], "2,2": [ONE]},
                   "sigma": {"perm": [1, 2], "blocks": {"1": ONE, "2": ONE}}},
-                 ["check failed: bundle fails fell.saturated; not a bundle "
-                  "triple",
+                 ["check failed: bundle fails fell.saturated; not a full "
+                  "C*-category",
                   "  FAIL  fell.saturated                          "
                   "residual 1.000e+00  [products of (1, 2) x (2, 1) span 0 "
                   "of the 1 dimensions of fibre (1, 1)]"]),
@@ -438,6 +444,20 @@ def test_to_fell_refuses_non_full_category(case, tmp_path, capsys):
     out_path = tmp_path / "o.json"
     assert run(["to-fell", path, "-o", str(out_path)]) == 1
     assert capsys.readouterr().out.splitlines() == lines
+    assert not out_path.exists()
+
+
+def test_malformed_sigma_behind_a_failing_gate_is_exit_two(tmp_path, capsys):
+    # The whole file is decoded before any row is decided, so a perm that
+    # is no permutation is an input error even where the homsets fail.
+    body = copy.deepcopy(REFUSED_CATEGORIES["no_22"][0])
+    body["sigma"]["perm"] = [1, 1]
+    path = write(tmp_path / "no_22_perm.json", body)
+    out_path = tmp_path / "o.json"
+    assert run(["to-fell", path, "-o", str(out_path)]) == 2
+    assert capsys.readouterr().out == (
+        "input error: domain section: perm [1, 1] is not a permutation "
+        "of 1..2\n")
     assert not out_path.exists()
 
 

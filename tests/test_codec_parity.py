@@ -110,7 +110,7 @@ def _real_documents():
     t = build_triple_from_mass_matrix(np.array([[1.0, 2.0j], [0.5, -1.0]]))
     sc = categorify(t)
     return (json_document(sc.to_json()),
-            json_document(fell_triple_from_category(sc).to_fell_json()))
+            json_document(fell_triple_from_category(sc)))
 
 
 def _targets():

@@ -1,22 +1,23 @@
 """Full bundles are accepted by theorem; every other bundle by the
 exhaustive battery.
 
-``category_from_bundle`` and ``fell_bundle_triple`` skip the battery when
-``FellBundleFD.is_full``.  These seeded property tests check, against the
-brute-force gate in ``oracles``, that the skip never changes a decision:
-random full bundles with non-unit bases pass every gating row, and a
-bundle one dimension short of full is refused with the oracle's ids.
+``category_from_bundle``, the bundle half of ``spectral_category``,
+skips the battery when ``FellBundleFD.is_full``.  These seeded property
+tests check, against the brute-force gate in ``oracles``, that the skip
+never changes a decision: random full bundles with non-unit bases pass
+every gating row, and a bundle one dimension short of full is refused by
+both with the oracle's ids.
 """
 
 import numpy as np
 import pytest
 
 from conftest import crandn, random_unitary
-from oracles import CATEGORY_ROWS, TRIPLE_ROWS, failing_ids, fell_gate
+from oracles import BUNDLE_ROWS, failing_ids, fell_gate
 
 from ncg import (AxiomRefusalError, BlockStructure, FellBundleFD,
                  SubspaceBasis, Tolerance, category_from_bundle,
-                 fell_bundle_triple, full_morita_bundle)
+                 full_morita_bundle, spectral_category)
 
 SIZES = [(1,), (1, 2), (3, 1, 2), (2,) * 8, (6, 6, 6, 6)]
 
@@ -68,7 +69,7 @@ def test_full_bundle_passes_the_oracle_and_both_gates(sizes, seed):
     assert failing_ids(fell_gate(b)) == []
     assert category_from_bundle(b) is b
     pl = np.eye(b.blocks.total, dtype=complex)
-    assert fell_bundle_triple(b, pl).bundle is b
+    assert spectral_category(b, pl).bundle is b
 
 
 @pytest.mark.parametrize("sizes,seed", CASES)
@@ -77,21 +78,17 @@ def test_one_dimension_short_gets_the_oracle_refusal(sizes, seed):
     b = one_short(rng, random_full_bundle(rng, sizes))
     assert not b.is_full
     oracle = fell_gate(b)
+    assert [c.axiom_id for c in oracle.checks] == list(BUNDLE_ROWS)
 
-    expected = failing_ids(oracle, CATEGORY_ROWS)
-    assert expected, "a short fibre must fail some category row"
-    with pytest.raises(AxiomRefusalError) as exc:
-        category_from_bundle(b)
-    assert failing_ids(exc.value.report) == expected
-
+    expected = failing_ids(oracle)
+    assert expected, "a short fibre must fail some bundle row"
     pl = np.eye(b.blocks.total, dtype=complex)
-    failing = failing_ids(oracle, TRIPLE_ROWS)
-    if failing:
-        with pytest.raises(AxiomRefusalError) as exc:
-            fell_bundle_triple(b, pl)
-        assert failing_ids(exc.value.report) == failing
-    else:
-        assert fell_bundle_triple(b, pl).bundle is b
+    for gate in (category_from_bundle,
+                 lambda bundle: spectral_category(bundle, pl)):
+        with pytest.raises(AxiomRefusalError,
+                           match="not a full C\\*-category") as exc:
+            gate(b)
+        assert failing_ids(exc.value.report) == expected
 
 
 def test_full_morita_bundle_is_full():
@@ -111,4 +108,4 @@ def test_full_bundle_refused_by_the_oracle_is_accepted(rel, row):
     tol = Tolerance(rel=rel)
     assert row in failing_ids(fell_gate(b, tol))
     category_from_bundle(b, tol)
-    fell_bundle_triple(b, np.eye(5, dtype=complex), tol)
+    spectral_category(b, np.eye(5, dtype=complex), tol)

@@ -7,10 +7,10 @@ from oracles import failing_ids, is_normaliser_bruteforce
 
 from ncg import (AxiomRefusalError, BlockStructure, FiniteSpectralTriple,
                  FluctuationTerm, InputError, build_triple_from_mass_matrix,
-                 categorify, category_from_bundle, check_even_axioms,
-                 fell_bundle_triple, fell_triple_from_category, fluctuate,
-                 full_morita_bundle, is_domain_section, normaliser_support,
-                 one_form, spectral_category, triple_from_category)
+                 categorify, check_even_axioms, fell_triple_from_category,
+                 fluctuate, full_morita_bundle, is_domain_section,
+                 normaliser_support, one_form, spectral_category,
+                 triple_from_category)
 from ncg.geometry import (check_bundle_document, fluctuation_terms_from_json,
                           fluctuation_terms_to_json,
                           spectral_category_from_json)
@@ -79,9 +79,7 @@ class TestTripleFromCategory:
         sigma = np.zeros((4, 4), dtype=complex)
         sigma[:2, :2] = h1
         sigma[2:, 2:] = np.eye(2)
-        category = category_from_bundle(full_morita_bundle(blocks))
-        section = is_domain_section(sigma, blocks)
-        sc = spectral_category(category, section)
+        sc = spectral_category(full_morita_bundle(blocks), sigma)
         back = triple_from_category(sc)
         assert check_even_axioms(back).find("triple.even.d_selfadjoint").passed
         np.testing.assert_array_equal(back.D, sigma)
@@ -96,25 +94,25 @@ class TestTripleFromCategory:
 class TestFellTripleFromCategory:
     def test_standard_triple_becomes_bundle_triple(self):
         t = build_triple_from_mass_matrix(np.array([[1.0]]))
-        ft = fell_triple_from_category(categorify(t))
-        assert ft.hilbert_dim == 4
-        assert ft.bundle.blocks.p == 4
-        np.testing.assert_array_equal(ft.PL, t.D)
+        doc = fell_triple_from_category(categorify(t))
+        assert doc["hilbert_dim"] == 4
+        assert len(doc["blocks"]) == 4
+        np.testing.assert_array_equal(doc["PL"], t.D)
 
     def test_identity_section_lifts_to_identity_operator(self):
         blocks = BlockStructure((1, 2))
-        category = category_from_bundle(full_morita_bundle(blocks))
-        section = is_domain_section(np.eye(3), blocks)
-        ft = fell_triple_from_category(spectral_category(category, section))
-        np.testing.assert_array_equal(ft.PL, np.eye(3))
-        cls = normaliser_support(ft.PL, blocks)
+        doc = fell_triple_from_category(
+            spectral_category(full_morita_bundle(blocks), np.eye(3)))
+        np.testing.assert_array_equal(doc["PL"], np.eye(3))
+        cls = normaliser_support(doc["PL"], blocks)
         assert cls.support_map() == {1: 1, 2: 2}
 
     def test_round_trip_exact_on_random_spectral_categories(self):
         # Random admissible triples, four-sector triples at l = 1..6 and a
-        # paired section on eight blocks of size 2.  The way back is also
-        # one call, fell_bundle_triple, and the written bundle triple
-        # passes its three path-lifting rows.
+        # paired section on eight blocks of size 2.  The way back is one
+        # call, spectral_category, and the bundle triple written from the
+        # record, or from the record its category file decodes to, passes
+        # every row of check bundle, the three path-lifting rows last.
         rng = np.random.default_rng(7)
         paired = BlockStructure((2,) * 8)
         triples = ([random_admissible_triple(rng) for _ in range(50)]
@@ -124,36 +122,32 @@ class TestFellTripleFromCategory:
                        rng, paired, (2, 1, 4, 3, 6, 5, 8, 7)))])
         for t in triples:
             sc = categorify(t)
-            ft = fell_triple_from_category(sc)
-            category = category_from_bundle(ft.bundle)
-            section = is_domain_section(ft.PL, ft.bundle.blocks)
-            sc_back = spectral_category(category, section)
-            np.testing.assert_array_equal(sc_back.sigma.assembled,
-                                          sc.sigma.assembled)
-            assert sc_back.sigma.support == sc.sigma.support
-            assert sc_back.blocks == sc.blocks
-            back = fell_bundle_triple(ft.bundle, ft.PL)
+            back = spectral_category(sc.bundle, sc.PL)
             assert back.sigma.support == sc.sigma.support
-            assert back.PL.dtype == ft.PL.dtype
-            assert back.PL.tobytes() == ft.PL.tobytes()
-            report = check_bundle_document(json_document(ft.to_fell_json()))
-            assert [(c.axiom_id, c.passed) for c in report.checks[-3:]] == [
-                (row, True) for row in PATH_ROWS]
+            assert back.blocks == sc.blocks
+            assert back.PL.dtype == sc.PL.dtype
+            assert back.PL.tobytes() == sc.PL.tobytes()
+            decoded = spectral_category_from_json(json_document(sc.to_json()))
+            for record in (sc, decoded):
+                report = check_bundle_document(
+                    json_document(fell_triple_from_category(record)))
+                assert failing_ids(report) == []
+                assert [c.axiom_id for c in report.checks[-3:]] == PATH_ROWS
 
     def test_path_lifting_operator_is_normaliser(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             t = random_admissible_triple(rng)
-            ft = fell_triple_from_category(categorify(t))
-            assert is_normaliser_bruteforce(ft.PL, ft.bundle.blocks)
-            cls = normaliser_support(ft.PL, ft.bundle.blocks)
-            assert len(cls.support_map()) == ft.bundle.blocks.p
+            pl = fell_triple_from_category(categorify(t))["PL"]
+            assert is_normaliser_bruteforce(pl, t.blocks)
+            cls = normaliser_support(pl, t.blocks)
+            assert len(cls.support_map()) == t.blocks.p
 
     def test_self_adjoint_section_gives_hermitian_operator(self):
         rng = np.random.default_rng(13)
         t = random_admissible_triple(rng)
-        ft = fell_triple_from_category(categorify(t))
-        np.testing.assert_allclose(ft.PL, ft.PL.conj().T, atol=1e-12)
+        pl = fell_triple_from_category(categorify(t))["PL"]
+        np.testing.assert_allclose(pl, pl.conj().T, atol=1e-12)
 
     def test_json_round_trip(self):
         t = build_triple_from_mass_matrix(np.array([[1.0]]))
@@ -161,6 +155,18 @@ class TestFellTripleFromCategory:
         decoded = spectral_category_from_json(json_document(sc.to_json()))
         np.testing.assert_array_equal(decoded.sigma.assembled,
                                       sc.sigma.assembled)
+
+    def test_unsaturated_category_file_refused(self):
+        # Homsets (1,1) and (2,2) only: a Fell bundle, unital, whose
+        # bundle-triple spelling fails fell.saturated, so no record.
+        one = [[[[1.0, 0.0]]]]
+        data = {"blocks": [1, 1], "homsets": {"1,1": one, "2,2": one},
+                "sigma": {"perm": [1, 2],
+                          "blocks": {"1": one[0], "2": one[0]}}}
+        with pytest.raises(AxiomRefusalError,
+                           match="not a full C\\*-category") as exc:
+            spectral_category_from_json(data)
+        assert failing_ids(exc.value.report) == ["fell.saturated"]
 
 
 class TestApplyPathLifting:

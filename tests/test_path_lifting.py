@@ -3,8 +3,9 @@ operator: ``PL`` must be a normaliser supported on a global bisection
 that is an involution, self-adjoint and blockwise in the bundle's
 fibres, and ``hilbert_dim`` must be the total block dimension.
 
-The oracles are ``fell_bundle_triple``, which refuses exactly the ``PL``
-whose path-lifting rows fail, with those rows, ``is_normaliser_bruteforce``
+The oracles are ``spectral_category``, which refuses exactly the files
+that fail a row, with the failing rows of the bundle or of ``PL``,
+``is_normaliser_bruteforce``
 for the normaliser half of the support row, whose support must also be
 an involution, and the report of the same file without ``PL``, which must
 be today's report byte for byte."""
@@ -22,14 +23,16 @@ from ncg import (DEFAULT_TOL, AxiomRefusalError, BlockStructure,
                  normaliser_support)
 from ncg.cstarcat import block_support
 from ncg.cli import run
-from ncg.geometry import (check_bundle_document, fell_bundle_triple,
-                          fell_triple_from_category)
+from ncg.geometry import (check_bundle_document, fell_triple_from_category,
+                          spectral_category)
 
 SWAP = [[0, 1], [1, 0]]
 PATH_ROWS = ("fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint",
              "fell.path_lifting.in_fibres")
 INPUT_ERROR = "input error: hilbert_dim {} is not the total block dimension 2"
 DIAGONAL = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex)
+# span{I, E12}: closed under products, but E12* = E21 is not in it.
+NOT_INVOLUTIVE = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=complex)
 
 
 def cycle_pl():
@@ -54,12 +57,14 @@ def full_bundle(p):
 # Bundles by name: blocks and fibres.  "full" and "full_5" are the full
 # bundles over blocks [1, 1] and [1] * 5; "diagonal" has every fibre
 # over blocks [2, 2] the diagonal matrices span{E11, E22}, a saturated
-# unital sub-bundle.
+# unital sub-bundle; "not_involutive" has its one fibre over blocks [2]
+# span{I, E12}, saturated and unital but no Fell bundle.
 BUNDLES = {
     "full": full_bundle(2),
     "full_5": full_bundle(5),
     "diagonal": ([2, 2], {f"{i},{j}": DIAGONAL
                           for i in (1, 2) for j in (1, 2)}),
+    "not_involutive": ([2], {"1,1": NOT_INVOLUTIVE}),
 }
 
 # name: (bundle, PL, hilbert_dim, exit code, failing rows or the input
@@ -81,6 +86,8 @@ CASES = {
     "outside_fibres": ("diagonal", np.kron(SWAP, SWAP), 4, 1,
                        ["fell.path_lifting.in_fibres"]),
     "cycle": ("full_5", cycle_pl(), 5, 1, ["fell.path_lifting.normaliser"]),
+    # A valid PL on a bundle that fails a Fell axiom.
+    "not_involutive": ("not_involutive", np.eye(2), 2, 1, ["fell.axiom.6"]),
     "hilbert_dim_7": ("full", SWAP, 7, 2, INPUT_ERROR.format(7)),
     "hilbert_dim_float": ("full", SWAP, 2.0, 2, INPUT_ERROR.format(2.0)),
     "hilbert_dim_true": ("full", SWAP, True, 2, INPUT_ERROR.format(True)),
@@ -125,7 +132,7 @@ def test_malformed_path_lifting(case, tmp_path, capsys):
     if case in WITNESSES:
         assert rows[PATH_ROWS[0]]["witness"] == WITNESSES[case]
     try:
-        sc = fell_bundle_triple(bundle_from_json(doc), pl)
+        sc = spectral_category(bundle_from_json(doc), pl)
         assert expected == []
         np.testing.assert_array_equal(sc.PL, pl)
     except AxiomRefusalError as exc:
@@ -179,9 +186,8 @@ def test_malformed_pl_is_exit_two(pl, message, tmp_path, capsys):
 def test_to_fell_output_passes_with_its_path_lifting_rows():
     rng = np.random.default_rng(16)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    ft = fell_triple_from_category(categorify(
-        build_triple_from_mass_matrix(m)))
-    report = check_bundle_document(json_document(ft.to_fell_json()))
+    report = check_bundle_document(json_document(fell_triple_from_category(
+        categorify(build_triple_from_mass_matrix(m)))))
     assert report.all_passed
     assert [c.axiom_id for c in report.checks[-3:]] == list(PATH_ROWS)
     assert report.checks[-1].residual == 0.0
