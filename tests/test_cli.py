@@ -16,8 +16,8 @@ from conftest import json_document, random_unitary
 
 from ncg import (BlockStructure, FiniteSpectralTriple, Profile,
                  bundle_to_json, build_triple_from_mass_matrix, categorify,
-                 climit, fellbundle, full_morita_bundle, triple_from_json,
-                 triple_to_json)
+                 climit, fellbundle, full_morita_bundle, matrix_from_json,
+                 spectral_category, triple_from_json, triple_to_json)
 import ncg
 from ncg import cli
 from ncg.cli import run
@@ -549,6 +549,43 @@ class TestPipelines:
         assert fell["hilbert_dim"] == 4
         original = json.loads(open(standard_triple_file).read())
         assert fell["PL"] == original["D"]
+
+    def test_noise_off_the_section_support_is_dropped(self, tmp_path,
+                                                       capsys):
+        # Hermitian noise of 1e-12 in the blocks (1,1), (1,3) and (3,1),
+        # off the support (2, 1, 4, 3) of the four-sector D, lies below the
+        # block threshold: the category file holds the four support blocks
+        # alone, and the PL written back is exactly 0 off the support, as
+        # is the PL of the record spectral_category builds on the noisy D.
+        t = build_triple_from_mass_matrix(np.array([[1.0, 2.0j],
+                                                    [0.5, -1.0]]))
+        rng = np.random.default_rng(24)
+        noisy = t.D.copy()
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        noisy[0:2, 0:2] += 1e-12 * (h + h.conj().T)
+        noisy[0:2, 4:6] += 1e-12 * x
+        noisy[4:6, 0:2] += 1e-12 * x.conj().T
+        path = write(tmp_path / "noisy.json", triple_to_json(
+            FiniteSpectralTriple(t.blocks, noisy, t.gamma, t.epsilon, t.K)))
+        cat_path = str(tmp_path / "cat.json")
+        fell_path = str(tmp_path / "fell.json")
+        assert run(["categorify", path, "-o", cat_path]) == 0
+        sigma = json.loads((tmp_path / "cat.json").read_text())["sigma"]
+        assert sigma["perm"] == [2, 1, 4, 3]
+        assert sorted(sigma["blocks"]) == ["1", "2", "3", "4"]
+        assert run(["to-fell", cat_path, "-o", fell_path]) == 0
+        pl = matrix_from_json(
+            json.loads((tmp_path / "fell.json").read_text())["PL"], "PL")
+        support = np.zeros((8, 8), dtype=bool)
+        for j, i in enumerate([2, 1, 4, 3], start=1):
+            support[t.blocks.block_slice(i), t.blocks.block_slice(j)] = True
+        off = pl[~support]
+        assert not (np.any(off) or np.signbit(off.real).any()
+                    or np.signbit(off.imag).any())
+        np.testing.assert_array_equal(pl[support], noisy[support])
+        sc = spectral_category(full_morita_bundle(t.blocks), noisy)
+        assert sc.PL.tobytes() == pl.tobytes()
 
     def test_categorify_zero_dirac_is_check_failure(self, tmp_path, capsys):
         t = build_triple_from_mass_matrix(np.array([[0.0]]))

@@ -317,3 +317,13 @@ class TestBundleJson:
         with pytest.raises(ShapeError):
             FellBundleFD(BlockStructure((1, 2)),
                          {(1, 2): SubspaceBasis(2, 2, [np.eye(2)])})
+
+    @pytest.mark.parametrize("fibre", [SubspaceBasis(1, 1, []),
+                                       SubspaceBasis(2, 2, [])])
+    def test_arrow_out_of_range_refused_before_its_shape(self, fibre):
+        # The arrow's range is decided first, so a fibre of any shape
+        # over (1, 3) gets the same refusal.
+        with pytest.raises(InputError) as exc:
+            FellBundleFD(BlockStructure((1, 1)), {(1, 3): fibre})
+        assert str(exc.value) == ("arrow (1, 3) is not in the pair groupoid "
+                                  "on 2 objects")
