@@ -10,7 +10,8 @@ algebra ``M_n(C)`` carries the block-diagonal subalgebra ``A``; matrices
 with at most one nonzero block per block-row and block-column are
 exactly the normalisers of ``A``, and self-adjoint matrices whose block
 support is an involutive permutation are domain sections, as
-:func:`is_domain_section` decides by the rows of :func:`section_checks`.
+:func:`is_domain_section` decides by the rows of :func:`section_checks`;
+it returns σ as that ``n x n`` matrix, zero off its support.
 :func:`category_from_bundle` and :func:`is_domain_section` are the two
 halves of the one gate of a spectral category,
 :func:`ncg.geometry.spectral_category`.
@@ -19,7 +20,6 @@ halves of the one gate of a spectral category,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -127,28 +127,6 @@ def normaliser_support(bmat, blocks: BlockStructure,
     return NormaliserClass("normaliser", support)
 
 
-@dataclass(frozen=True)
-class DomainSection:
-    """A choice, per object, of one morphism with that domain, with the
-    target objects forming a permutation.
-
-    ``blocks_data[j]`` is the block at row ``support[j-1]``, column ``j``;
-    ``assembled`` is the full matrix with zeros elsewhere.  Self-adjoint
-    sections have involutive support and conjugate-paired blocks; every
-    section built on a support that :func:`section_checks` accepted is
-    self-adjoint.
-    """
-
-    support: tuple[int, ...]
-    blocks_data: Mapping[int, np.ndarray]
-    assembled: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"perm": list(self.support),
-                "blocks": {str(j): blk
-                           for j, blk in sorted(self.blocks_data.items())}}
-
-
 def domain_section_from_json(data, blocks: BlockStructure) -> np.ndarray:
     """Decode a ``sigma`` value, ``{"perm": [...], "blocks": {...}}``,
     into its ``n x n`` matrix: block ``j`` at block row ``perm[j]``, zeros
@@ -224,23 +202,23 @@ def section_checks(m: np.ndarray, blocks: BlockStructure,
 
 
 def is_domain_section(sigma, blocks: BlockStructure,
-                      tol: Tolerance = DEFAULT_TOL) -> DomainSection:
-    """Decompose a self-adjoint matrix with involutive block support: the
-    section half of the spectral-category gate.
+                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The section half of the spectral-category gate: σ, a self-adjoint
+    ``n x n`` matrix with involutive block support, zero off its support.
 
     The rows of :func:`section_checks` decide; a failing one refuses
     ``sigma`` through :meth:`~ncg.report.AxiomReport.require`, the refusal
-    carrying the rows.  The section takes the block at ``(π(j), j)`` for
-    each column ``j``, zeros elsewhere.
+    carrying the rows.  The blocks at ``(π(j), j)`` are written into
+    zeros, so an entry off the support, below the block threshold or
+    ``-0.0``, comes out ``+0.0``.
     """
     n = blocks.total
     m = as_matrix(sigma, "is_domain_section", (n, n))
     support, rows = section_checks(m, blocks, tol)
     AxiomReport(rows).require(
         "section fails {}; not a self-adjoint domain section")
-    blocks_data = {j: blocks.block(m, i, j).copy() for j, i in support}
-    assembled = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
     for j, i in support:
-        assembled[blocks.block_slice(i), blocks.block_slice(j)] = \
-            blocks_data[j]
-    return DomainSection(tuple(i for _, i in support), blocks_data, assembled)
+        out[blocks.block_slice(i), blocks.block_slice(j)] = \
+            blocks.block(m, i, j)
+    return out

@@ -1,5 +1,6 @@
 """Finite Fell bundles over pair groupoids.
 
+An arrow ``(i, j)`` is an index pair of a :class:`BlockStructure`.
 A bundle assigns to every arrow ``(i, j)`` a linear subspace of
 ``n_i x n_j`` matrices (the fibre), stored as an explicit basis.  The ten
 Fell axioms, saturation and unitality are decidable at this scale.  The
@@ -29,13 +30,12 @@ sectional algebra is ``M_n(C)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError, NcgError, ShapeError
-from .groupoid import Arrow, PairGroupoid
 from .matops import (BATCH_ENTRIES as _BATCH_ENTRIES, DEFAULT_TOL, SpanStack,
                      SubspaceBasis, Tolerance, numerical_rank, row_norms,
                      stack_from_json, take)
@@ -55,6 +55,9 @@ MAX_DIMENSION = 4096
 # index all p³ composable pairs of arrows, whatever the fibres hold, but
 # make their numpy calls per shape class of fibres or of pairs.
 MAX_BLOCKS = 64
+# The arrow ``(i, j)`` points ``j -> i``: its fibre holds the blocks at
+# row ``i``, column ``j``.
+Arrow = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,9 @@ class BlockStructure:
     def total(self) -> int:
         return sum(self.sizes)
 
-    def groupoid(self) -> PairGroupoid:
-        return PairGroupoid(self.p)
+    def arrows(self) -> list[Arrow]:
+        """The arrows of the pair groupoid: every ``(i, j)``, row-major."""
+        return list(product(range(1, self.p + 1), repeat=2))
 
     def block_slice(self, i: int) -> slice:
         if not 1 <= i <= self.p:
@@ -142,10 +146,12 @@ class FellBundleFD:
 
     def __init__(self, blocks: BlockStructure,
                  fibres: Mapping[Arrow, SubspaceBasis]):
-        groupoid = blocks.groupoid()
         complete: dict[Arrow, SubspaceBasis] = {}
         for g, fibre in fibres.items():
-            g = groupoid.require(g)
+            if not (1 <= g[0] <= blocks.p and 1 <= g[1] <= blocks.p):
+                raise InputError(f"arrow {g} is not in the pair groupoid on "
+                                 f"{blocks.p} objects")
+            g = (int(g[0]), int(g[1]))
             want = (blocks.sizes[g[0] - 1], blocks.sizes[g[1] - 1])
             if fibre.ambient_shape != want:
                 raise ShapeError(
@@ -153,15 +159,12 @@ class FellBundleFD:
                     f"does not match {want}"
                 )
             complete[g] = fibre
-        for g in groupoid.arrows():
+        for g in blocks.arrows():
             if g not in complete:
                 complete[g] = SubspaceBasis(blocks.sizes[g[0] - 1],
                                             blocks.sizes[g[1] - 1], [])
         self.blocks = blocks
         self.fibres = complete
-
-    def arrows(self) -> list[Arrow]:
-        return sorted(self.fibres)
 
     @property
     def is_full(self) -> bool:
@@ -182,7 +185,7 @@ def full_morita_bundle(blocks: BlockStructure) -> FellBundleFD:
     Its sectional algebra is all of ``M_n(C)``; it passes every axiom,
     saturation and unitality.
     """
-    arrows = list(blocks.groupoid().arrows())
+    arrows = blocks.arrows()
     return FellBundleFD(blocks, dict(zip(arrows, SubspaceBasis.batch([
         _matrix_units(blocks.sizes[i - 1], blocks.sizes[j - 1])
         for i, j in arrows]))))

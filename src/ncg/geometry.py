@@ -6,22 +6,24 @@ section σ) and a bundle triple (a saturated unital bundle with a
 path-lifting operator ``PL`` on a global bisection) are one record,
 :class:`SpectralCStarCategoryFD`, with two file spellings: the homsets
 are the fibres, fullness of the category is saturation of the bundle,
-and ``PL`` is σ assembled.  One constructor, :func:`spectral_category`,
-decides the record by every row ``ncg check bundle`` prints on it.  The
-round trips below are exact on matrix entries.
+and σ, held as its ``n x n`` matrix, is ``PL``: the record is the pair
+``(bundle, PL)``, and σ's support ``perm`` is read off ``PL``.  One
+constructor, :func:`spectral_category`, decides the record by every row
+``ncg check bundle`` prints on it.  The round trips below are exact on
+matrix entries.  A fluctuation term ``r · U D U*`` is held as the pair
+``(r, U)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .cstarcat import (DomainSection, category_from_bundle,
-                       domain_section_from_json, is_domain_section,
-                       section_checks)
+from .cstarcat import (category_from_bundle, domain_section_from_json,
+                       is_domain_section, section_checks)
 from .errors import InputError, ShapeError
 from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          bundle_from_json, bundle_to_json, check_bundle,
@@ -35,33 +37,41 @@ from .sptriple import FiniteSpectralTriple, check_triple
 @dataclass(frozen=True)
 class SpectralCStarCategoryFD:
     """A full C*-category, held as the bundle of its homsets, with a
-    self-adjoint domain section σ; as a bundle triple, ``PL`` is σ."""
+    self-adjoint domain section σ held as its ``n x n`` matrix, zero off
+    its support; as a bundle triple, σ is the path-lifting operator
+    ``PL``."""
 
     bundle: FellBundleFD
-    sigma: DomainSection
+    PL: np.ndarray
 
     @property
     def blocks(self) -> BlockStructure:
         return self.bundle.blocks
 
     @property
-    def PL(self) -> np.ndarray:
-        return self.sigma.assembled
+    def perm(self) -> tuple[int, ...]:
+        """The support of σ: ``perm[j - 1]`` is the block row of its
+        nonzero block in block column ``j``."""
+        nonzero = self.blocks.block_norms(self.PL) > 0
+        return tuple((np.argmax(nonzero, axis=0) + 1).tolist())
 
     @property
     def hilbert_dim(self) -> int:
         return self.blocks.total
 
     def to_json(self) -> dict:
+        perm = self.perm
         return {"blocks": list(self.blocks.sizes),
                 "homsets": fibres_to_json(self.bundle.fibres),
-                "sigma": self.sigma.to_json()}
+                "sigma": {"perm": list(perm),
+                          "blocks": {str(j): self.blocks.block(self.PL, i, j)
+                                     for j, i in enumerate(perm, start=1)}}}
 
 
 def spectral_category(bundle: FellBundleFD, section,
                       tol: Tolerance = DEFAULT_TOL) -> SpectralCStarCategoryFD:
     """The one gate of the record: ``bundle`` (its fibres the homsets)
-    with the ``n x n`` operator ``section``, σ assembled, which is ``PL``.
+    with the ``n x n`` operator ``section``, σ, which is ``PL``.
 
     After the shape of ``section``, the bundle half
     (:func:`~ncg.cstarcat.category_from_bundle`: every row of
@@ -144,42 +154,31 @@ def categorify(t: FiniteSpectralTriple,
 def triple_from_category(sc: SpectralCStarCategoryFD,
                          gamma=None, epsilon=None, K=None,
                          tol: Tolerance = DEFAULT_TOL) -> FiniteSpectralTriple:
-    """Inverse of :func:`categorify`: assemble the section back into a
-    Dirac operator on the enveloping algebra.
+    """Inverse of :func:`categorify`: the section σ, as a Dirac operator
+    on the enveloping algebra.
 
     Supplied optional operators are validated by re-running the
     batteries; with none supplied only the self-adjointness of the
     assembled ``D`` is in force.
     """
-    triple = FiniteSpectralTriple(sc.blocks, sc.sigma.assembled,
-                                  gamma, epsilon, K)
+    triple = FiniteSpectralTriple(sc.blocks, sc.PL, gamma, epsilon, K)
     check_triple(triple, tol).require("supplied operators fail {}")
     return triple
 
 
 def fell_triple_from_category(sc: SpectralCStarCategoryFD) -> dict:
     """The bundle-triple spelling of the record, the document ``ncg
-    to-fell`` writes: the homsets as fibres, ``hilbert_dim`` and σ
-    assembled as ``PL``.  The record already holds a bundle triple, so
-    nothing is decided here; the way back is :func:`spectral_category`."""
+    to-fell`` writes: the homsets as fibres, ``hilbert_dim`` and σ as
+    ``PL``.  The record already holds a bundle triple, so nothing is
+    decided here; the way back is :func:`spectral_category`."""
     return {**bundle_to_json(sc.bundle), "hilbert_dim": sc.hilbert_dim,
             "PL": sc.PL}
 
 
-@dataclass(frozen=True)
-class FluctuationTerm:
-    """One summand ``r · U D U*`` of a fluctuated operator."""
-
-    r: float
-    U: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "U", as_matrix(self.U, "fluctuation unitary"))
-
-
-def fluctuate(D, terms: Sequence, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Form ``Σ_j r_j U_j D U_j*`` for real coefficients and unitaries.
+def fluctuate(D, terms: Iterable[tuple[float, np.ndarray]],
+              tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Form ``Σ_j r_j U_j D U_j*`` for the ``(r_j, U_j)`` pairs of
+    ``terms``, real coefficients and unitaries.
 
     Preserves self-adjointness of ``D`` for real coefficients, and
     anticommutation with a grading when every unitary commutes with it.
@@ -190,12 +189,10 @@ def fluctuate(D, terms: Sequence, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if D.shape[0] != D.shape[1]:
         raise ShapeError("fluctuate: operator must be square")
     out = np.zeros_like(D)
-    for idx, term in enumerate(terms):
-        if not isinstance(term, FluctuationTerm):
-            r, u = term
-            term = FluctuationTerm(r, u)
-        require_unitary(term.U, n, tol, f"term {idx} unitary")
-        out = out + term.r * (term.U @ D @ adjoint(term.U))
+    for idx, (r, U) in enumerate(terms):
+        r, U = float(r), as_matrix(U, "fluctuation unitary")
+        require_unitary(U, n, tol, f"term {idx} unitary")
+        out = out + r * (U @ D @ adjoint(U))
     return out
 
 
@@ -213,9 +210,10 @@ def one_form(D, U, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return U @ (D @ adjoint(U) - adjoint(U) @ D)
 
 
-def fluctuation_terms_from_json(data) -> list[FluctuationTerm]:
-    """Decode ``[{"r": real, "U": matrix}, ...]``; like a matrix entry, a
-    coefficient larger than ``1e48`` in magnitude is refused."""
+def fluctuation_terms_from_json(data) -> list[tuple[float, np.ndarray]]:
+    """Decode ``[{"r": real, "U": matrix}, ...]`` into ``(r, U)`` pairs;
+    like a matrix entry, a coefficient larger than ``1e48`` in magnitude
+    is refused."""
     if not isinstance(data, list):
         raise InputError("fluctuation terms: expected an array")
     terms = []
@@ -231,10 +229,5 @@ def fluctuation_terms_from_json(data) -> list[FluctuationTerm]:
         if abs(r) > ENTRY_BOUND or not math.isfinite(r):
             raise InputError(f"term {idx}: coefficient must be finite and "
                              f"at most {ENTRY_BOUND:g} in magnitude")
-        terms.append(FluctuationTerm(
-            float(r), matrix_from_json(item["U"], f"term {idx} U")))
+        terms.append((float(r), matrix_from_json(item["U"], f"term {idx} U")))
     return terms
-
-
-def fluctuation_terms_to_json(terms: Sequence[FluctuationTerm]) -> list:
-    return [{"r": t.r, "U": t.U} for t in terms]

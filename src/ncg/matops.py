@@ -204,9 +204,6 @@ class SubspaceBasis:
     def ambient_shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __iter__(self):
-        return iter(self.stack)
-
     def __repr__(self):
         return (f"SubspaceBasis({self.rows}x{self.cols}, dim={self.dim})")
 

@@ -40,8 +40,10 @@ column by column, the question ``section_checks`` answers from
 ``block_support`` and one ``‖σ - σ*‖``.
 
 The constructions at the end are used by the tests alone: one block
-embedded in ``M_n(C)``, the bisection enumerations and products of the
-pair groupoid, the semidirect (unitary-transport) presentation of the
+embedded in ``M_n(C)``, the pair groupoid as an object with arrow
+composition and inverses (``PairGroupoid``; the library lists its arrows
+as the index pairs ``BlockStructure.arrows()``), its global bisections
+(``Bisection``) with their enumerations and products, the semidirect (unitary-transport) presentation of the
 full bundle, the lift of a global bisection to a unitary normaliser, the
 operator norm and the spectrum of a Hermitian matrix.
 
@@ -76,9 +78,8 @@ import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.errors import InputError, ShapeError
-from ncg.fellbundle import (BlockStructure, FellBundleFD, _basis_products,
-                            _matrix_units, check_bundle)
-from ncg.groupoid import Arrow, Bisection
+from ncg.fellbundle import (Arrow, BlockStructure, FellBundleFD,
+                            _basis_products, _matrix_units, check_bundle)
 from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                         as_matrix, frobenius, numerical_rank, require_unitary,
                         unit_rows)
@@ -264,7 +265,7 @@ def all_adjoints_involution(b: FellBundleFD,
     """``fell.axiom.6`` from the projection of the adjoint of every basis
     element on the reversed fibre."""
     invol = WorstResidual(tol)
-    for g in b.arrows():
+    for g in b.blocks.arrows():
         stack = b.fibres[g].stack
         if len(stack):
             invol.update_batch(
@@ -329,7 +330,7 @@ def linking_algebra(b: FellBundleFD) -> SubspaceBasis:
     """
     n = b.blocks.total
     mats = []
-    for g in b.arrows():
+    for g in b.blocks.arrows():
         for e in b.fibres[g].stack:
             mats.append(embed_block(b.blocks, g[0], g[1], e))
     return SubspaceBasis(n, n, mats)
@@ -575,6 +576,90 @@ def hermitian_spectrum(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
 
 
+@dataclass(frozen=True)
+class PairGroupoid:
+    """The pair groupoid on ``p`` objects: all ordered pairs ``(i, j)``."""
+
+    p: int
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise InputError("PairGroupoid: p must be >= 1")
+
+    def objects(self) -> range:
+        return range(1, self.p + 1)
+
+    def arrows(self) -> Iterator[Arrow]:
+        for i in self.objects():
+            for j in self.objects():
+                yield (i, j)
+
+    def contains(self, g: Arrow) -> bool:
+        i, j = g
+        return 1 <= i <= self.p and 1 <= j <= self.p
+
+    def require(self, g: Arrow) -> Arrow:
+        if not self.contains(g):
+            raise InputError(f"arrow {g} is not in the pair groupoid on "
+                             f"{self.p} objects")
+        return (int(g[0]), int(g[1]))
+
+    def inverse(self, g: Arrow) -> Arrow:
+        i, j = self.require(g)
+        return (j, i)
+
+    def compose_arrows(self, g: Arrow, h: Arrow) -> Optional[Arrow]:
+        """``(i, j) ∘ (j, k) = (i, k)``; ``None`` when not composable."""
+        i, j = self.require(g)
+        j2, k = self.require(h)
+        if j != j2:
+            return None
+        return (i, k)
+
+
+@dataclass(frozen=True)
+class Bisection:
+    """A global bisection: a permutation ``j -> images[j-1]`` of the
+    objects, i.e. the arrow set ``{(π(j), j)}``."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        p = len(self.images)
+        if p < 1 or sorted(self.images) != list(range(1, p + 1)):
+            raise InputError(f"Bisection: {self.images} is not a "
+                             f"permutation of 1..{p}")
+
+    @classmethod
+    def identity(cls, p: int) -> "Bisection":
+        return cls(tuple(range(1, p + 1)))
+
+    @classmethod
+    def transposition(cls, p: int, a: int, b: int) -> "Bisection":
+        images = list(range(1, p + 1))
+        images[a - 1], images[b - 1] = b, a
+        return cls(tuple(images))
+
+    @property
+    def p(self) -> int:
+        return len(self.images)
+
+    def __call__(self, j: int) -> int:
+        return self.images[j - 1]
+
+    def arrows(self) -> list[Arrow]:
+        return [(self(j), j) for j in range(1, self.p + 1)]
+
+    def inverse(self) -> "Bisection":
+        inv = [0] * self.p
+        for j, i in enumerate(self.images, start=1):
+            inv[i - 1] = j
+        return Bisection(tuple(inv))
+
+    def to_json(self) -> list[int]:
+        return list(self.images)
+
+
 def compose_bisections(x: Bisection, y: Bisection) -> Bisection:
     """Permutation composition ``(x ∘ y)(j) = x(y(j))``.
 
@@ -661,7 +746,7 @@ class UnitaryField:
     def __init__(self, blocks: BlockStructure,
                  assignment: Mapping[Arrow, np.ndarray],
                  tol: Tolerance = DEFAULT_TOL):
-        groupoid = blocks.groupoid()
+        groupoid = PairGroupoid(blocks.p)
         fixed: dict[Arrow, np.ndarray] = {}
         for g, u in assignment.items():
             g = groupoid.require(g)
@@ -702,14 +787,14 @@ class UnitaryField:
         return cls(blocks, assignment)
 
     def unitary_for(self, g: Arrow) -> np.ndarray:
-        g = self.blocks.groupoid().require(g)
+        g = PairGroupoid(self.blocks.p).require(g)
         if g not in self.assignment:
             raise InputError(f"field has no unitary over arrow {g}")
         return self.assignment[g]
 
     def is_total(self) -> bool:
         return all(g in self.assignment
-                   for g in self.blocks.groupoid().arrows())
+                   for g in self.blocks.arrows())
 
 
 @dataclass(frozen=True)
@@ -740,7 +825,7 @@ class SemidirectBundle:
                 e2: tuple[Arrow, np.ndarray]) -> tuple[Arrow, np.ndarray]:
         g, a = e1
         h, bmat = e2
-        gh = self.blocks.groupoid().compose_arrows(g, h)
+        gh = PairGroupoid(self.blocks.p).compose_arrows(g, h)
         if gh is None:
             raise InputError(f"arrows {g} and {h} are not composable")
         carried = self.alpha((h[1], h[0]), np.asarray(a, dtype=complex))
@@ -785,7 +870,7 @@ def semidirect_bundle(blocks: BlockStructure, field: UnitaryField,
 
     units = _matrix_units(size, size)
     fibres = {g: SubspaceBasis(size, size, field.unitary_for(g) @ units)
-              for g in blocks.groupoid().arrows()}
+              for g in blocks.arrows()}
     return SemidirectBundle(blocks, field, FellBundleFD(blocks, fibres))
 
 

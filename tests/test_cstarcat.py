@@ -6,23 +6,28 @@ import pytest
 from conftest import (crandn, json_document, random_involution,
                       random_normaliser, random_section_matrix,
                       random_unitary)
-from oracles import (UnitaryField, UnsupportedConfigurationError,
+from oracles import (Bisection, UnitaryField, UnsupportedConfigurationError,
                      all_bisections, bisection_to_normaliser,
                      compose_bisections, failing_ids,
                      is_normaliser_bruteforce, loop_block_norms,
                      loop_domain_section)
 
-from ncg import (DEFAULT_TOL, AxiomRefusalError, Bisection, BlockStructure,
+from ncg import (DEFAULT_TOL, AxiomRefusalError, BlockStructure,
                  FellBundleFD, SubspaceBasis, build_triple_from_mass_matrix,
-                 category_from_bundle, full_morita_bundle, is_domain_section,
-                 normaliser_support)
-from ncg.cstarcat import domain_section_from_json
+                 categorify, category_from_bundle, full_morita_bundle,
+                 is_domain_section, normaliser_support)
+from ncg.cstarcat import block_support, domain_section_from_json
 
 
 def unit(n, r, c):
     m = np.zeros((n, n), dtype=complex)
     m[r, c] = 1.0
     return m
+
+
+def support_perm(sigma, blocks):
+    """``perm[j - 1]``: the block row of the nonzero block in column j."""
+    return tuple(i for _, i in block_support(sigma, blocks))
 
 
 class TestCategoryFromBundle:
@@ -208,7 +213,7 @@ class TestBlockNorms:
     @staticmethod
     def section_outcome(m, blocks):
         try:
-            return is_domain_section(m, blocks).support
+            return support_perm(is_domain_section(m, blocks), blocks)
         except AxiomRefusalError as exc:
             return [(c.axiom_id, c.witness) for c in exc.report
                     if not c.passed]
@@ -244,15 +249,26 @@ class TestBlockNorms:
 class TestDomainSection:
     def test_mass_dirac_accepted(self):
         t = build_triple_from_mass_matrix(np.array([[2.0]]))
-        section = is_domain_section(t.D, t.blocks)
-        assert section.support == (2, 1, 4, 3)
-        np.testing.assert_array_equal(section.assembled,
-                                      section.assembled.conj().T)
-        np.testing.assert_array_equal(section.assembled, t.D)
+        sigma = is_domain_section(t.D, t.blocks)
+        assert support_perm(sigma, t.blocks) == (2, 1, 4, 3)
+        np.testing.assert_array_equal(sigma, sigma.conj().T)
+        np.testing.assert_array_equal(sigma, t.D)
 
     def test_identity_accepted(self):
-        section = is_domain_section(np.eye(3), BlockStructure((1, 2)))
-        assert section.support == (1, 2)
+        blocks = BlockStructure((1, 2))
+        sigma = is_domain_section(np.eye(3), blocks)
+        assert support_perm(sigma, blocks) == (1, 2)
+
+    def test_entries_off_the_support_come_out_positive_zero(self):
+        # -0.0 and a block below the threshold, both off the support, are
+        # written as +0.0; the support blocks are kept bit for bit.
+        blocks = BlockStructure((1, 1, 1))
+        m = np.array([[-0.0, 1.0, 1e-15], [1.0, -0.0, 0.0],
+                      [1e-15, 0.0, -2.0]], dtype=complex)
+        sigma = is_domain_section(m, blocks)
+        want = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                         [0.0, 0.0, -2.0]], dtype=complex)
+        assert sigma.tobytes() == want.tobytes()
 
     @staticmethod
     def refused(m, blocks):
@@ -287,17 +303,16 @@ class TestDomainSection:
             m[blocks.block_slice(2), blocks.block_slice(1)] = blk
             m[blocks.block_slice(1), blocks.block_slice(2)] = blk.conj().T
             m[4, 4] = rng.standard_normal()
-            section = is_domain_section(m, blocks)
-            pi = section.support
+            pi = support_perm(is_domain_section(m, blocks), blocks)
             assert all(pi[pi[j - 1] - 1] == j for j in (1, 2, 3))
 
     def test_json_round_trip(self):
         t = build_triple_from_mass_matrix(np.array([[1.0, 2.0],
                                                     [0.5j, -1.0]]))
-        section = is_domain_section(t.D, t.blocks)
-        decoded = domain_section_from_json(json_document(section.to_json()),
-                                           t.blocks)
-        np.testing.assert_array_equal(decoded, section.assembled)
+        sigma = is_domain_section(t.D, t.blocks)
+        decoded = domain_section_from_json(
+            json_document(categorify(t).to_json()["sigma"]), t.blocks)
+        np.testing.assert_array_equal(decoded, sigma)
 
 
 class TestBisectionToNormaliser:

@@ -49,7 +49,7 @@ def conjugated_bundle(rng, sizes, split=None, scale=1.0):
     us = [random_unitary(rng, s) for s in sizes]
     fibres = {}
     blocks = BlockStructure(sizes)
-    for i, j in blocks.groupoid().arrows():
+    for i, j in blocks.arrows():
         units = _units(sizes[i - 1], sizes[j - 1])
         if split is not None:
             r, c = np.nonzero(units)[1:]
@@ -64,7 +64,7 @@ def generic_bundle(rng, sizes):
     """Every fibre a random subspace of random dimension (possibly 0)."""
     fibres = {}
     blocks = BlockStructure(sizes)
-    for i, j in blocks.groupoid().arrows():
+    for i, j in blocks.arrows():
         ni, nj = sizes[i - 1], sizes[j - 1]
         dim = int(rng.integers(0, ni * nj + 1))
         fibres[(i, j)] = SubspaceBasis(ni, nj, crandn(rng, dim, ni, nj))
@@ -114,7 +114,7 @@ def near_underflow_bundle(seed):
     sizes = [(2, 2), (2, 1), (3, 2), (1, 2, 2)][seed % 4]
     fibres = {}
     blocks = BlockStructure(sizes)
-    for i, j in blocks.groupoid().arrows():
+    for i, j in blocks.arrows():
         ni, nj = sizes[i - 1], sizes[j - 1]
         dim = int(rng.integers(1, ni * nj + 1))
         scale = 10.0 ** rng.uniform(-84, -74)

@@ -38,6 +38,12 @@ class TestBlockStructure:
         with pytest.raises(InputError):
             BlockStructure((1, 0))
 
+    def test_arrows_are_the_index_pairs_row_major(self):
+        assert BlockStructure((1, 2)).arrows() == [(1, 1), (1, 2), (2, 1),
+                                                   (2, 2)]
+        b = full_morita_bundle(BlockStructure((2, 1, 3)))
+        assert list(b.fibres) == b.blocks.arrows()
+
     @pytest.mark.parametrize("sizes", [[MAX_DIMENSION],
                                        [1, MAX_DIMENSION - 2, 1]])
     def test_total_dimension_at_the_bound_is_decoded(self, sizes):
@@ -117,7 +123,7 @@ class TestFellAxioms:
         blocks = BlockStructure((2, 2))
         corner = unit(2, 2, 0, 0)
         fibres = {g: SubspaceBasis(2, 2, [corner])
-                  for g in blocks.groupoid().arrows()}
+                  for g in blocks.arrows()}
         bundle = FellBundleFD(blocks, fibres)
         report = check_fell_axioms(bundle)
         assert report.find("fell.axiom.2").passed
@@ -197,7 +203,7 @@ class TestSemidirectBundle:
         blocks = BlockStructure((1, 1))
         sd = semidirect_bundle(blocks, UnitaryField.identity(blocks))
         full = full_morita_bundle(blocks)
-        for g in full.arrows():
+        for g in full.blocks.arrows():
             assert spans_equal(sd.bundle.fibres[g], full.fibres[g])
 
     def test_flip_field_product_rule(self):
@@ -299,7 +305,7 @@ class TestBundleJson:
     def test_round_trip(self):
         b = full_morita_bundle(BlockStructure((1, 2)))
         decoded = bundle_from_json(json_document(bundle_to_json(b)))
-        for g in b.arrows():
+        for g in b.blocks.arrows():
             np.testing.assert_array_equal(decoded.fibres[g].stack,
                                           b.fibres[g].stack)
 

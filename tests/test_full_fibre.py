@@ -36,7 +36,7 @@ def random_full_bundle(rng, sizes) -> FellBundleFD:
     blocks = BlockStructure(sizes)
     us = [random_unitary(rng, s) for s in sizes]
     fibres = {}
-    for i, j in blocks.groupoid().arrows():
+    for i, j in blocks.arrows():
         ni, nj = sizes[i - 1], sizes[j - 1]
         mix = crandn(rng, ni * nj, ni * nj)
         scale = 10.0 ** rng.uniform(-6.0, 6.0)
@@ -48,7 +48,7 @@ def random_full_bundle(rng, sizes) -> FellBundleFD:
 
 def one_short(rng, b: FellBundleFD) -> FellBundleFD:
     """``b`` with the last basis element of one random fibre dropped."""
-    arrows = b.arrows()
+    arrows = b.blocks.arrows()
     g = arrows[int(rng.integers(len(arrows)))]
     fibres = dict(b.fibres)
     fibre = fibres[g]

@@ -6,13 +6,12 @@ from conftest import (crandn, json_document, random_admissible_triple,
 from oracles import failing_ids, is_normaliser_bruteforce
 
 from ncg import (AxiomRefusalError, BlockStructure, FiniteSpectralTriple,
-                 FluctuationTerm, InputError, build_triple_from_mass_matrix,
+                 InputError, build_triple_from_mass_matrix,
                  categorify, check_even_axioms, fell_triple_from_category,
-                 fluctuate, full_morita_bundle, is_domain_section,
+                 fluctuate, full_morita_bundle,
                  normaliser_support, one_form, spectral_category,
                  triple_from_category)
 from ncg.geometry import (check_bundle_document, fluctuation_terms_from_json,
-                          fluctuation_terms_to_json,
                           spectral_category_from_json)
 
 PATH_ROWS = ["fell.path_lifting.normaliser", "fell.path_lifting.selfadjoint",
@@ -24,7 +23,7 @@ class TestCategorify:
         t = build_triple_from_mass_matrix(np.array([[1.5]]))
         sc = categorify(t)
         assert sc.blocks.p == 4
-        assert sc.sigma.support == (2, 1, 4, 3)
+        assert sc.perm == (2, 1, 4, 3)
 
     def test_zero_dirac_rejected_by_the_normaliser_row(self):
         gamma, epsilon, K = __import__("ncg").standard_operators(1)
@@ -123,7 +122,7 @@ class TestFellTripleFromCategory:
         for t in triples:
             sc = categorify(t)
             back = spectral_category(sc.bundle, sc.PL)
-            assert back.sigma.support == sc.sigma.support
+            assert back.perm == sc.perm
             assert back.blocks == sc.blocks
             assert back.PL.dtype == sc.PL.dtype
             assert back.PL.tobytes() == sc.PL.tobytes()
@@ -153,8 +152,7 @@ class TestFellTripleFromCategory:
         t = build_triple_from_mass_matrix(np.array([[1.0]]))
         sc = categorify(t)
         decoded = spectral_category_from_json(json_document(sc.to_json()))
-        np.testing.assert_array_equal(decoded.sigma.assembled,
-                                      sc.sigma.assembled)
+        np.testing.assert_array_equal(decoded.PL, sc.PL)
 
     def test_unsaturated_category_file_refused(self):
         # Homsets (1,1) and (2,2) only: a Fell bundle, unital, whose
@@ -185,13 +183,13 @@ class TestApplyPathLifting:
         for _ in range(100):
             t = random_admissible_triple(rng)
             blocks = t.blocks
-            section = is_domain_section(t.D, blocks)
+            perm = spectral_category(full_morita_bundle(blocks), t.D).perm
             j = int(rng.integers(1, blocks.p + 1))
             psi = np.zeros(blocks.total, dtype=complex)
             sl = blocks.block_slice(j)
             psi[sl] = crandn(rng, blocks.sizes[j - 1])
             out = t.D @ psi
-            target = blocks.block_slice(section.support[j - 1])
+            target = blocks.block_slice(perm[j - 1])
             mask = np.ones(blocks.total, dtype=bool)
             mask[target] = False
             assert np.all(out[mask] == 0)
@@ -218,11 +216,10 @@ class TestFluctuate:
             n = int(rng.integers(2, 7))
             d = crandn(rng, n, n)
             d = d + d.conj().T
-            terms = [FluctuationTerm(float(rng.standard_normal()),
-                                     random_unitary(rng, n))
+            terms = [(float(rng.standard_normal()), random_unitary(rng, n))
                      for _ in range(3)]
             out = fluctuate(d, terms)
-            scale = np.linalg.norm(d) * sum(abs(t.r) for t in terms)
+            scale = np.linalg.norm(d) * sum(abs(r) for r, _ in terms)
             assert np.linalg.norm(out - out.conj().T) <= 1e-12 * max(1, scale)
 
     def test_preserves_grading_anticommutation(self):
@@ -242,13 +239,14 @@ class TestFluctuate:
         for _ in range(20):
             t = random_admissible_triple(rng)
             blocks = t.blocks
-            before = is_domain_section(t.D, blocks)
+            bundle = full_morita_bundle(blocks)
+            before = spectral_category(bundle, t.D).perm
             u = np.zeros((blocks.total, blocks.total), dtype=complex)
             for j in range(1, blocks.p + 1):
                 sl = blocks.block_slice(j)
                 u[sl, sl] = random_unitary(rng, blocks.sizes[j - 1])
-            after = is_domain_section(fluctuate(t.D, [(1.0, u)]), blocks)
-            assert after.support == before.support
+            after = spectral_category(bundle, fluctuate(t.D, [(1.0, u)])).perm
+            assert after == before
 
     def test_non_unitary_rejected_with_residual(self):
         with pytest.raises(InputError, match="residual"):
@@ -287,12 +285,11 @@ class TestOneForm:
 class TestFluctuationTermsJson:
     def test_round_trip(self):
         rng = np.random.default_rng(53)
-        terms = [FluctuationTerm(0.5, random_unitary(rng, 3)),
-                 FluctuationTerm(-1.0, random_unitary(rng, 3))]
+        terms = [(0.5, random_unitary(rng, 3)), (-1.0, random_unitary(rng, 3))]
         decoded = fluctuation_terms_from_json(
-            json_document(fluctuation_terms_to_json(terms)))
-        assert decoded[0].r == 0.5
-        np.testing.assert_array_equal(decoded[1].U, terms[1].U)
+            json_document([{"r": r, "U": u} for r, u in terms]))
+        assert decoded[0][0] == 0.5
+        np.testing.assert_array_equal(decoded[1][1], terms[1][1])
 
     def test_malformed_rejected(self):
         with pytest.raises(InputError):

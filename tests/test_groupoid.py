@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (LocalBisection, all_bisections, all_local_bisections,
-                     compose_bisections, is_local_bisection)
+from oracles import (Bisection, LocalBisection, PairGroupoid, all_bisections,
+                     all_local_bisections, compose_bisections,
+                     is_local_bisection)
 
-from ncg import Bisection, InputError, PairGroupoid
+from ncg import InputError
 
 
 class TestArrows:

@@ -99,7 +99,7 @@ def dense_bundle(rng, sizes):
     space, or (one in five) the zero fibre."""
     fibres = {}
     blocks = BlockStructure(sizes)
-    for i, j in blocks.groupoid().arrows():
+    for i, j in blocks.arrows():
         ni, nj = sizes[i - 1], sizes[j - 1]
         if rng.random() < 0.8:
             dim = int(rng.integers((ni * nj + 1) // 2, ni * nj + 1))
