@@ -16,11 +16,12 @@ complement when it is at least half full, exactly 0 for a full one, and
 by projection on a thinner one.  The batteries run once per shape class,
 not once per fibre: the pairs of arrows of one class ``(n_i, n_j, n_k,
 d_ij, d_jk, d_ik)`` are formed and measured by stacked calls
-(:class:`~ncg.matops.SpanStack`), as many at a time as fill a buffer of
+(:class:`~ncg.matops.SpanStack`), as many at a time as fit in
 :data:`_BATCH_ENTRIES` complex entries, and so are the adjoints of a
-class of fibres and the Gram matrices of saturation.  Reports keep the
-order of a pass over the arrows: a witness is the first worst element
-in arrow order.  The bundle gate of the conversions
+class of fibres and the Gram matrices of saturation.  Each run writes
+its residuals at the places its items hold in a pass over the arrows,
+and :func:`~ncg.report.worst_row` decides the row, so a witness is the
+first worst element in arrow order.  The bundle gate of the conversions
 (``category_from_bundle``, the bundle half of ``spectral_category``)
 accepts a bundle that :attr:`FellBundleFD.is_full` by theorem: a fibre
 of dimension ``n_i n_j`` is the whole matrix space, so the bundle's
@@ -39,7 +40,7 @@ from .errors import InputError, NcgError, ShapeError
 from .matops import (BATCH_ENTRIES as _BATCH_ENTRIES, DEFAULT_TOL, SpanStack,
                      SubspaceBasis, Tolerance, numerical_rank, row_norms,
                      stack_from_json, take)
-from .report import AxiomCheck, AxiomReport, WorstResidual
+from .report import AxiomCheck, AxiomReport, worst_row
 
 # A Frobenius norm below this may have lost its relative accuracy to
 # gradual underflow of the squared entries, so it certifies nothing.
@@ -191,20 +192,16 @@ def full_morita_bundle(blocks: BlockStructure) -> FellBundleFD:
         for i, j in arrows]))))
 
 
-def _basis_products(x: np.ndarray, y: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _basis_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Every product ``x[..., a] @ y[..., b]`` of two ``(..., a, i, j)`` and
     ``(..., b, j, k)`` stacks as an ``(..., a*b, i, k)`` stack in row-major
     ``(a, b)`` order, formed by one (stacked) GEMM and one transposing
-    copy, into ``out`` if given."""
+    copy."""
     lead, (a, i, j), (b, _, k) = x.shape[:-3], x.shape[-3:], y.shape[-3:]
     flat = (x.reshape(lead + (a * i, j))
             @ y.swapaxes(-3, -2).reshape(lead + (j, b * k)))
-    arranged = flat.reshape(lead + (a, i, b, k)).swapaxes(-3, -2)
-    if out is None:
-        return arranged.reshape(lead + (a * b, i, k))
-    out.reshape(lead + (a, b, i, k))[...] = arranged
-    return out
+    return (flat.reshape(lead + (a, i, b, k)).swapaxes(-3, -2)
+            .reshape(lead + (a * b, i, k)))
 
 
 class _ShapeClasses:
@@ -264,8 +261,8 @@ class _ShapeClasses:
 
 
 def _runs(group: slice, entries: int) -> list:
-    """``group`` in slices of items whose ``entries`` each fill the
-    buffer of :data:`_BATCH_ENTRIES` entries, at least one per slice."""
+    """``group`` in slices of items whose ``entries`` each fill
+    :data:`_BATCH_ENTRIES` entries, at least one per slice."""
     step = max(1, _BATCH_ENTRIES // max(entries, 1))
     return [slice(s, min(s + step, group.stop))
             for s in range(group.start, group.stop, step)]
@@ -300,22 +297,18 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     # Pairs (i, j) x (j, k) of nonzero fibres, by target (i, k), then j.
     i, k, j = np.nonzero((dim[:, None, :] > 0) & (dim.T[None, :, :] > 0))
     numeric = ~full[i, k]
-    closure = _closure_residuals(tol, classes, i[numeric], j[numeric],
-                                 k[numeric])
-    invol = _involution_residuals(tol, classes)
 
     return AxiomReport((
         AxiomCheck("fell.axiom.1", True, 0.0,
                    "structural: products are placed at the composed arrow"),
         (_analytic(2, "a full fibre holds every matrix of its shape")
          if len(i) and not numeric.any() else
-         closure.check("fell.axiom.2", "all basis products stay in their fibre")),
+         _closure_residuals(tol, classes, i[numeric], j[numeric], k[numeric])),
         _analytic(3, "matrix multiplication is associative"),
         _analytic(4, "the operator norm is submultiplicative"),
         AxiomCheck("fell.axiom.5", True, 0.0,
                    "structural: adjoints are placed at the reversed arrow"),
-        invol.check("fell.axiom.6", "adjoint of every basis element lies in "
-                                    "the reversed fibre"),
+        _involution_residuals(tol, classes),
         _analytic(7, "the conjugate transpose is an involution"),
         _analytic(8, "the conjugate transpose reverses products"),
         _analytic(9, "the operator norm satisfies ‖e* e‖ = ‖e‖²"),
@@ -323,26 +316,24 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     ))
 
 
-def _closure_residuals(tol: Tolerance, classes: _ShapeClasses,
-                       i: np.ndarray, j: np.ndarray, k: np.ndarray) -> _Worst:
-    """The distance from fibre ``(i, k)`` of every basis product of the
-    pairs ``(i, j) x (j, k)`` (0-based index arrays in report order).
-    The pairs of one shape class ``(n_i, n_j, n_k, d_ij, d_jk, d_ik)``
-    are formed by one stacked GEMM and measured by one stacked residual
-    call while their products fit in a buffer of :data:`_BATCH_ENTRIES`
-    entries; a pair with more runs alone."""
+def _closure_residuals(tol: Tolerance, classes: _ShapeClasses, i: np.ndarray,
+                       j: np.ndarray, k: np.ndarray) -> AxiomCheck:
+    """``fell.axiom.2`` from the distance to fibre ``(i, k)`` of every basis
+    product of the pairs ``(i, j) x (j, k)`` (0-based index arrays in
+    report order).  The pairs of one shape class ``(n_i, n_j, n_k, d_ij,
+    d_jk, d_ik)`` are formed by one stacked GEMM and measured by one
+    stacked residual call while their products fit in
+    :data:`_BATCH_ENTRIES` entries; a pair with more runs alone."""
     dim, pos = classes.dim, classes.pos
 
     def describe(place, t):
         left = (int(i[t]) + 1, int(j[t]) + 1)
         right = (int(j[t]) + 1, int(k[t]) + 1)
-        a, c = divmod(place - int(offsets[t]), int(dim[j[t], k[t]]))
+        a, c = divmod(place, int(dim[j[t], k[t]]))
         return (f"basis {a} of {left} x basis {c} of {right} leaves fibre "
                 f"{(left[0], right[1])}")
 
-    offsets = np.concatenate([[0], np.cumsum(dim[i, j] * dim[j, k])])
-    row = _Worst(tol, offsets, describe)
-    buffer = np.empty(_BATCH_ENTRIES, dtype=complex)
+    row = _Places(dim[i, j] * dim[j, k])
     order, groups = classes.groups((i, j), (j, k), (i, k))
     si, sj, sk = i[order], j[order], k[order]
     g, h, gh = pos[si, sj], pos[sj, sk], pos[si, sk]
@@ -351,31 +342,27 @@ def _closure_residuals(tol: Tolerance, classes: _ShapeClasses,
         target = SpanStack(classes.members[ct])
         (_, a, ni, _), (_, b, _, nk) = x.shape, y.shape
         for run in _runs(group, a * b * ni * nk):
-            m = run.stop - run.start
-            size = m * a * b * ni * nk
-            prods = _basis_products(
-                take(x, g[run]), take(y, h[run]),
-                buffer[:size].reshape(m, a * b, ni, nk)
-                if size <= len(buffer) else None)
-            flat = prods.reshape(m, a * b, ni * nk)
-            row.add(order[run], target.residuals(flat, gh[run]),
-                    row_norms(flat.reshape(m * a * b, ni * nk)))
-    return row
+            flat = _basis_products(take(x, g[run]), take(y, h[run])).reshape(
+                run.stop - run.start, a * b, ni * nk)
+            row.put(order[run], target.residuals(flat, gh[run]),
+                    row_norms(flat.reshape(-1, ni * nk)))
+    return row.check(tol, "fell.axiom.2", describe,
+                     "all basis products stay in their fibre")
 
 
-def _involution_residuals(tol: Tolerance, classes: _ShapeClasses) -> _Worst:
-    """The distance of the adjoint of every basis element from the
-    reversed fibre, one stacked residual call per shape class of the fibre
-    and its reverse; a full reverse holds them all."""
+def _involution_residuals(tol: Tolerance,
+                          classes: _ShapeClasses) -> AxiomCheck:
+    """``fell.axiom.6`` from the distance of the adjoint of every basis
+    element to the reversed fibre, one stacked residual call per shape
+    class of the fibre and its reverse; a full reverse holds them all."""
     dim, pos = classes.dim, classes.pos
     i, j = np.nonzero((dim > 0) & ~classes.full.T)
 
     def describe(place, t):
-        return (f"adjoint of basis {place - int(offsets[t])} of fibre "
+        return (f"adjoint of basis {place} of fibre "
                 f"{(int(i[t]) + 1, int(j[t]) + 1)}")
 
-    offsets = np.concatenate([[0], np.cumsum(dim[i, j])])
-    row = _Worst(tol, offsets, describe)
+    row = _Places(dim[i, j])
     order, groups = classes.groups((i, j), (j, i))
     g, r = pos[i[order], j[order]], pos[j[order], i[order]]
     for (cg, cr), group in groups:
@@ -384,41 +371,37 @@ def _involution_residuals(tol: Tolerance, classes: _ShapeClasses) -> _Worst:
         _, d, ni, nj = stack.shape
         for run in _runs(group, d * ni * nj):
             elems = take(stack, g[run])
-            m = len(elems)
             adjoints = np.conj(elems.transpose(0, 1, 3, 2)).reshape(
-                m, d, ni * nj)
-            row.add(order[run], reverse.residuals(adjoints, r[run]),
-                    row_norms(elems.reshape(m * d, ni * nj)))
-    return row
+                len(elems), d, ni * nj)
+            row.put(order[run], reverse.residuals(adjoints, r[run]),
+                    row_norms(elems.reshape(-1, ni * nj)))
+    return row.check(tol, "fell.axiom.6", describe,
+                     "adjoint of every basis element lies in the reversed "
+                     "fibre")
 
 
-class _Worst:
-    """:class:`WorstResidual` of one row over runs measured out of report
-    order: item ``t`` owns the report places ``offsets[t]`` to
-    ``offsets[t + 1]``, and the witness, ``describe(place, item)``, is the
-    first worst element in report order."""
+class _Places:
+    """The raw residuals and scales of one row in report order, filled by
+    runs measured out of it: item ``t`` of ``counts`` owns the next
+    ``counts[t]`` places, and a witness names ``(place in item, item)``."""
 
-    def __init__(self, tol: Tolerance, offsets: np.ndarray, describe):
-        self.tol, self.offsets, self.describe = tol, offsets, describe
-        self.passed, self.residual, self.place = True, 0.0, None
+    def __init__(self, counts: np.ndarray):
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.raws, self.scales = np.zeros((2, int(self.offsets[-1])))
 
-    def add(self, t: np.ndarray, raws: np.ndarray, scales: np.ndarray):
-        """The ``(len(t), count)`` residuals of the items ``t``, ascending,
-        and the scales of their elements."""
-        count = raws.shape[1]
-        run = WorstResidual(self.tol)
-        run.update_batch(raws.ravel(), scales, lambda q: int(
-            self.offsets[t[q // count]]) + q % count)
-        self.passed &= run.passed
-        tie = run.residual == self.residual > 0
-        if run.residual > self.residual or (tie and run.witness < self.place):
-            self.residual, self.place = run.residual, run.witness
+    def put(self, t: np.ndarray, raws: np.ndarray, scales: np.ndarray):
+        """The ``(len(t), count)`` residuals of the items ``t`` and the
+        scales of their elements, item by item."""
+        at = self.offsets[t][:, None] + np.arange(raws.shape[1])
+        self.raws[at], self.scales[at] = raws, scales.reshape(raws.shape)
 
-    def check(self, axiom_id: str, default_witness: str) -> AxiomCheck:
-        witness = default_witness if self.place is None else self.describe(
-            self.place, int(np.searchsorted(self.offsets, self.place,
-                                            side="right")) - 1)
-        return AxiomCheck(axiom_id, self.passed, self.residual, witness)
+    def check(self, tol: Tolerance, axiom_id: str, describe,
+              default: str) -> AxiomCheck:
+        def witness(place):
+            t = int(np.searchsorted(self.offsets, place, side="right")) - 1
+            return describe(place - int(self.offsets[t]), t)
+        return worst_row(tol, axiom_id, self.raws, self.scales, witness,
+                         default)
 
 
 def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
@@ -523,13 +506,12 @@ def _gram_guard(dg, dh, nj, n):
 
 def check_unital(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
     """Unitality: each diagonal fibre must contain its identity matrix."""
-    worst = WorstResidual(tol)
-    for i in range(1, b.blocks.p + 1):
-        size = b.blocks.sizes[i - 1]
-        raw = b.fibres[(i, i)].residual(np.eye(size, dtype=complex))
-        worst.update(raw, float(np.sqrt(size)),
-                     f"identity of diagonal fibre ({i},{i})")
-    return worst.check("fell.unital", "every diagonal fibre is unital")
+    sizes = b.blocks.sizes
+    raws = [b.fibres[(i, i)].residual(np.eye(size, dtype=complex))
+            for i, size in enumerate(sizes, start=1)]
+    return worst_row(tol, "fell.unital", raws, np.sqrt(sizes),
+                     lambda q: f"identity of diagonal fibre ({q + 1},{q + 1})",
+                     "every diagonal fibre is unital")
 
 
 def check_bundle(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:

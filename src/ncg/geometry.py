@@ -30,7 +30,7 @@ from .fellbundle import (BlockStructure, FellBundleFD, blocks_from_json,
                          fibres_from_json, fibres_to_json, full_morita_bundle)
 from .matops import (DEFAULT_TOL, ENTRY_BOUND, Tolerance, adjoint, as_matrix,
                      frobenius, matrix_from_json, require_unitary)
-from .report import AxiomCheck, AxiomReport, WorstResidual
+from .report import AxiomCheck, AxiomReport, worst_row
 from .sptriple import FiniteSpectralTriple, check_triple
 
 
@@ -105,13 +105,15 @@ def _in_fibres_check(bundle: FellBundleFD, pl: np.ndarray,
     """``fell.path_lifting.in_fibres``: each nonzero block ``(i, j)`` of
     ``PL`` (or σ) lies in fibre ``(i, j)``, by its residual relative to its
     norm (:meth:`~ncg.matops.SubspaceBasis.residual`, 0 into a full fibre)."""
-    row = WorstResidual(tol)
     blocks = bundle.blocks
-    for i, j in (np.argwhere(blocks.block_norms(pl) > 0) + 1).tolist():
-        blk = blocks.block(pl, i, j)
-        row.update(bundle.fibres[(i, j)].residual(blk), frobenius(blk),
-                   f"block ({i},{j}) leaves fibre ({i},{j})")
-    return row.check("fell.path_lifting.in_fibres")
+    support = (np.argwhere(blocks.block_norms(pl) > 0) + 1).tolist()
+    pieces = [blocks.block(pl, i, j) for i, j in support]
+    return worst_row(
+        tol, "fell.path_lifting.in_fibres",
+        [bundle.fibres[(i, j)].residual(blk)
+         for (i, j), blk in zip(support, pieces)],
+        [frobenius(blk) for blk in pieces],
+        lambda q: "block ({0},{1}) leaves fibre ({0},{1})".format(*support[q]))
 
 
 def check_bundle_document(data, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
@@ -190,8 +192,7 @@ def fluctuate(D, terms: Iterable[tuple[float, np.ndarray]],
         raise ShapeError("fluctuate: operator must be square")
     out = np.zeros_like(D)
     for idx, (r, U) in enumerate(terms):
-        r, U = float(r), as_matrix(U, "fluctuation unitary")
-        require_unitary(U, n, tol, f"term {idx} unitary")
+        r, U = float(r), require_unitary(U, n, tol, f"term {idx} unitary")
         out = out + r * (U @ D @ adjoint(U))
     return out
 

@@ -2,8 +2,9 @@
 
 A battery answers only in :class:`AxiomCheck` rows (stable identifier,
 relative residual, witness), with an advisory "not applicable" row when
-it does not apply; an :class:`AxiomReport` collects them.
-:class:`WorstResidual` accumulates the worst residual of one row, and
+it does not apply; an :class:`AxiomReport` collects them.  Every
+residual row applies one rule (:func:`worst_row`, and
+:func:`residual_checks` for rows of one measurement each), and
 :meth:`AxiomReport.require` is the one way a construction refuses a
 failing report.
 """
@@ -73,49 +74,30 @@ class AxiomReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-class WorstResidual:
-    """Track the worst relative residual of one report row and its
-    witness."""
-
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-        self.residual = 0.0
-        self.witness = ""
-        self.passed = True
-
-    def update(self, raw: float, scale: float, witness: str):
-        rel = raw / max(1.0, scale)
-        if rel > self.residual:
-            self.residual = rel
-            self.witness = witness
-        if raw > self.tol.bound(scale):
-            self.passed = False
-
-    def update_batch(self, raws, scales, witness_fn):
-        raws = np.asarray(raws, dtype=float)
-        if raws.size == 0:
-            return
-        scales = np.maximum(1.0, np.asarray(scales, dtype=float))
-        rels = raws / scales
-        idx = int(np.argmax(rels))
-        if rels[idx] > self.residual:
-            self.residual = float(rels[idx])
-            self.witness = witness_fn(idx)
-        bounds = np.maximum(self.tol.abs, self.tol.rel * scales)
-        if np.any(raws > bounds):
-            self.passed = False
-
-    def check(self, axiom_id: str, default_witness: str = "") -> AxiomCheck:
-        return AxiomCheck(axiom_id, self.passed, self.residual,
-                          self.witness or default_witness)
+def worst_row(tol: Tolerance, axiom_id: str, raws, scales, witness,
+              default: str = "") -> AxiomCheck:
+    """The row ``axiom_id`` of raw residuals ``raws`` of elements of sizes
+    ``scales``, both in report order: its residual is the worst ``raw /
+    max(1, scale)``, it passes iff every ``raw ≤ tol.bound(scale)``, and
+    its witness is ``witness(q)`` for the first worst element ``q``, or
+    ``default`` when every residual is 0."""
+    raws = np.asarray(raws, dtype=float)
+    scales = np.maximum(1.0, np.asarray(scales, dtype=float))
+    rels = raws / scales
+    q = int(np.argmax(rels)) if rels.size else 0
+    worst = float(rels[q]) if rels.size and rels[q] > 0 else 0.0
+    passed = not np.any(raws > np.maximum(tol.abs, tol.rel * scales))
+    return AxiomCheck(axiom_id, passed, worst,
+                      witness(q) if worst else default)
 
 
 def residual_checks(tol: Tolerance, *rows) -> list[AxiomCheck]:
-    """Rows decided by one measurement each, given as
-    ``(axiom_id, raw, scale, witness)``."""
+    """Rows decided by one measurement each, given as ``(axiom_id, raw,
+    scale, witness)``, by the rule of :func:`worst_row`."""
     out = []
     for axiom_id, raw, scale, witness in rows:
-        row = WorstResidual(tol)
-        row.update(raw, scale, witness)
-        out.append(row.check(axiom_id))
+        rel = raw / max(1.0, scale)
+        out.append(AxiomCheck(axiom_id, not raw > tol.bound(scale),
+                              rel if rel > 0 else 0.0,
+                              witness if rel > 0 else ""))
     return out

@@ -28,8 +28,7 @@ from .errors import ConsistencyError, InputError, StructureError
 from .fellbundle import BlockStructure, blocks_from_json
 from .matops import (DEFAULT_TOL, Tolerance, adjoint, as_matrix, frobenius,
                      matrix_from_json)
-from .report import (AxiomCheck, AxiomReport, WorstResidual,
-                     residual_checks)
+from .report import AxiomCheck, AxiomReport, residual_checks, worst_row
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +165,9 @@ def check_real_axioms(t: FiniteSpectralTriple,
     row_mass = np.add.reduceat(np.abs(K_inv) ** 2, t.blocks.offsets, axis=1)
     leak_sq = np.einsum("ui,ij,uj->u", col_mass[rows],
                         1.0 - np.eye(t.blocks.p), row_mass[cols])
-    row = WorstResidual(tol)
-    row.update_batch(np.sqrt(leak_sq), np.ones(len(rows)),
-                     lambda a: f"J b J⁻¹ for algebra unit {a}")
-    checks.append(row.check("triple.real.opposite_algebra",
+    checks.append(worst_row(tol, "triple.real.opposite_algebra",
+                            np.sqrt(leak_sq), 1.0,
+                            lambda a: f"J b J⁻¹ for algebra unit {a}",
                             "conjugation by J stays block-diagonal"))
     return AxiomReport(tuple(checks))
 
@@ -211,11 +209,11 @@ def check_so_real(t: FiniteSpectralTriple,
     else:
         spectrum = np.linalg.eigvalsh((eps + adjoint(eps)) / 2.0)
         target = np.concatenate([-np.ones(n // 2), np.ones(n // 2)])
-        deviation = float(np.max(np.abs(spectrum - target)))
-        checks.append(AxiomCheck(
-            "triple.so_real.multiplicity", deviation <= tol.bound(1.0),
-            deviation, f"eigenvalues must be -1 and +1, each with "
-                       f"multiplicity {n // 2}"))
+        rule = (f"eigenvalues must be -1 and +1, each with multiplicity "
+                f"{n // 2}")
+        checks.append(worst_row(tol, "triple.so_real.multiplicity",
+                                np.abs(spectrum - target), 1.0,
+                                lambda q: rule, rule))
     return AxiomReport(tuple(checks))
 
 

@@ -251,14 +251,48 @@ def test_batching_changes_no_row(monkeypatch):
         assert row.residual == pytest.approx(first.residual, rel=1e-14)
 
 
-def test_runs_keep_the_report_order():
+def test_runs_keep_the_report_order(monkeypatch):
     # Shape classes are measured out of report order: among equal worst
     # residuals the witness is the first in report order, whichever run
-    # measured it first.  Item 0 owns places 0-1 and item 1 places 2-4.
-    worst = fellbundle._Worst(Tolerance(), np.array([0, 2, 5]),
-                              lambda place, t: f"place {place} of item {t}")
-    worst.add(np.array([1]), np.array([[0.0, 3.0, 3.0]]), np.ones(3))
-    worst.add(np.array([0]), np.array([[1.0, 3.0]]), np.ones(2))
-    row = worst.check("fell.axiom.2", "")
-    assert (row.passed, row.residual, row.witness) == (
-        False, 3.0, "place 1 of item 0")
+    # measured it first.  Fibre (2,1) shares the shape class of (1,1), so
+    # the pairs and adjoints through it are measured before those of the
+    # earlier fibre (1,2).  Each row has residual 1 on both sides of the
+    # tie: E_11 E_12 leaves fibre (1,1) ahead of E_22 E_12 leaving the
+    # zero fibre (2,2), and E_11* leaves span{E_12} ahead of E_12*
+    # leaving span{E_11, E_22}.
+    units = _matrix_units(2, 2)
+    b = FellBundleFD(BlockStructure((2, 2)), {
+        (1, 1): SubspaceBasis(2, 2, units[[0]]),
+        (1, 2): SubspaceBasis(2, 2, units[[0, 3]]),
+        (2, 1): SubspaceBasis(2, 2, units[[1]])})
+    for cap in (1, 8, 2 ** 16):
+        monkeypatch.setattr(fellbundle, "_BATCH_ENTRIES", cap)
+        report = check_fell_axioms(b)
+        rows = [(row.passed, row.residual, row.witness) for row in
+                (report.find("fell.axiom.2"), report.find("fell.axiom.6"))]
+        assert rows == [
+            (False, 1.0,
+             "basis 0 of (1, 2) x basis 0 of (2, 1) leaves fibre (1, 1)"),
+            (False, 1.0, "adjoint of basis 0 of fibre (1, 2)")], cap
+        assert report.find("fell.axiom.2") == all_products_closure(b)
+        assert report.find("fell.axiom.6") == all_adjoints_involution(b)
+
+
+def test_witnesses_follow_the_items_of_a_run(monkeypatch):
+    # Every fibre a random line in M_2: one shape class of fibres and one
+    # of pairs, so a run holds many items, and the worst residuals are
+    # distinct.  The witness must name the item that measured it.
+    rng = np.random.default_rng(20261127)
+    blocks = BlockStructure((2, 2, 2))
+    b = FellBundleFD(blocks, {g: SubspaceBasis(2, 2, crandn(rng, 1, 2, 2))
+                              for g in blocks.arrows()})
+    for cap in (1, 2 ** 16):
+        monkeypatch.setattr(fellbundle, "_BATCH_ENTRIES", cap)
+        report = check_fell_axioms(b)
+        for row, oracle in ((report.find("fell.axiom.2"),
+                             all_products_closure(b)),
+                            (report.find("fell.axiom.6"),
+                             all_adjoints_involution(b))):
+            assert (row.passed, row.witness) == (oracle.passed,
+                                                 oracle.witness), cap
+            assert row.residual == pytest.approx(oracle.residual, rel=1e-12)

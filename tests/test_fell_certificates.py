@@ -396,9 +396,9 @@ def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
     formed = []
     products = fellbundle._basis_products
 
-    def spy_products(x, y, out=None):
+    def spy_products(x, y):
         formed.append(x.size // x.shape[-1] // x.shape[-2] * y.shape[-3])
-        return products(x, y, out)
+        return products(x, y)
 
     monkeypatch.setattr(fellbundle, "_basis_products", spy_products)
     check_fell_axioms(b)

@@ -6,7 +6,7 @@ from conftest import (crandn, json_document, random_admissible_triple,
 from oracles import failing_ids, is_normaliser_bruteforce
 
 from ncg import (AxiomRefusalError, BlockStructure, FiniteSpectralTriple,
-                 InputError, build_triple_from_mass_matrix,
+                 InputError, ShapeError, build_triple_from_mass_matrix,
                  categorify, check_even_axioms, fell_triple_from_category,
                  fluctuate, full_morita_bundle,
                  normaliser_support, one_form, spectral_category,
@@ -251,6 +251,16 @@ class TestFluctuate:
     def test_non_unitary_rejected_with_residual(self):
         with pytest.raises(InputError, match="residual"):
             fluctuate(np.eye(2), [(1.0, 2.0 * np.eye(2))])
+
+    def test_a_malformed_unitary_is_named_by_its_term(self):
+        # A term's U is coerced once, by the unitary check, whose label
+        # names the term in every refusal.
+        with pytest.raises(ShapeError, match=r"^term 1 unitary: expected a "
+                                             r"2-D matrix, got ndim=1$"):
+            fluctuate(np.eye(2), [(1.0, np.eye(2)), (1.0, [1.0, 0.0])])
+        with pytest.raises(InputError, match=r"^term 0 unitary: entries "
+                                             r"must be finite$"):
+            fluctuate(np.eye(2), [(1.0, [[np.nan, 0.0], [0.0, 1.0]])])
 
 
 class TestOneForm:

@@ -1,9 +1,12 @@
 """Every row's pass/fail edge is ``raw ≤ Tolerance.bound(scale)``.
 
-``WorstResidual.update`` and ``update_batch`` must accept a raw residual
-at the bound and just below it, refuse one just above, clamp a scale
-below 1 to 1, and let ``abs`` decide where it exceeds ``rel · scale``.
-Hypothesis runs derandomised over tolerances and scales.  A planted
+``report.residual_checks`` (one measurement) and ``report.worst_row``
+(an array) must accept a raw residual at the bound and just below it,
+refuse one just above, clamp a scale below 1 to 1, and let ``abs``
+decide where it exceeds ``rel · scale``.  Hypothesis runs derandomised
+over tolerances and scales.  ``worst_row`` must also agree with the
+accumulator ``oracles.WorstResidual`` fed the same row in chunks, on
+ties, zeros, empty rows and raws at the bound.  A planted
 ``fell.axiom.2`` violation then puts a real out-of-fibre component at the
 bound ``· (1 ± 1e-6)``.
 """
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
                  check_fell_axioms)
-from ncg.report import WorstResidual
+from ncg.report import residual_checks, worst_row
+from oracles import WorstResidual
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=200)
@@ -29,10 +33,10 @@ scales = st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e12))
 
 
 def rows(tol, raw, scale):
-    """Pass/fail and residual of one update and of a batch of one."""
-    single, batch = WorstResidual(tol), WorstResidual(tol)
-    single.update(raw, scale, "single")
-    batch.update_batch(np.array([raw]), np.array([scale]), lambda i: "batch")
+    """Pass/fail and residual of one measurement and of a row of one."""
+    single, = residual_checks(tol, ("row", raw, scale, "single"))
+    batch = worst_row(tol, "row", np.array([raw]), np.array([scale]),
+                      lambda i: "batch")
     return ((single.passed, single.residual),
             (batch.passed, batch.residual))
 
@@ -70,11 +74,69 @@ def test_a_batch_fails_on_any_row_past_its_own_bound():
     # Row 0, at the abs bound, has the worst relative residual and
     # passes; row 1 has a far smaller one but is past rel · scale.
     tol = Tolerance(rel=1e-9, abs=1e-6)
-    row = WorstResidual(tol)
-    row.update_batch(np.array([1e-6, 2e-5]), np.array([1.0, 1e4]),
-                     lambda i: f"row {i}")
+    row = worst_row(tol, "row", np.array([1e-6, 2e-5]), np.array([1.0, 1e4]),
+                    lambda i: f"row {i}")
     assert not row.passed
     assert (row.residual, row.witness) == (1e-6, "row 0")
+
+
+@st.composite
+def chunked_rows(draw):
+    """A tolerance, the raws and scales of one row and its cut into
+    chunks listed in a shuffled order.  Elements are exact ties (one raw
+    at one scale), zeros, raws at ``bound · (1 ± 1e-12)`` or free; scales
+    reach below 1; the row may be empty."""
+    tol = draw(tolerances)
+    tie = (draw(st.floats(0.0, 1e3)), draw(scales))
+    raws, row_scales = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["tie", "zero", "below", "above",
+                                     "free"]))
+        raw, scale = tie if kind == "tie" else (None, draw(scales))
+        if kind == "zero":
+            raw = 0.0
+        elif kind in ("below", "above"):
+            raw = tol.bound(scale) * (1 + (1e-12 if kind == "above"
+                                           else -1e-12))
+        elif kind == "free":
+            raw = draw(st.floats(0.0, 1e3))
+        raws.append(raw)
+        row_scales.append(scale)
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(raws) - 1, 1)))))
+    bounds = [0, *(c for c in cuts if c < len(raws)), len(raws)]
+    chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    return (tol, np.array(raws), np.array(row_scales),
+            draw(st.permutations(chunks)))
+
+
+@PROPS
+@given(chunked_rows())
+def test_the_row_rule_matches_the_chunked_accumulator(case):
+    # The library's runs write their chunks at the row's places in any
+    # order; the accumulator takes the chunks in report order, so its
+    # witness is the first worst element.  Fed in the shuffled order it
+    # keeps the pass verdict and the residual, and names a worst element.
+    tol, raws, row_scales, shuffled = case
+    placed_raws, placed_scales = np.full((2, len(raws)), np.nan)
+    for chunk in shuffled:
+        placed_raws[chunk] = raws[chunk]
+        placed_scales[chunk] = row_scales[chunk]
+    row = worst_row(tol, "row", placed_raws, placed_scales, str, "none")
+    in_order, in_shuffle = WorstResidual(tol), WorstResidual(tol)
+    for chunk in sorted(shuffled, key=lambda c: c.start):
+        in_order.update_batch(raws[chunk], row_scales[chunk],
+                              lambda q, c=chunk: str(c.start + q))
+    for chunk in shuffled:
+        in_shuffle.update_batch(raws[chunk], row_scales[chunk],
+                                lambda q, c=chunk: str(c.start + q))
+    oracle = in_order.check("row", "none")
+    assert (row.passed, row.residual, row.witness) == (
+        oracle.passed, oracle.residual, oracle.witness)
+    assert (in_shuffle.passed, in_shuffle.residual) == (
+        oracle.passed, oracle.residual)
+    if row.residual:
+        q = int(in_shuffle.witness)
+        assert raws[q] / max(1.0, row_scales[q]) == row.residual
 
 
 def leaking_bundle(s, t):
