@@ -7,11 +7,17 @@ Fell axioms, saturation and unitality are decidable at this scale.  The
 report entry points, :func:`check_fell_axioms` and :func:`check_bundle`,
 decide the axioms that are identities of matrix algebra by theorem, as
 they do closure of products into a full fibre, which holds every matrix
-of its shape.  Closure into other fibres, the involution and unitality
-are decided exhaustively on every bundle, saturation from the fibres'
-Gram matrices, with the SVD of the products where that declines.
-Closure, involution and unitality measure distances to a fibre with
-:meth:`SubspaceBasis.residuals`: through the fibre's orthogonal
+of its shape.  Closure into other fibres and saturation are decided by
+theorem too when :func:`normal_form` certifies the bundle: it guesses
+unitaries ``U_i`` with ``U_i* E_ij U_j = ⊕_r M_{k_ir x k_jr} ⊗ 1_{m_r}``,
+the normal form of a unital saturated bundle, measures the ``p²`` fibres
+against it and bounds every product residual and product span from those
+distances and the bases' conditioning, forming no product.  Where it
+declines, closure is measured on every basis product and saturation
+decided from the fibres' Gram matrices, with the SVD of the products
+where that declines.  The involution and unitality are measured on every
+bundle.  Closure, involution and unitality measure distances to a fibre
+with :meth:`SubspaceBasis.residuals`: through the fibre's orthogonal
 complement when it is at least half full, exactly 0 for a full one, and
 by projection on a thinner one.  The batteries run once per shape class,
 not once per fibre: the pairs of arrows of one class ``(n_i, n_j, n_k,
@@ -52,9 +58,10 @@ _GRAM_FLOOR = 1e-10
 # Largest total block dimension ``Σ n_i`` a file may declare.  The
 # checks hold dense ``n x n`` complex matrices, 256 MB each at this size.
 MAX_DIMENSION = 4096
-# Largest block count ``p`` a file may declare.  The bundle batteries
-# index all p³ composable pairs of arrows, whatever the fibres hold, but
-# make their numpy calls per shape class of fibres or of pairs.
+# Largest block count ``p`` a file may declare.  A bundle certified by
+# its normal form costs p² fibre residuals and p³ scalar margins; any
+# other indexes all p³ composable pairs of arrows, whatever the fibres
+# hold, with its numpy calls per shape class of fibres or of pairs.
 MAX_BLOCKS = 64
 # The arrow ``(i, j)`` points ``j -> i``: its fibre holds the blocks at
 # row ``i``, column ``j``.
@@ -272,7 +279,8 @@ def _analytic(k: int, identity: str) -> AxiomCheck:
     return AxiomCheck(f"fell.axiom.{k}", True, 0.0, f"analytic: {identity}")
 
 
-def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
+def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
+                      form: NormalForm | None = None) -> AxiomReport:
     """Verify the ten Fell axioms on a finite bundle.
 
     Fibres are subspaces of matrix spaces, the product is matrix
@@ -288,22 +296,32 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomRep
     that fibre holds every ``n_i x n_k`` matrix; the basis products of
     every other pair are formed and measured against its target by
     :func:`_closure_residuals`.  When every pair with nonzero fibres has a
-    full target, the row is analytic.  The involution is decided on every
-    basis element (:func:`_involution_residuals`): adjoints must land in
-    the reversed fibre.
+    full target, the row is analytic.  Otherwise a bundle whose
+    :func:`normal_form` (``form``, found here when not given) bounds every
+    product residual within the tolerance passes with a ``certified:``
+    witness naming its summands and the bound, and residual 0.  The
+    involution is decided on every basis element
+    (:func:`_involution_residuals`): adjoints must land in the reversed
+    fibre.
     """
     classes = _ShapeClasses(b)
     dim, full = classes.dim, classes.full
     # Pairs (i, j) x (j, k) of nonzero fibres, by target (i, k), then j.
     i, k, j = np.nonzero((dim[:, None, :] > 0) & (dim.T[None, :, :] > 0))
     numeric = ~full[i, k]
+    if len(i) and not numeric.any():
+        closure = _analytic(2, "a full fibre holds every matrix of its shape")
+    else:
+        form = normal_form(b, tol) if form is None else form
+        closure = (AxiomCheck("fell.axiom.2", True, 0.0, form.witness())
+                   if form.bound <= tol.rel else
+                   _closure_residuals(tol, classes, i[numeric], j[numeric],
+                                      k[numeric]))
 
     return AxiomReport((
         AxiomCheck("fell.axiom.1", True, 0.0,
                    "structural: products are placed at the composed arrow"),
-        (_analytic(2, "a full fibre holds every matrix of its shape")
-         if len(i) and not numeric.any() else
-         _closure_residuals(tol, classes, i[numeric], j[numeric], k[numeric])),
+        closure,
         _analytic(3, "matrix multiplication is associative"),
         _analytic(4, "the operator norm is submultiplicative"),
         AxiomCheck("fell.axiom.5", True, 0.0,
@@ -404,7 +422,8 @@ class _Places:
                          default)
 
 
-def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
+def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
+                    form: NormalForm | None = None) -> AxiomCheck:
     """Saturation: products of two fibres must span the whole target fibre.
 
     For every composable pair of arrows the rank of the products of the
@@ -417,8 +436,14 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck
     (:func:`_gram_spectra`), one stacked call per shape class of the
     pairs, and must clear its rounding error (:func:`_gram_guard`).
     Every other span is ranked by the SVD of its products
-    (:func:`_basis_products`).  Only the rank reaches the report.
+    (:func:`_basis_products`).  Only the rank reaches the report.  A
+    bundle whose :func:`normal_form` (``form``, found here when not
+    given) proves every span total passes without either.
     """
+    form = normal_form(b, tol) if form is None else form
+    if form.spans:
+        return AxiomCheck("fell.saturated", True, 0.0,
+                          "every product span is total")
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
     p, sizes = b.blocks.p, np.array(b.blocks.sizes)
     classes = _ShapeClasses(b)
@@ -515,10 +540,298 @@ def check_unital(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomCheck:
 
 
 def check_bundle(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
-    """Full battery: ten axioms plus saturation and unitality."""
-    axioms = check_fell_axioms(b, tol)
-    return AxiomReport(axioms.checks + (check_saturated(b, tol),
+    """Full battery: ten axioms plus saturation and unitality, with one
+    :func:`normal_form` certificate for closure and saturation."""
+    form = normal_form(b, tol)
+    axioms = check_fell_axioms(b, tol, form)
+    return AxiomReport(axioms.checks + (check_saturated(b, tol, form),
                                         check_unital(b, tol)))
+
+
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """What :func:`normal_form` proved of a bundle.
+
+    ``k[i - 1, r]`` and ``m[r]`` are the sizes and multiplicities of the
+    summands of the normal form ``U_i* E_ij U_j = ⊕_r M_{k_ir x k_jr} ⊗
+    1_{m_r}`` that every fibre lies near; ``k`` is None when none was
+    found.  ``bound`` is a proven upper bound on the relative residual of
+    every basis product that ``fell.axiom.2`` measures, ``inf`` unless it
+    is within ``tol.rel``, and ``spans`` that every product span
+    ``fell.saturated`` ranks is total.
+    """
+
+    k: np.ndarray | None = None
+    m: tuple[int, ...] = ()
+    bound: float = np.inf
+    spans: bool = False
+
+    def witness(self) -> str:
+        return ("certified: normal form ⊕_r M_{k_ir x k_jr} ⊗ 1_{m_r}, "
+                f"k = {self.k.tolist()}, m = {list(self.m)}; every basis "
+                f"product within {self.bound:.1e} of its fibre")
+
+
+_DECLINED = NormalForm()
+# Seed of the random elements that split A_11 in :func:`_split`: a fixed
+# choice makes the guess, and so the report, reproducible.
+_FORM_SEED = 20261021
+_EPS = np.finfo(float).eps
+
+
+def normal_form(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
+    """Certify closure and saturation from the bundle's normal form.
+
+    A unital saturated Fell bundle over the pair groupoid has unitaries
+    ``U_i`` with ``U_i* E_ij U_j = F_ij = ⊕_r M_{k_ir x k_jr} ⊗ 1_{m_r}``
+    (Kumjian 1998; Muhly–Williams 2008).  The frames are guessed from
+    ``A_11 = E_11`` (:func:`_split`) and carried along ``E_j1``
+    (:func:`_transport`); the guess may be wrong, and soundness rests
+    only on what follows.  Every fibre must have dimension ``Σ_r k_ir
+    k_jr``, and the distances ``η`` of its unit rows from ``U_i F_ij
+    U_j*`` are measured, ``O(p²)`` fibre residuals and no product.  The
+    model bundle is closed and saturated, so with ``σ_min``, ``σ_max``
+    the extreme singular values of a fibre's unit rows
+    (:attr:`SubspaceBasis.unit_sigmas`) and ``H = ‖η‖``:
+
+    - a fibre and its model are at angle at most ``θ = H / σ_min``;
+    - a product of basis elements ``e, e'`` lies within ``ρ ‖e'‖ + ‖e‖
+      ρ'`` of the model target, ``ρ = η ‖e‖``, so within that plus
+      ``θ_ik`` times its norm of fibre ``(i, k)``;
+    - the unit-row products of ``(i, j) x (j, k)`` differ from the model's
+      by at most ``√(2 (d_ij H_jk² + d_jk H_ij²))`` in norm, and the
+      model's have singular values between ``(σ_min - H)²·√(k_jr/m_r)``
+      and ``(σ_max + H)²·√(k_jr/m_r)`` over the summands ``r`` (one
+      factor per fibre), so Weyl's inequality bounds the rank at ``rel``.
+
+    Every bound adds the rounding of the measurement and of the battery it
+    stands for, with generous constants.  ``bound`` and ``spans`` hold
+    when their margins do; declining costs the dimension checks and at
+    most the frames, and forms no basis product.
+    """
+    p, sizes = b.blocks.p, np.array(b.blocks.sizes)
+    fibres = [[b.fibres[(i, j)] for j in range(1, p + 1)]
+              for i in range(1, p + 1)]
+    dim = np.array([[f.dim for f in row] for row in fibres])
+    if not dim.all() or (dim != dim.T).any():
+        return _DECLINED
+    try:
+        guess = _frames(b, dim)
+    except np.linalg.LinAlgError:  # a decomposition did not converge
+        guess = None
+    if guess is None:
+        return _DECLINED
+    frames, k, m = guess
+    if (k @ k.T != dim).any():
+        return _DECLINED
+    h, rho, nu = _form_residuals(fibres, frames, k, m)
+    sig = np.array([[f.unit_sigmas for f in row] for row in fibres])
+    n = np.outer(sizes, sizes)
+    slack = 8 * _EPS * (dim + n) * sig[..., 1]
+    lo, hi = sig[..., 0] - slack, sig[..., 1] + slack
+    # fell.axiom.2, over the pairs (i, j) x (j, k) at [i, j, k]; a
+    # bundle of full fibres has an analytic row.
+    bound = 0.0
+    if frames is not None:
+        theta = np.where(lo > 0, h / np.maximum(lo, _TINY_NORM), np.inf)
+        norms = nu[:, :, None] * nu[None, :, :]
+        rounding = 8 * _EPS * (sizes[None, :, None] + n[:, None, :] * (
+            1 + (hi / np.maximum(lo, _TINY_NORM))[:, None, :]))
+        bound = float((rho[:, :, None] * nu[None, :, :]
+                       + nu[:, :, None] * rho[None, :, :]
+                       + rounding * norms + theta[:, None, :]).max())
+    # fell.saturated: σ_d(products) > rel σ_1(products) for every pair.
+    q = np.sqrt(k / np.array(m))
+    lo, hi = lo - h, hi + h
+    dg, dh = dim[:, :, None], dim[None, :, :]
+    drift = np.sqrt(2 * (dg * h[None, :, :] ** 2 + dh * h[:, :, None] ** 2))
+    least = lo[:, :, None] * lo[None, :, :] * q.min(axis=1)[None, :, None]
+    most = hi[:, :, None] * hi[None, :, :] * q.max(axis=1)[None, :, None]
+    rounding = 8 * _EPS * (sizes[None, :, None] + dg * dh + n[:, None, :]) \
+        * np.sqrt(dg * dh)
+    spans = bool((lo > 0).all() and (least - drift - rounding > tol.rel * (
+        most + drift + rounding)).all())
+    return NormalForm(k, m, bound if bound <= tol.rel else np.inf, spans)
+
+
+def _frames(b: FellBundleFD, dim: np.ndarray):
+    """The guessed ``(frames, k, m)``: from the split of ``A_11``, carried
+    along each ``E_j1``; None where a step does not split cleanly.  A
+    full ``A_11`` is ``M_{n_1}``, one summand of multiplicity 1, whose
+    bundle has only full fibres, in any frames (None)."""
+    sizes = b.blocks.sizes
+    if b.fibres[(1, 1)].is_full:
+        if (dim != np.outer(sizes, sizes)).any():
+            return None
+        return None, np.array(sizes)[:, None], (1,)
+    split = _split(b.fibres[(1, 1)].orthonormal)
+    if split is None:
+        return None
+    frame, k1, m = split
+    frames, k = [frame], [k1]
+    for j in range(2, b.blocks.p + 1):
+        moved = _transport(b.fibres[(j, 1)].orthonormal, frame, k1, m)
+        if moved is None:
+            return None
+        frames.append(moved[0])
+        k.append(moved[1])
+    return frames, np.array(k), m
+
+
+def _split(o: np.ndarray):
+    """``(U, k, m)`` with ``U* A U = ⊕_r M_{k_r} ⊗ 1_{m_r}`` for the
+    algebra ``A`` of orthonormal basis ``o``, or None.
+
+    On the normal form, ``h = Ψ(y) + Φ(z)`` for seeded Hermitian ``y``,
+    ``z`` (``Ψ`` the projection on ``A``, ``Φ(z) = Σ_t o_t z o_t*``, which
+    lands in the commutant) is ``H_r ⊗ 1 + 1 ⊗ G_r`` on summand ``r``, so
+    its eigenvectors are product vectors ``g_a ⊗ f_b`` up to phase.  In
+    their basis ``Σ_t |o_t[x, y]|²`` is ``1/m_r`` for ``x``, ``y`` of one
+    ``(r, b)`` and 0 otherwise, and ``|Σ_t conj(o_t[x, x]) o_t[y, y]|``
+    likewise for one ``(r, a)``: the summands are the classes of the two
+    relations together.  A seeded element of ``A`` then fixes the phases
+    so that the frame is a tensor product."""
+    d, n, _ = o.shape
+    rng = np.random.default_rng(_FORM_SEED)
+    y, z = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    flat = o.reshape(d, n * n)
+    h = ((flat.conj() @ (y + y.conj().T).ravel()) @ flat).reshape(n, n)
+    h += ((o @ (z + z.conj().T)).transpose(1, 0, 2).reshape(n, d * n)
+          @ o.conj().transpose(0, 2, 1).reshape(d * n, n))
+    _, q = np.linalg.eigh((h + h.conj().T) / 2)
+    comp = q.conj().T @ o @ q
+    diag = np.einsum("txx->tx", comp)
+    labels = []
+    for mass in (np.einsum("txy,txy->xy", comp, comp.conj()).real,
+                 np.abs(diag.conj().T @ diag)):
+        scale = np.sqrt(np.outer(mass.diagonal(), mass.diagonal()))
+        same = mass > scale / 2
+        first = same.argmax(axis=1)
+        if not (mass.diagonal() > 0).all() or (
+                same != (first[:, None] == first[None, :])).any():
+            return None
+        labels.append(first)
+    b_of, a_of = labels
+    # The summands: classes of "same a or same b", found by union.
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+    for x in range(n):
+        for other in (a_of[x], b_of[x]):
+            root[find(x)] = find(int(other))
+    summands: dict = {}
+    for x in range(n):
+        summands.setdefault(find(x), []).append(x)
+    mixed = np.tensordot(w, comp, axes=1)
+    cols, k, m = [], [], []
+    for members in summands.values():
+        a_cls = sorted({int(a_of[x]) for x in members})
+        b_cls = sorted({int(b_of[x]) for x in members})
+        grid = {(a_cls.index(a_of[x]), b_cls.index(b_of[x])): x
+                for x in members}
+        if len(grid) != len(members) or len(members) != len(a_cls) * len(
+                b_cls):
+            return None
+        for a in range(len(a_cls)):
+            for c in range(len(b_cls)):
+                x, phase = grid[a, c], 1.0
+                if a and c:
+                    t = mixed[x, grid[0, c]] * np.conj(mixed[grid[a, 0],
+                                                             grid[0, 0]])
+                    if not abs(t) > 1e-6 * np.abs(mixed).max():
+                        return None
+                    phase = t / abs(t)
+                cols.append(q[:, x] * phase)
+        k.append(len(a_cls))
+        m.append(len(b_cls))
+    return np.stack(cols, axis=1), k, tuple(m)
+
+
+def _transport(o: np.ndarray, frame: np.ndarray, k1, m):
+    """``(U_j, k_j)`` carried from the frame ``U_1`` of object 1 along the
+    fibre ``E_j1`` of orthonormal basis ``o``, or None.
+
+    On the normal form, the images ``o_t x`` of the first frame vector
+    ``x`` of summand ``r`` span ``U_j (C^{k_jr} ⊗ f_0)``, with every
+    nonzero singular value ``1/√m_r``; the coefficients that make them
+    orthonormal, applied to the other vectors ``U_1 (e_0 ⊗ f_b)``, give
+    the same for every ``b``.  The polar factor of the columns is
+    ``U_j``."""
+    nj = o.shape[1]
+    starts = np.cumsum([0] + [a * c for a, c in zip(k1, m)])
+    images = o @ frame  # (d, n_j, n_1)
+    cols, kj = [], []
+    for start, mr in zip(starts, m):
+        first = images[:, :, start:start + mr]  # the vectors e_0 ⊗ f_b
+        _, s, vh = np.linalg.svd(first[:, :, 0].T, full_matrices=False)
+        if not 0.5 < s[0] * np.sqrt(mr) < 2:
+            return None
+        rank = int(np.count_nonzero(s > s[0] / 2))
+        coeff = vh[:rank].conj().T / s[:rank]
+        # (n_j, rank, m_r): column (a, b) is e_a ⊗ f_b.
+        cols.append(np.einsum("tib,ta->iab", first, coeff).reshape(nj, -1))
+        kj.append(rank)
+    cols = np.concatenate(cols, axis=1)
+    if cols.shape[1] != nj:
+        return None
+    u, s, vh = np.linalg.svd(cols)
+    if not (0.5 < s).all() or not (s < 2).all():
+        return None
+    return u @ vh, kj
+
+
+def _form_residuals(fibres, frames, k: np.ndarray, m):
+    """``(H, ρ, ν)``, ``(p, p)`` arrays: ``H`` the norm of the distances
+    of a fibre's unit rows from the model ``U_i F_ij U_j*``, ``ρ`` the
+    largest distance of a basis element, ``ν`` the largest norm of one,
+    each distance raised by a bound on its rounding and on the frames'
+    distance from unitarity.  Without frames every fibre is full, as is
+    its model, at distance 0."""
+    p = len(fibres)
+    h, rho, nu = np.zeros((3, p, p))
+    if frames is None:
+        return h, rho, nu
+    sizes = [len(u) for u in frames]
+    defect = [np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+              + 4 * _EPS * len(u) ** 1.5 for u in frames]
+    groups: dict = {}
+    for i in range(p):
+        for j in range(p):
+            groups.setdefault((tuple(k[i]), tuple(k[j])), []).append((i, j))
+    for (ki, kj), members in groups.items():
+        ni, nj = sizes[members[0][0]], sizes[members[0][1]]
+        d = fibres[members[0][0]][members[0][1]].dim
+        step = max(1, _BATCH_ENTRIES // (d * ni * nj))
+        for start in range(0, len(members), step):
+            run = members[start:start + step]
+            ii, jj = np.array(run).T
+            units = np.stack([fibres[i][j].units for i, j in run])
+            raw = np.stack([fibres[i][j].stack for i, j in run])
+            g = (np.stack([frames[i].conj().T for i in ii])[:, None]
+                 @ units @ np.stack([frames[j] for j in jj])[:, None])
+            oi = np.cumsum([0] + [a * c for a, c in zip(ki, m)])
+            oj = np.cumsum([0] + [a * c for a, c in zip(kj, m)])
+            for r, mr in enumerate(m):
+                rows, cols = slice(oi[r], oi[r + 1]), slice(oj[r], oj[r + 1])
+                blk = g[..., rows, cols].reshape(len(run), d, ki[r], mr,
+                                                 kj[r], mr)
+                x = np.einsum("ftabcb->ftac", blk) / mr
+                g[..., rows, cols] = (blk - x[:, :, :, None, :, None]
+                                      * np.eye(mr)[:, None, :]).reshape(
+                    len(run), d, ki[r] * mr, kj[r] * mr)
+            eta = row_norms(g.reshape(-1, ni * nj)).reshape(len(run), d)
+            norms = row_norms(raw.reshape(-1, ni * nj)).reshape(len(run), d)
+            slack = (8 * _EPS * (ni + nj + 2) * np.sqrt(ni * nj)
+                     + 2 * (np.take(defect, ii) + np.take(defect, jj)))
+            eta = eta + slack[:, None]
+            h[ii, jj] = np.sqrt(np.einsum("fd,fd->f", eta, eta))
+            rho[ii, jj] = (eta * norms).max(axis=1)
+            nu[ii, jj] = norms.max(axis=1) * (1 + 8 * _EPS * ni * nj)
+    return h, rho, nu
 
 
 def blocks_from_json(data) -> BlockStructure:

@@ -143,9 +143,12 @@ class SubspaceBasis:
     of the flattened stack, each element scaled to unit norm, must equal
     its length) and an orthonormal basis and its conjugate are precomputed
     for fast membership tests.  ``units`` keeps the stack scaled to unit
-    rows (:func:`unit_rows`).  The row-major matrix units, bit for bit,
-    are recognised without an SVD: they are their own unit rows and
-    orthonormal basis, which is what the SVD returns for them.  The basis
+    rows (:func:`unit_rows`) and ``unit_sigmas`` the least and largest
+    singular values of those rows, from the same SVD, which bound how
+    far the basis is from orthonormal.  The row-major matrix units, bit
+    for bit, are recognised without an SVD: they are their own unit rows
+    and orthonormal basis, with singular values 1, which is what the SVD
+    returns for them.  The basis
     is an iterable of matrices, each checked by :func:`as_matrix`, or one
     finite ``(k, rows, cols)`` array, checked at once.  :meth:`batch`
     decides many stacks at once, one vectorised pass per shape; a single
@@ -161,8 +164,8 @@ class SubspaceBasis:
     projects: ``‖p - V̄ᵀ(V̄ p)‖`` for the orthonormal basis ``V``.
     """
 
-    __slots__ = ("rows", "cols", "stack", "units", "_onb", "_onb_conj",
-                 "_perp")
+    __slots__ = ("rows", "cols", "stack", "units", "unit_sigmas", "_onb",
+                 "_onb_conj", "_perp")
 
     def __init__(self, rows: int, cols: int, matrices: Iterable,
                  tol: Tolerance = DEFAULT_TOL, *, _parts=None):
@@ -171,7 +174,7 @@ class SubspaceBasis:
         if _parts is None:
             stack = _basis_stack(rows, cols, matrices)
             _parts = (stack, *_orthonormal_bases([stack], tol)[0])
-        stack, units, vh, vh_conj = _parts
+        stack, units, vh, vh_conj, self.unit_sigmas = _parts
         k, self.rows, self.cols = stack.shape
         self.stack = stack
         self.units = units
@@ -199,6 +202,11 @@ class SubspaceBasis:
         """The span is the whole ``rows x cols`` matrix space: the basis
         is independent, so this is ``dim == rows * cols``."""
         return self.dim == self.rows * self.cols
+
+    @property
+    def orthonormal(self) -> np.ndarray:
+        """The ``(dim, rows, cols)`` orthonormal basis of the span."""
+        return self._onb.reshape(self.dim, self.rows, self.cols)
 
     @property
     def ambient_shape(self) -> tuple[int, int]:
@@ -265,10 +273,11 @@ def _basis_stack(rows: int, cols: int, matrices: Iterable) -> np.ndarray:
 
 
 def _orthonormal_bases(stacks, tol: Tolerance) -> list:
-    """``(units, vh, conj(vh))`` of each stack of a list: its
-    :func:`unit_rows` and ``vh`` of their SVD, all ``N = rows * cols``
-    rows of it for a stack of ``2k >= N`` elements.  The row-major matrix
-    units, bit for bit, are their own unit rows and ``vh``.  Stacks of one
+    """``(units, vh, conj(vh), (σ_min, σ_max))`` of each stack of a list:
+    its :func:`unit_rows`, ``vh`` of their SVD, all ``N = rows * cols``
+    rows of it for a stack of ``2k >= N`` elements, and the extreme
+    singular values.  The row-major matrix units, bit for bit, are their
+    own unit rows and ``vh``, with singular values 1.  Stacks of one
     shape share each vectorised step, as many as fill
     :data:`BATCH_ENTRIES`; a stack whose unit rows have numerical rank
     below ``k`` is refused, the first in order."""
@@ -282,7 +291,7 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
         if not k:
             vh = np.zeros((0, n), dtype=complex)
             for idx in members:
-                out[idx] = (stacks[idx], vh, vh)
+                out[idx] = (stacks[idx], vh, vh, (0.0, 0.0))
             continue
         step = max(1, BATCH_ENTRIES // (k * n))
         for start in range(0, len(members), step):
@@ -299,7 +308,7 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
                 for pos in np.flatnonzero(identity).tolist():
                     stack = stacks[chunk[pos]]
                     flat = stack.reshape(k, n)
-                    out[chunk[pos]] = (stack, flat, flat.conj())
+                    out[chunk[pos]] = (stack, flat, flat.conj(), (1.0, 1.0))
                 rest = rest[~identity]
             if not len(rest):
                 continue
@@ -311,10 +320,12 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
                                      full_matrices=2 * k >= n)
             vh_conj = vh.conj()
             ranks = np.count_nonzero(s > tol.rel * s[:, :1], axis=1).tolist()
+            sigmas = s[:, [-1, 0]].tolist()
             for c, pos in enumerate(rest.tolist()):
                 if ranks[c] != k:
                     refused.append((chunk[pos], ranks[c], k))
-                out[chunk[pos]] = (units[c], vh[c], vh_conj[c])
+                out[chunk[pos]] = (units[c], vh[c], vh_conj[c],
+                                   tuple(sigmas[c]))
     if refused:
         _, rank, k = min(refused)
         raise InputError(f"SubspaceBasis: basis is linearly dependent "

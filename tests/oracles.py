@@ -23,7 +23,10 @@ and ``fell.unital`` by it, pair by pair.  The gate's row
 ``fell.saturated`` comes from
 ``all_products_saturation`` (``exhaustive_rows``), which takes the SVD of
 every product span; the library skips the SVDs whose outcome a Gram
-certificate already decides.
+certificate already decides.  ``check_bundle`` decides closure and
+saturation from a verified normal form where one is found;
+``declined_report`` is its report with that certificate declined, the
+battery that measures every pair.
 ``category_from_bundle``, and through it ``spectral_category``, must
 refuse exactly the bundles for which one of the twelve rows of
 ``check_bundle`` (``BUNDLE_ROWS``) fails here, listing every failing
@@ -82,8 +85,9 @@ import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.errors import InputError, ShapeError
-from ncg.fellbundle import (Arrow, BlockStructure, FellBundleFD,
-                            _basis_products, _matrix_units, check_bundle)
+from ncg.fellbundle import (_DECLINED, Arrow, BlockStructure, FellBundleFD,
+                            _basis_products, _matrix_units, check_bundle,
+                            check_fell_axioms, check_saturated, check_unital)
 from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                         as_matrix, frobenius, numerical_rank, require_unitary,
                         unit_rows)
@@ -142,6 +146,14 @@ def fell_gate(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
                         all_adjoints_involution(b, tol),
                         all_products_saturation(b, tol),
                         all_identities_unital(b, tol)))
+
+
+def declined_report(b: FellBundleFD,
+                    tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
+    """:func:`check_bundle` with the normal-form certificate declined:
+    closure and saturation measured by the battery on every bundle."""
+    return AxiomReport(check_fell_axioms(b, tol, _DECLINED).checks + (
+        check_saturated(b, tol, _DECLINED), check_unital(b, tol)))
 
 
 def projection_residuals(basis: SubspaceBasis,
@@ -572,6 +584,7 @@ def svd_basis(rows: int, cols: int, stack,
     assert np.count_nonzero(s > tol.rel * s[0]) == k
     basis = object.__new__(SubspaceBasis)
     basis.rows, basis.cols, basis.stack, basis.units = rows, cols, stack, units
+    basis.unit_sigmas = (float(s[-1]), float(s[0]))
     basis._onb, basis._onb_conj = vh[:k], vh[:k].conj()
     basis._perp = vh[k:].conj().T if 2 * k >= n else None
     return basis

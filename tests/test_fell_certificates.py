@@ -245,9 +245,11 @@ def test_matrix_unit_bundle_skips_the_idle_svds(monkeypatch):
 
 def test_svd_and_eigvalsh_calls_follow_the_shape_classes(monkeypatch):
     # All fibres of a conjugated (2,)*16 bundle form one shape class, and
-    # all its 4096 pairs another: reading it takes one SVD and saturation
-    # one eigvalsh per buffer of Gram matrices, four in all, not one per
-    # fibre or per target fibre (256 each).
+    # all its 4096 pairs another: reading it takes one SVD, and its normal
+    # form, of full fibres, certifies every span with neither.  Without
+    # the certificate saturation takes one eigvalsh per buffer of Gram
+    # matrices, four in all, not one per fibre or per target fibre (256
+    # each).
     b = conjugated_bundle(np.random.default_rng(20261121), (2,) * 16)
     doc = json_document(bundle_to_json(b))
     calls = []
@@ -256,7 +258,10 @@ def test_svd_and_eigvalsh_calls_follow_the_shape_classes(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda *args, name=name,
                             kernel=kernel, **kw: (calls.append(name)
                                                   or kernel(*args, **kw)))
-    assert check_bundle(bundle_from_json(doc)).all_passed
+    read = bundle_from_json(doc)
+    assert check_bundle(read).all_passed
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (1, 0)
+    assert check_saturated(read, form=fellbundle._DECLINED).passed
     assert (calls.count("svd"), calls.count("eigvalsh")) == (1, 4)
 
 

@@ -10,18 +10,26 @@ verdict unchanged and its residual equal to rounding, and so must a
 block permutation of ``D``, ``γ``, ``ε`` and ``K``.  The seeded inputs
 are conjugated full bundles and ``M_k ⊕ M_k`` sub-bundles on 2-4 objects
 and triples of both generators in ``conftest``, each with one element
-perturbed by 1e-10 to 1e-7, on both sides of the default bound.
+perturbed by 1e-10 to 1e-7, on both sides of the default bound.  The
+witness of a failing row names the relabelled arrows, on sub-bundles
+whose bases are recombined so that no two elements tie for the worst
+residual.  A bundle certified by its normal form keeps the certificate
+and its summands, the ``k_ir`` read in the objects' new order and the
+``m_r``, under both moves.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from conftest import crandn, random_admissible_triple, random_unitary
+from test_normal_form import SHAPES, bundle, form_bundle, summands
 
-from ncg import (BlockStructure, FellBundleFD, FiniteSpectralTriple,
-                 SubspaceBasis, build_triple_from_mass_matrix, check_bundle,
-                 check_triple)
-from ncg.fellbundle import _matrix_units
+from ncg import (DEFAULT_TOL, BlockStructure, FellBundleFD,
+                 FiniteSpectralTriple, SubspaceBasis,
+                 build_triple_from_mass_matrix, check_bundle, check_triple)
+from ncg.fellbundle import _matrix_units, normal_form
 
 SEEDS = range(12)
 # Relative residuals of one input measured in two bases differ by a few
@@ -35,11 +43,12 @@ def perturbation(rng, shape):
     return 10.0 ** rng.uniform(-10, -7) * e / np.linalg.norm(e)
 
 
-def perturbed_bundle(rng, kind):
+def perturbed_bundle(rng, kind, mixed=False):
     """Fibre ``(i, j) = u_i C u_j*`` for random unitaries ``u_i``, ``C``
     the full matrix space (``kind`` "full", block sizes 1-3) or the
     subalgebra ``M_k ⊕ M_k`` of ``M_2k`` ("sub", k = 1 or 2), with one
-    basis element of one fibre moved by :func:`perturbation`."""
+    basis element of one fibre moved by :func:`perturbation`.  With
+    ``mixed`` each basis is recombined by a random unitary first."""
     p = int(rng.integers(2, 5))
     if kind == "full":
         sizes = tuple(int(s) for s in rng.integers(1, 4, p))
@@ -57,6 +66,9 @@ def perturbed_bundle(rng, kind):
             r, c = np.nonzero(units)[1:]
             units = units[(r < k) == (c < k)]
         stack = us[i - 1] @ units @ us[j - 1].conj().T
+        if mixed:
+            stack = np.tensordot(random_unitary(rng, len(stack)), stack,
+                                 axes=1)
         if (i, j) == moved:
             stack[int(rng.integers(len(stack)))] += perturbation(
                 rng, stack.shape[1:])
@@ -106,6 +118,59 @@ def test_bundle_rows_ignore_labels_and_bases(kind):
     # A sub-bundle's perturbation crosses the bound on some seeds; a full
     # bundle holds every perturbed element.
     assert verdicts == ({True, False} if kind == "sub" else {True})
+
+
+def renamed(witness, perm):
+    """``witness`` with each arrow ``(a, c)`` of a relabelled bundle named
+    by the original objects ``(perm[a - 1], perm[c - 1])``."""
+    return re.sub(r"\((\d+)(, ?)(\d+)\)", lambda x: (
+        f"({perm[int(x[1]) - 1]}{x[2]}{perm[int(x[3]) - 1]})"), witness)
+
+
+def test_failing_witnesses_name_the_relabelled_arrows():
+    failing = set()
+    for seed in SEEDS:
+        rng = np.random.default_rng([20261128, seed])
+        b = perturbed_bundle(rng, "sub", mixed=True)
+        perm = tuple(int(q) + 1 for q in rng.permutation(b.blocks.p))
+        us = [random_unitary(rng, s) for s in b.blocks.sizes]
+        report = check_bundle(b)
+        for moved, names in ((relabelled(b, perm), perm),
+                             (conjugated(b, us), range(1, b.blocks.p + 1)),
+                             (relabelled(conjugated(b, us), perm), perm)):
+            for row, other in zip(report, check_bundle(moved)):
+                assert row.passed == other.passed, (seed, row, other)
+                if not row.passed:
+                    failing.add(row.axiom_id)
+                    assert renamed(other.witness, names) == row.witness, (
+                        seed, perm, row, other)
+    assert failing >= {"fell.axiom.2", "fell.axiom.6"}
+
+
+@pytest.mark.parametrize("shape", ["two", "three_m2", "two_unequal"])
+def test_certified_summands_ignore_labels_and_bases(shape):
+    k, m = SHAPES[shape]
+    for seed in range(4):
+        rng = np.random.default_rng([20261129, seed])
+        b = bundle(*form_bundle(rng, k, m, "mixed"))
+        perm = tuple(int(q) + 1 for q in rng.permutation(b.blocks.p))
+        us = [random_unitary(rng, s) for s in b.blocks.sizes]
+        form = normal_form(b)
+        assert summands(form) == sorted(
+            (tuple(np.array(k)[:, r].tolist()), mr) for r, mr in
+            enumerate(m))
+        report = check_bundle(b)
+        assert report.find("fell.axiom.2").witness.startswith("certified:")
+        for moved, names in ((relabelled(b, perm), perm),
+                             (conjugated(b, us), None),
+                             (relabelled(conjugated(b, us), perm), perm)):
+            other = normal_form(moved)
+            assert (other.bound <= DEFAULT_TOL.rel, other.spans) == (
+                True, True)
+            assert summands(other, names) == summands(form)
+            assert_same_rows(report, check_bundle(moved), (seed, names))
+            assert check_bundle(moved).find(
+                "fell.axiom.2").witness.startswith("certified:")
 
 
 def perturbed_triple(rng):
