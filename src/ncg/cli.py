@@ -224,6 +224,9 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
+    # Witnesses carry ‖, ⊕ and ⊗: a stdout that cannot encode a character
+    # escapes it, so that the exit code still reports the checks.
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run(sys.argv[1:]))
 
 

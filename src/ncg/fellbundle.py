@@ -22,12 +22,12 @@ complement when it is at least half full, exactly 0 for a full one, and
 by projection on a thinner one.  The batteries run once per shape class,
 not once per fibre: the pairs of arrows of one class ``(n_i, n_j, n_k,
 d_ij, d_jk, d_ik)`` are formed and measured by stacked calls
-(:class:`~ncg.matops.SpanStack`), as many at a time as fit in
-:data:`_BATCH_ENTRIES` complex entries, and so are the adjoints of a
-class of fibres and the Gram matrices of saturation.  Each run writes
-its residuals at the places its items hold in a pass over the arrows,
-and :func:`~ncg.report.worst_row` decides the row, so a witness is the
-first worst element in arrow order.  The bundle gate of the conversions
+(:class:`~ncg.matops.SpanStack`), a run of :func:`~ncg.matops.runs` at
+a time, and so are the adjoints of a class of fibres, the Gram matrices
+of saturation and the fibres measured against the normal form.  Each
+run writes its residuals at the places its items hold in a pass over
+the arrows, and :func:`~ncg.report.worst_row` decides the row, so a
+witness is the first worst element in arrow order.  The bundle gate of the conversions
 (``category_from_bundle``, the bundle half of ``spectral_category``)
 accepts a bundle that :attr:`FellBundleFD.is_full` by theorem: a fibre
 of dimension ``n_i n_j`` is the whole matrix space, so the bundle's
@@ -43,9 +43,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, NcgError, ShapeError
-from .matops import (BATCH_ENTRIES as _BATCH_ENTRIES, DEFAULT_TOL, SpanStack,
-                     SubspaceBasis, Tolerance, numerical_rank, row_norms,
-                     stack_from_json, take)
+from .matops import (DEFAULT_TOL, SpanStack, SubspaceBasis, Tolerance,
+                     numerical_rank, row_norms, runs, stack_from_json, take)
 from .report import AxiomCheck, AxiomReport, worst_row
 
 # A Frobenius norm below this may have lost its relative accuracy to
@@ -216,14 +215,14 @@ class _ShapeClasses:
     ``key[i, j]`` is the class of fibre ``(i+1, j+1)``, ``pos[i, j]`` its
     place in ``members[key[i, j]]``, which lists a class in arrow order.
     ``dim`` and ``full`` are the ``(p, p)`` arrays of the fibres'
-    dimensions and fullness."""
+    dimensions and fullness, ``sizes`` the block sizes."""
 
     def __init__(self, b: FellBundleFD):
         p = b.blocks.p
         self.key = np.empty((p, p), dtype=np.int64)
         self.pos = np.empty((p, p), dtype=np.int64)
         self.members: list[list[SubspaceBasis]] = []
-        self._stacks: dict = {}
+        self._cache: dict = {}
         ids: dict = {}
         for (i, j), f in sorted(b.fibres.items()):
             c = ids.setdefault((f.rows, f.cols, f.dim), len(ids))
@@ -233,46 +232,23 @@ class _ShapeClasses:
             self.pos[i - 1, j - 1] = len(self.members[c])
             self.members[c].append(f)
         self.dim = np.array([f[0].dim for f in self.members])[self.key]
-        sizes = np.array(b.blocks.sizes)
-        self.full = self.dim == np.outer(sizes, sizes)
+        self.sizes = np.array(b.blocks.sizes)
+        self.full = self.dim == np.outer(self.sizes, self.sizes)
 
-    def stacked(self, c: int) -> np.ndarray:
-        """The ``(m, dim, n_i, n_j)`` basis stack of class ``c``, formed
-        once."""
-        if c not in self._stacks:
-            self._stacks[c] = np.stack([f.stack for f in self.members[c]])
-        return self._stacks[c]
+    def stacked(self, c: int, name: str = "stack") -> np.ndarray:
+        """The ``(m, dim, n_i, n_j)`` stack of the ``stack`` (or the
+        ``units``) of the bases of class ``c``, formed once."""
+        if (c, name) not in self._cache:
+            self._cache[c, name] = np.stack(
+                [getattr(f, name) for f in self.members[c]])
+        return self._cache[c, name]
 
-    def groups(self, *arrows):
-        """Sort items given by the arrows ``(i, j)`` (0-based index arrays)
-        of each tuple by the shape classes of their fibres: the stable
-        sorting order, and for each group of items its class of each tuple
-        and its slice of that order."""
-        n = len(self.members)
-        ids = np.zeros(len(arrows[0][0]), dtype=np.int64)
-        for i, j in arrows:
-            ids = ids * n + self.key[i, j]
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        groups = []
-        if not len(ids):
-            return order, groups
-        bounds = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), len(ids)]
-        for start, stop in zip(bounds, bounds[1:]):
-            code, key = int(ids[start]), []
-            for _ in arrows:
-                code, c = divmod(code, n)
-                key.insert(0, c)
-            groups.append((tuple(key), slice(start, stop)))
-        return order, groups
-
-
-def _runs(group: slice, entries: int) -> list:
-    """``group`` in slices of items whose ``entries`` each fill
-    :data:`_BATCH_ENTRIES` entries, at least one per slice."""
-    step = max(1, _BATCH_ENTRIES // max(entries, 1))
-    return [slice(s, min(s + step, group.stop))
-            for s in range(group.start, group.stop, step)]
+    def span(self, c: int) -> SpanStack:
+        """The bases of class ``c`` as one :class:`SpanStack`, formed once,
+        so that each of its operands is stacked once."""
+        if (c, "span") not in self._cache:
+            self._cache[c, "span"] = SpanStack(self.members[c])
+        return self._cache[c, "span"]
 
 
 def _analytic(k: int, identity: str) -> AxiomCheck:
@@ -340,9 +316,8 @@ def _closure_residuals(tol: Tolerance, classes: _ShapeClasses, i: np.ndarray,
     product of the pairs ``(i, j) x (j, k)`` (0-based index arrays in
     report order).  The pairs of one shape class ``(n_i, n_j, n_k, d_ij,
     d_jk, d_ik)`` are formed by one stacked GEMM and measured by one
-    stacked residual call while their products fit in
-    :data:`_BATCH_ENTRIES` entries; a pair with more runs alone."""
-    dim, pos = classes.dim, classes.pos
+    stacked residual call per run of :func:`~ncg.matops.runs`."""
+    dim, pos, key = classes.dim, classes.pos, classes.key
 
     def describe(place, t):
         left = (int(i[t]) + 1, int(j[t]) + 1)
@@ -351,19 +326,16 @@ def _closure_residuals(tol: Tolerance, classes: _ShapeClasses, i: np.ndarray,
         return (f"basis {a} of {left} x basis {c} of {right} leaves fibre "
                 f"{(left[0], right[1])}")
 
-    row = _Places(dim[i, j] * dim[j, k])
-    order, groups = classes.groups((i, j), (j, k), (i, k))
-    si, sj, sk = i[order], j[order], k[order]
-    g, h, gh = pos[si, sj], pos[sj, sk], pos[si, sk]
-    for (cg, ch, ct), group in groups:
+    counts, n = dim[i, j] * dim[j, k], classes.sizes
+    row, g, h, gh = _Places(counts), pos[i, j], pos[j, k], pos[i, k]
+    for (cg, ch, ct), t in runs((key[i, j], key[j, k], key[i, k]),
+                                counts * n[i] * n[k]):
         x, y = classes.stacked(cg), classes.stacked(ch)
-        target = SpanStack(classes.members[ct])
         (_, a, ni, _), (_, b, _, nk) = x.shape, y.shape
-        for run in _runs(group, a * b * ni * nk):
-            flat = _basis_products(take(x, g[run]), take(y, h[run])).reshape(
-                run.stop - run.start, a * b, ni * nk)
-            row.put(order[run], target.residuals(flat, gh[run]),
-                    row_norms(flat.reshape(-1, ni * nk)))
+        flat = _basis_products(take(x, g[t]), take(y, h[t])).reshape(
+            len(t), a * b, ni * nk)
+        row.put(t, classes.span(ct).residuals(flat, gh[t]),
+                row_norms(flat.reshape(-1, ni * nk)))
     return row.check(tol, "fell.axiom.2", describe,
                      "all basis products stay in their fibre")
 
@@ -371,28 +343,24 @@ def _closure_residuals(tol: Tolerance, classes: _ShapeClasses, i: np.ndarray,
 def _involution_residuals(tol: Tolerance,
                           classes: _ShapeClasses) -> AxiomCheck:
     """``fell.axiom.6`` from the distance of the adjoint of every basis
-    element to the reversed fibre, one stacked residual call per shape
-    class of the fibre and its reverse; a full reverse holds them all."""
-    dim, pos = classes.dim, classes.pos
+    element to the reversed fibre, one stacked residual call per run of
+    a shape class of the fibre and its reverse; a full reverse holds them
+    all."""
+    dim, pos, key, n = classes.dim, classes.pos, classes.key, classes.sizes
     i, j = np.nonzero((dim > 0) & ~classes.full.T)
 
     def describe(place, t):
         return (f"adjoint of basis {place} of fibre "
                 f"{(int(i[t]) + 1, int(j[t]) + 1)}")
 
-    row = _Places(dim[i, j])
-    order, groups = classes.groups((i, j), (j, i))
-    g, r = pos[i[order], j[order]], pos[j[order], i[order]]
-    for (cg, cr), group in groups:
-        stack = classes.stacked(cg)
-        reverse = SpanStack(classes.members[cr])
-        _, d, ni, nj = stack.shape
-        for run in _runs(group, d * ni * nj):
-            elems = take(stack, g[run])
-            adjoints = np.conj(elems.transpose(0, 1, 3, 2)).reshape(
-                len(elems), d, ni * nj)
-            row.put(order[run], reverse.residuals(adjoints, r[run]),
-                    row_norms(elems.reshape(-1, ni * nj)))
+    row, g, r = _Places(dim[i, j]), pos[i, j], pos[j, i]
+    for (cg, cr), t in runs((key[i, j], key[j, i]), dim[i, j] * n[i] * n[j]):
+        elems = take(classes.stacked(cg), g[t])
+        _, d, ni, nj = elems.shape
+        adjoints = np.conj(elems.transpose(0, 1, 3, 2)).reshape(
+            len(t), d, ni * nj)
+        row.put(t, classes.span(cr).residuals(adjoints, r[t]),
+                row_norms(elems.reshape(-1, ni * nj)))
     return row.check(tol, "fell.axiom.6", describe,
                      "adjoint of every basis element lies in the reversed "
                      "fibre")
@@ -433,8 +401,8 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
     the products' coordinates ``C`` in the target, exceeds ``max(1e-10,
     4 rel²) ‖products‖_F²``: ``σ_d(products) ≥ σ_d(C)``.  This certificate
     is contracted from the Gram matrices of fibres at least half full
-    (:func:`_gram_spectra`), one stacked call per shape class of the
-    pairs, and must clear its rounding error (:func:`_gram_guard`).
+    (:func:`_gram_spectra`), one stacked call per run of a shape class
+    of the pairs, and must clear its rounding error (:func:`_gram_guard`).
     Every other span is ranked by the SVD of its products
     (:func:`_basis_products`).  Only the rank reaches the report.  A
     bundle whose :func:`normal_form` (``form``, found here when not
@@ -445,37 +413,28 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
         return AxiomCheck("fell.saturated", True, 0.0,
                           "every product span is total")
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
-    p, sizes = b.blocks.p, np.array(b.blocks.sizes)
-    classes = _ShapeClasses(b)
-    dim, pos = classes.dim, classes.pos
+    p, classes = b.blocks.p, _ShapeClasses(b)
+    dim, pos, key, sizes = classes.dim, classes.pos, classes.key, classes.sizes
     # A Gram matrix of a half-full fibre is at most twice its basis.
     dense = (dim > 0) & (2 * dim >= np.outer(sizes, sizes))
     # λ_min(CᴴC) and ‖products‖_F² of each pair (i, j) x (j, k).
     lam, trace = np.zeros((2, p, p, p))
     i, j, k = np.nonzero(dense[:, :, None] & dense[None, :, :]
                          & (dim[:, None, :] > 0))
-    order, groups = classes.groups((i, j), (j, k), (i, k))
-    i, j, k = i[order], j[order], k[order]
+    ni, nj, nk = sizes[i], sizes[j], sizes[k]
     g, h, gh = pos[i, j], pos[j, k], pos[i, k]
     grams: dict = {}
-    spectra = []
-    for (cg, ch, ct), group in groups:
+    # The Gram matrices a run gathers and forms.
+    for (cg, ch, ct), t in runs((key[i, j], key[j, k], key[i, k]),
+                                (ni * nj) ** 2 + (nj * nk) ** 2
+                                + (ni * nk) ** 2):
         for c in (cg, ch):
             if c not in grams:
-                grams[c] = _arranged_gram(np.stack(
-                    [f.units for f in classes.members[c]]))
-        target = classes.members[ct][0]
-        ni, nk = target.ambient_shape
-        nj = classes.members[cg][0].cols
-        target = None if target.is_full else SpanStack(classes.members[ct])
-        # The Gram matrices a run gathers and forms.
-        for run in _runs(group, (ni * nj) ** 2 + (nj * nk) ** 2
-                         + (ni * nk) ** 2):
-            spectra.append(_gram_spectra(take(grams[cg], g[run]),
-                                         take(grams[ch], h[run]),
-                                         ni, nk, target, gh[run]))
-    if spectra:
-        lam[i, j, k], trace[i, j, k] = np.concatenate(spectra, axis=1)
+                grams[c] = _arranged_gram(classes.stacked(c, "units"))
+        target = None if classes.full[i[t[0]], k[t[0]]] else classes.span(ct)
+        lam[i[t], j[t], k[t]], trace[i[t], j[t], k[t]] = _gram_spectra(
+            take(grams[cg], g[t]), take(grams[ch], h[t]), ni[t[0]],
+            nk[t[0]], target, gh[t])
     dg, dh, dt = dim[:, :, None], dim[None, :, :], dim[:, None, :]
     spans = (lam > certify * trace) & (np.minimum(lam, trace) > _gram_guard(
         dg, dh, sizes[None, :, None], np.outer(sizes, sizes)[:, None, :]))
@@ -609,10 +568,8 @@ def normal_form(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     when their margins do; declining costs the dimension checks and at
     most the frames, and forms no basis product.
     """
-    p, sizes = b.blocks.p, np.array(b.blocks.sizes)
-    fibres = [[b.fibres[(i, j)] for j in range(1, p + 1)]
-              for i in range(1, p + 1)]
-    dim = np.array([[f.dim for f in row] for row in fibres])
+    p, classes = b.blocks.p, _ShapeClasses(b)
+    dim, sizes = classes.dim, classes.sizes
     if not dim.all() or (dim != dim.T).any():
         return _DECLINED
     try:
@@ -624,8 +581,9 @@ def normal_form(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     frames, k, m = guess
     if (k @ k.T != dim).any():
         return _DECLINED
-    h, rho, nu = _form_residuals(fibres, frames, k, m)
-    sig = np.array([[f.unit_sigmas for f in row] for row in fibres])
+    h, rho, nu = _form_residuals(classes, frames, k, m)
+    sig = np.array([b.fibres[g].unit_sigmas
+                    for g in b.blocks.arrows()]).reshape(p, p, 2)
     n = np.outer(sizes, sizes)
     slack = 8 * _EPS * (dim + n) * sig[..., 1]
     lo, hi = sig[..., 0] - slack, sig[..., 1] + slack
@@ -784,53 +742,47 @@ def _transport(o: np.ndarray, frame: np.ndarray, k1, m):
     return u @ vh, kj
 
 
-def _form_residuals(fibres, frames, k: np.ndarray, m):
+def _form_residuals(classes: _ShapeClasses, frames, k: np.ndarray, m):
     """``(H, ρ, ν)``, ``(p, p)`` arrays: ``H`` the norm of the distances
     of a fibre's unit rows from the model ``U_i F_ij U_j*``, ``ρ`` the
     largest distance of a basis element, ``ν`` the largest norm of one,
     each distance raised by a bound on its rounding and on the frames'
-    distance from unitarity.  Without frames every fibre is full, as is
-    its model, at distance 0."""
-    p = len(fibres)
+    distance from unitarity.  The fibres of one ``(k_i, k_j)``, which
+    fixes their shape class, are measured a run of
+    :func:`~ncg.matops.runs` at a time.  Without frames every fibre is full, as is its model, at
+    distance 0."""
+    p, dim, sizes = len(classes.dim), classes.dim, classes.sizes
     h, rho, nu = np.zeros((3, p, p))
     if frames is None:
         return h, rho, nu
-    sizes = [len(u) for u in frames]
-    defect = [np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
-              + 4 * _EPS * len(u) ** 1.5 for u in frames]
-    groups: dict = {}
-    for i in range(p):
-        for j in range(p):
-            groups.setdefault((tuple(k[i]), tuple(k[j])), []).append((i, j))
-    for (ki, kj), members in groups.items():
-        ni, nj = sizes[members[0][0]], sizes[members[0][1]]
-        d = fibres[members[0][0]][members[0][1]].dim
-        step = max(1, _BATCH_ENTRIES // (d * ni * nj))
-        for start in range(0, len(members), step):
-            run = members[start:start + step]
-            ii, jj = np.array(run).T
-            units = np.stack([fibres[i][j].units for i, j in run])
-            raw = np.stack([fibres[i][j].stack for i, j in run])
-            g = (np.stack([frames[i].conj().T for i in ii])[:, None]
-                 @ units @ np.stack([frames[j] for j in jj])[:, None])
-            oi = np.cumsum([0] + [a * c for a, c in zip(ki, m)])
-            oj = np.cumsum([0] + [a * c for a, c in zip(kj, m)])
-            for r, mr in enumerate(m):
-                rows, cols = slice(oi[r], oi[r + 1]), slice(oj[r], oj[r + 1])
-                blk = g[..., rows, cols].reshape(len(run), d, ki[r], mr,
-                                                 kj[r], mr)
-                x = np.einsum("ftabcb->ftac", blk) / mr
-                g[..., rows, cols] = (blk - x[:, :, :, None, :, None]
-                                      * np.eye(mr)[:, None, :]).reshape(
-                    len(run), d, ki[r] * mr, kj[r] * mr)
-            eta = row_norms(g.reshape(-1, ni * nj)).reshape(len(run), d)
-            norms = row_norms(raw.reshape(-1, ni * nj)).reshape(len(run), d)
-            slack = (8 * _EPS * (ni + nj + 2) * np.sqrt(ni * nj)
-                     + 2 * (np.take(defect, ii) + np.take(defect, jj)))
-            eta = eta + slack[:, None]
-            h[ii, jj] = np.sqrt(np.einsum("fd,fd->f", eta, eta))
-            rho[ii, jj] = (eta * norms).max(axis=1)
-            nu[ii, jj] = norms.max(axis=1) * (1 + 8 * _EPS * ni * nj)
+    defect = np.array([np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+                       + 4 * _EPS * len(u) ** 1.5 for u in frames])
+    i, j = np.indices((p, p)).reshape(2, -1)
+    for key, t in runs((*k[i].T, *k[j].T), dim[i, j] * sizes[i] * sizes[j]):
+        ki, kj, ii, jj = key[:len(m)], key[len(m):], i[t], j[t]
+        cl, at = classes.key[ii[0], jj[0]], classes.pos[ii, jj]
+        d, ni, nj = dim[ii[0], jj[0]], sizes[ii[0]], sizes[jj[0]]
+        units = take(classes.stacked(cl, "units"), at)
+        raw = take(classes.stacked(cl), at)
+        g = (np.stack([frames[i].conj().T for i in ii])[:, None]
+             @ units @ np.stack([frames[j] for j in jj])[:, None])
+        oi = np.cumsum([0] + [a * c for a, c in zip(ki, m)])
+        oj = np.cumsum([0] + [a * c for a, c in zip(kj, m)])
+        for r, mr in enumerate(m):
+            rows, cols = slice(oi[r], oi[r + 1]), slice(oj[r], oj[r + 1])
+            blk = g[..., rows, cols].reshape(len(t), d, ki[r], mr, kj[r], mr)
+            x = np.einsum("ftabcb->ftac", blk) / mr
+            g[..., rows, cols] = (blk - x[:, :, :, None, :, None]
+                                  * np.eye(mr)[:, None, :]).reshape(
+                len(t), d, ki[r] * mr, kj[r] * mr)
+        eta = row_norms(g.reshape(-1, ni * nj)).reshape(len(t), d)
+        norms = row_norms(raw.reshape(-1, ni * nj)).reshape(len(t), d)
+        slack = (8 * _EPS * (ni + nj + 2) * np.sqrt(ni * nj)
+                 + 2 * (defect[ii] + defect[jj]))
+        eta = eta + slack[:, None]
+        h[ii, jj] = np.sqrt(np.einsum("fd,fd->f", eta, eta))
+        rho[ii, jj] = (eta * norms).max(axis=1)
+        nu[ii, jj] = norms.max(axis=1) * (1 + 8 * _EPS * ni * nj)
     return h, rho, nu
 
 

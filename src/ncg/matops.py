@@ -187,8 +187,8 @@ class SubspaceBasis:
         """One basis per ``(k, rows, cols)`` stack of :func:`stack_from_json`
         (complex, C-contiguous, finite), in order.  The stacks of one shape
         are decided together, by one :func:`unit_rows` and one stacked SVD
-        per :data:`BATCH_ENTRIES` entries; a dependent stack is refused as
-        by the constructor, the first in order."""
+        per run of :func:`runs`; a dependent stack is refused as by the
+        constructor, the first in order."""
         return [cls(*stack.shape[1:], None, tol, _parts=(stack, *parts))
                 for stack, parts in zip(stacks,
                                         _orthonormal_bases(stacks, tol))]
@@ -224,12 +224,6 @@ class SubspaceBasis:
         """``(k, dim)`` coordinates, in the span's orthonormal basis, of
         the projections of a ``(k, rows, cols)`` stack."""
         return self._flat(stack, "coordinates") @ self._onb_conj.T
-
-    def compress(self, grams: np.ndarray) -> np.ndarray:
-        """``V G Vᴴ`` for each ``G`` of a stack, ``V`` the orthonormal basis:
-        ``CᴴC`` for the :meth:`coordinates` ``C`` of elements ``P`` whose
-        flattened Gram matrix is ``G = PᴴP``."""
-        return SpanStack((self,)).compress(grams, [0])
 
     def residuals(self, stack: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack:
@@ -278,59 +272,77 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
     rows of it for a stack of ``2k >= N`` elements, and the extreme
     singular values.  The row-major matrix units, bit for bit, are their
     own unit rows and ``vh``, with singular values 1.  Stacks of one
-    shape share each vectorised step, as many as fill
-    :data:`BATCH_ENTRIES`; a stack whose unit rows have numerical rank
-    below ``k`` is refused, the first in order."""
+    shape share each vectorised step, a run of :func:`runs` at a time;
+    a stack whose unit rows have numerical rank below ``k`` is refused,
+    the first in order."""
     out = [None] * len(stacks)
-    shapes: dict = {}
-    for idx, stack in enumerate(stacks):
-        shapes.setdefault(stack.shape, []).append(idx)
+    shapes = np.array([s.shape for s in stacks], dtype=np.int64).reshape(-1, 3)
     refused = []
-    for (k, rows, cols), members in shapes.items():
-        n = rows * cols
+    for (k, rows, cols), run in runs(shapes.T, shapes.prod(axis=1)):
+        n, chunk = rows * cols, run.tolist()
         if not k:
             vh = np.zeros((0, n), dtype=complex)
-            for idx in members:
+            for idx in chunk:
                 out[idx] = (stacks[idx], vh, vh, (0.0, 0.0))
             continue
-        step = max(1, BATCH_ENTRIES // (k * n))
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            flats = np.stack([stacks[idx] for idx in chunk]).reshape(-1, k, n)
-            rest = np.arange(len(chunk))
-            if k == n:
-                # The identity: its diagonal holds the only nonzero words.
-                identity = (flats.reshape(len(chunk), -1)[:, ::k + 1]
-                            == 1).all(axis=1)
-                if identity.any():
-                    words = flats.view(np.uint64).reshape(len(chunk), -1)
-                    identity &= np.count_nonzero(words, axis=1) == k
-                for pos in np.flatnonzero(identity).tolist():
-                    stack = stacks[chunk[pos]]
-                    flat = stack.reshape(k, n)
-                    out[chunk[pos]] = (stack, flat, flat.conj(), (1.0, 1.0))
-                rest = rest[~identity]
-            if not len(rest):
-                continue
-            # Rank of the unit-norm rows, so that elements of very
-            # different size count alike.
-            units = unit_rows(take(flats, rest).reshape(-1, n)).reshape(
-                -1, k, rows, cols)
-            _, s, vh = np.linalg.svd(units.reshape(-1, k, n),
-                                     full_matrices=2 * k >= n)
-            vh_conj = vh.conj()
-            ranks = np.count_nonzero(s > tol.rel * s[:, :1], axis=1).tolist()
-            sigmas = s[:, [-1, 0]].tolist()
-            for c, pos in enumerate(rest.tolist()):
-                if ranks[c] != k:
-                    refused.append((chunk[pos], ranks[c], k))
-                out[chunk[pos]] = (units[c], vh[c], vh_conj[c],
-                                   tuple(sigmas[c]))
+        flats = np.stack([stacks[idx] for idx in chunk]).reshape(-1, k, n)
+        rest = np.arange(len(chunk))
+        if k == n:
+            # The identity: its diagonal holds the only nonzero words.
+            identity = (flats.reshape(len(chunk), -1)[:, ::k + 1]
+                        == 1).all(axis=1)
+            if identity.any():
+                words = flats.view(np.uint64).reshape(len(chunk), -1)
+                identity &= np.count_nonzero(words, axis=1) == k
+            for pos in np.flatnonzero(identity).tolist():
+                stack = stacks[chunk[pos]]
+                flat = stack.reshape(k, n)
+                out[chunk[pos]] = (stack, flat, flat.conj(), (1.0, 1.0))
+            rest = rest[~identity]
+        if not len(rest):
+            continue
+        # Rank of the unit-norm rows, so that elements of very different
+        # size count alike.
+        units = unit_rows(take(flats, rest).reshape(-1, n)).reshape(
+            -1, k, rows, cols)
+        _, s, vh = np.linalg.svd(units.reshape(-1, k, n),
+                                 full_matrices=2 * k >= n)
+        vh_conj = vh.conj()
+        ranks = np.count_nonzero(s > tol.rel * s[:, :1], axis=1).tolist()
+        sigmas = s[:, [-1, 0]].tolist()
+        for c, pos in enumerate(rest.tolist()):
+            if ranks[c] != k:
+                refused.append((chunk[pos], ranks[c], k))
+            out[chunk[pos]] = (units[c], vh[c], vh_conj[c], tuple(sigmas[c]))
     if refused:
         _, rank, k = min(refused)
         raise InputError(f"SubspaceBasis: basis is linearly dependent "
                          f"(rank {rank} < {k})")
     return out
+
+
+def runs(keys, entries: np.ndarray) -> list:
+    """The items of stacked calls cut into runs: sorted stably by their
+    class, the tuple of their values in the integer arrays ``keys``, and
+    each class cut into runs of consecutive items whose ``entries``
+    (complex entries per item, alike within a class) fill
+    :data:`BATCH_ENTRIES`, at least one item per run.  ``(key, items)``
+    for each run, classes in ascending order: ``key`` the class and
+    ``items`` the index array of its items."""
+    order = np.lexsort(keys[::-1])
+    cols = [c[order] for c in keys]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    steps = BATCH_ENTRIES // np.maximum(entries[order[starts]], 1)
+    bounds = [*starts.tolist(), len(order)]
+    return [(key, order[s:min(s + step, stop)])
+            for key, start, stop, step in zip(
+                zip(*(c[starts].tolist() for c in cols)), bounds, bounds[1:],
+                np.maximum(steps, 1).tolist())
+            for s in range(start, stop, step)]
 
 
 def take(a: np.ndarray, which) -> np.ndarray:
@@ -375,8 +387,9 @@ class SpanStack:
         return row_norms(part.reshape(m * c, width)).reshape(m, c)
 
     def compress(self, grams: np.ndarray, which) -> np.ndarray:
-        """:meth:`SubspaceBasis.compress` of each ``grams[t]`` by basis
-        ``which[t]``."""
+        """``V G Vᴴ`` for each ``G = grams[t]``, ``V`` the orthonormal
+        basis ``which[t]``: ``CᴴC`` for the :meth:`SubspaceBasis.coordinates`
+        ``C`` of elements ``P`` whose flattened Gram matrix is ``G = PᴴP``."""
         return (self._take("onb", which) @ grams
                 @ self._take("onb_conj", which).transpose(0, 2, 1))
 

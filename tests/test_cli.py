@@ -537,6 +537,39 @@ class TestCheckBundle:
         assert procs[0].stdout == procs[1].stdout
         assert "FAIL  fell.saturated" in procs[0].stdout
 
+    @pytest.mark.parametrize("case", ["passing", "failing", "refused"])
+    def test_ascii_stdout_escapes_witnesses(self, case, tmp_path):
+        # Each output carries ‖ in a witness.  A stdout that cannot encode
+        # it gets the UTF-8 text with the character escaped, and the exit
+        # code of the checks, with no traceback.
+        one = np.ones((1, 1, 1), dtype=complex)
+        skew = np.array([[0, 1], [0, 0]], dtype=complex)
+        argv = {
+            "passing": ["check", "bundle", write(
+                tmp_path / "full.json",
+                bundle_to_json(full_morita_bundle(BlockStructure((1, 2)))))],
+            "failing": ["check", "bundle", write(
+                tmp_path / "unsat.json",
+                {"blocks": [1, 1], "fibres": {"1,1": one, "2,2": one}})],
+            "refused": ["to-fell", write(
+                tmp_path / "skew.json",
+                {"blocks": [2], "homsets": {
+                    "1,1": np.eye(4, dtype=complex).reshape(4, 2, 2)},
+                 "sigma": {"perm": [1], "blocks": {"1": skew}}}),
+                "-o", str(tmp_path / "out.json")]}[case]
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(ncg.__file__).resolve().parents[1])}
+        procs = [subprocess.run(
+            [sys.executable, "-m", "ncg.cli", *argv], capture_output=True,
+            env={**env, "PYTHONIOENCODING": encoding}, timeout=60)
+            for encoding in ("utf-8", "ascii")]
+        utf8, ascii_ = (p.stdout.decode(enc) for p, enc in
+                        zip(procs, ("utf-8", "ascii")))
+        assert "‖" in utf8
+        assert ascii_ == utf8.encode("ascii", "backslashreplace").decode()
+        code = {"passing": 0, "failing": 1, "refused": 1}[case]
+        assert [(p.returncode, p.stderr) for p in procs] == [(code, b"")] * 2
+
 
 class TestPipelines:
     def test_categorify_then_to_fell(self, standard_triple_file, tmp_path,

@@ -22,7 +22,7 @@ from conftest import crandn
 from oracles import (all_adjoints_involution, all_identities_unital,
                      all_products_closure, projection_residuals)
 
-import ncg.fellbundle as fellbundle
+import ncg.matops as matops
 from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
                  check_fell_axioms, check_unital)
 from ncg.fellbundle import _matrix_units
@@ -202,7 +202,7 @@ def test_closure_agrees_with_the_oracle(kind, tol, cap, monkeypatch):
             rng = np.random.default_rng([20261121, seed, KINDS.index(kind)])
             b = closure_bundle(rng, kind, tol, margin)
             size = 16 * b.fibres[(1, 3)].dim
-            monkeypatch.setattr(fellbundle, "_BATCH_ENTRIES", {
+            monkeypatch.setattr(matops, "BATCH_ENTRIES", {
                 "alone": 1, "split": max(size, 16), "shared": 2 ** 16}[cap])
             row = check_fell_axioms(b, tol).find("fell.axiom.2")
             oracle = all_products_closure(b, tol)
@@ -242,7 +242,7 @@ def test_batching_changes_no_row(monkeypatch):
     b = closure_bundle(rng, "more", Tolerance(), 1e6)
     rows = {}
     for cap in (1, 16 * 15, 16 * 29, 2 ** 16):
-        monkeypatch.setattr(fellbundle, "_BATCH_ENTRIES", cap)
+        monkeypatch.setattr(matops, "BATCH_ENTRIES", cap)
         rows[cap] = check_fell_axioms(b).find("fell.axiom.2")
     first = rows[1]
     assert not first.passed
@@ -266,7 +266,7 @@ def test_runs_keep_the_report_order(monkeypatch):
         (1, 2): SubspaceBasis(2, 2, units[[0, 3]]),
         (2, 1): SubspaceBasis(2, 2, units[[1]])})
     for cap in (1, 8, 2 ** 16):
-        monkeypatch.setattr(fellbundle, "_BATCH_ENTRIES", cap)
+        monkeypatch.setattr(matops, "BATCH_ENTRIES", cap)
         report = check_fell_axioms(b)
         rows = [(row.passed, row.residual, row.witness) for row in
                 (report.find("fell.axiom.2"), report.find("fell.axiom.6"))]
@@ -287,7 +287,7 @@ def test_witnesses_follow_the_items_of_a_run(monkeypatch):
     b = FellBundleFD(blocks, {g: SubspaceBasis(2, 2, crandn(rng, 1, 2, 2))
                               for g in blocks.arrows()})
     for cap in (1, 2 ** 16):
-        monkeypatch.setattr(fellbundle, "_BATCH_ENTRIES", cap)
+        monkeypatch.setattr(matops, "BATCH_ENTRIES", cap)
         report = check_fell_axioms(b)
         for row, oracle in ((report.find("fell.axiom.2"),
                              all_products_closure(b)),

@@ -16,6 +16,7 @@ from ncg import (BlockStructure, InputError, SubspaceBasis,
                  full_morita_bundle)
 from ncg.fellbundle import _matrix_units
 from ncg.geometry import spectral_category_from_json
+from ncg.matops import SpanStack
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (4, 4), (16, 16)]
 
@@ -53,7 +54,8 @@ def test_queries_equal_the_svd_path_bit_for_bit(shape, svd_calls):
         assert same_bits(fast.residual(x), slow.residual(x))
         assert same_bits(fast.residuals(stack), slow.residuals(stack))
         assert same_bits(fast.coordinates(stack), slow.coordinates(stack))
-        assert same_bits(fast.compress(grams), slow.compress(grams))
+        assert same_bits(SpanStack((fast,)).compress(grams, [0]),
+                         SpanStack((slow,)).compress(grams, [0]))
         assert same_bits(fast.project(x), slow.project(x))
 
 

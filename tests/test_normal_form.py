@@ -16,7 +16,8 @@ every row but a certified
 (``oracles.declined_report``); and a certified bound must hold for the
 oracle's residuals.  A bundle the certificate declines must cost no
 product and no decomposition when its fibre dimensions already rule a
-normal form out.
+normal form out.  Neither a report nor a decode's refusal may depend on
+the size of the runs that ``matops.runs`` cuts.
 """
 
 import json
@@ -24,14 +25,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import crandn, random_unitary
+from conftest import crandn, json_document, random_unitary
 from oracles import (all_adjoints_involution, all_identities_unital,
                      all_products_closure, all_products_saturation,
                      declined_report)
 
 import ncg.fellbundle as fellbundle
-from ncg import (BlockStructure, FellBundleFD, SubspaceBasis, Tolerance,
-                 check_bundle)
+import ncg.matops as matops
+from ncg import (BlockStructure, FellBundleFD, InputError, SubspaceBasis,
+                 Tolerance, check_bundle)
 from ncg.fellbundle import normal_form
 
 TOLS = [Tolerance(rel=0.0), Tolerance(rel=1e-15), Tolerance(rel=1e-12),
@@ -340,3 +342,61 @@ def test_unital_split_is_required():
     b = bundle(sizes, stacks, Tolerance())
     assert normal_form(b) is fellbundle._DECLINED
     assert_matches_oracles(b, Tolerance())
+
+
+def batch_cases(rng):
+    """Bundle documents for ``test_batch_size_changes_nothing``: a
+    certified bundle whose objects split differently, so that its fibres
+    fall in several ``(k_i, k_j)`` classes, two of them one shape class; a
+    declined bundle of fibres at least half full, whose saturation takes
+    the Gram path; and 36 same-shape fibres, one of them dependent."""
+    sizes, stacks = form_bundle(rng, [[1, 1, 2], [2, 1, 1], [1, 1, 2]],
+                                [1, 2, 1], "mixed")
+    certified = {"blocks": sizes, "fibres": {
+        f"{i},{j}": s for (i, j), s in stacks.items()}}
+    sizes = [2, 3, 2]
+    declined = {"blocks": sizes, "fibres": {}}
+    for i, j in BlockStructure(tuple(sizes)).arrows():
+        n = sizes[i - 1] * sizes[j - 1]
+        declined["fibres"][f"{i},{j}"] = crandn(
+            rng, int(rng.integers((n + 1) // 2, n + 1)), sizes[i - 1],
+            sizes[j - 1])
+    dependent = {"blocks": [3] * 6, "fibres": {
+        f"{i},{j}": crandn(rng, 4, 3, 3) for i in range(1, 7)
+        for j in range(1, 7)}}
+    dependent["fibres"]["4,2"][3] = 2 * dependent["fibres"]["4,2"][1]
+    return {"certified": certified, "declined": declined,
+            "dependent": dependent}
+
+
+@pytest.mark.parametrize("case", ["certified", "declined", "dependent"])
+def test_batch_size_changes_nothing(case, monkeypatch):
+    # The decode, the normal form's residuals, closure, the involution
+    # and saturation's Gram spectra give the report of the default size
+    # with one item per run, a few per run and all of a class in one.
+    doc = json_document(batch_cases(np.random.default_rng(20261209))[case])
+    spectra = []
+    gram_spectra = fellbundle._gram_spectra
+    monkeypatch.setattr(fellbundle, "_gram_spectra", lambda *a: (
+        spectra.append(len(a[0])) or gram_spectra(*a)))
+
+    def outcome():
+        try:
+            b = fellbundle.bundle_from_json(doc)
+        except InputError as exc:
+            return str(exc)
+        return json.dumps(check_bundle(b).to_json())
+    want = outcome()
+    for cap in (1, 300, 2 ** 16):
+        monkeypatch.setattr(matops, "BATCH_ENTRIES", cap)
+        spectra.clear()
+        assert outcome() == want, cap
+        if case == "declined":
+            assert spectra and (max(spectra) == 1) == (cap == 1), cap
+    if case == "certified":
+        assert "certified:" in want and '"status": "fail"' not in want
+    if case == "declined":
+        assert '"certified:' not in want
+    if case == "dependent":
+        assert want == ("SubspaceBasis: basis is linearly dependent "
+                        "(rank 3 < 4)")
