@@ -27,8 +27,9 @@ a time, and so are the adjoints of a class of fibres, the Gram matrices
 of saturation and the fibres measured against the normal form.  Each
 run writes its residuals at the places its items hold in a pass over
 the arrows, and :func:`~ncg.report.worst_row` decides the row, so a
-witness is the first worst element in arrow order.  The bundle gate of the conversions
-(``category_from_bundle``, the bundle half of ``spectral_category``)
+witness is the first worst element in arrow order.  The bundle gate of
+the conversions (``category_from_bundle``, the bundle half of
+``spectral_category``)
 accepts a bundle that :attr:`FellBundleFD.is_full` by theorem: a fibre
 of dimension ``n_i n_j`` is the whole matrix space, so the bundle's
 sectional algebra is ``M_n(C)``.
@@ -414,7 +415,8 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
                           "every product span is total")
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
     p, classes = b.blocks.p, _ShapeClasses(b)
-    dim, pos, key, sizes = classes.dim, classes.pos, classes.key, classes.sizes
+    dim, pos, key = classes.dim, classes.pos, classes.key
+    sizes = classes.sizes
     # A Gram matrix of a half-full fibre is at most twice its basis.
     dense = (dim > 0) & (2 * dim >= np.outer(sizes, sizes))
     # λ_min(CᴴC) and ‖products‖_F² of each pair (i, j) x (j, k).
@@ -749,8 +751,8 @@ def _form_residuals(classes: _ShapeClasses, frames, k: np.ndarray, m):
     each distance raised by a bound on its rounding and on the frames'
     distance from unitarity.  The fibres of one ``(k_i, k_j)``, which
     fixes their shape class, are measured a run of
-    :func:`~ncg.matops.runs` at a time.  Without frames every fibre is full, as is its model, at
-    distance 0."""
+    :func:`~ncg.matops.runs` at a time.  Without frames every fibre is
+    full, as is its model, at distance 0."""
     p, dim, sizes = len(classes.dim), classes.dim, classes.sizes
     h, rho, nu = np.zeros((3, p, p))
     if frames is None:
