@@ -167,10 +167,10 @@ class FellBundleFD:
                     f"does not match {want}"
                 )
             complete[g] = fibre
-        for g in blocks.arrows():
-            if g not in complete:
-                complete[g] = SubspaceBasis(blocks.sizes[g[0] - 1],
-                                            blocks.sizes[g[1] - 1], [])
+        missing = [g for g in blocks.arrows() if g not in complete]
+        complete.update(zip(missing, SubspaceBasis.batch([
+            np.zeros((0, blocks.sizes[i - 1], blocks.sizes[j - 1]),
+                     dtype=complex) for i, j in missing])))
         self.blocks = blocks
         self.fibres = complete
 
@@ -214,42 +214,27 @@ def _basis_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _ShapeClasses:
     """The fibres of a bundle by shape class ``(n_i, n_j, dim)``:
     ``key[i, j]`` is the class of fibre ``(i+1, j+1)``, ``pos[i, j]`` its
-    place in ``members[key[i, j]]``, which lists a class in arrow order.
-    ``dim`` and ``full`` are the ``(p, p)`` arrays of the fibres'
-    dimensions and fullness, ``sizes`` the block sizes."""
+    place in ``spans[key[i, j]]``, the :class:`~ncg.matops.SpanStack` of
+    a class in arrow order.  ``dim`` and ``full`` are the ``(p, p)``
+    arrays of the fibres' dimensions and fullness, ``sizes`` the block
+    sizes."""
 
     def __init__(self, b: FellBundleFD):
         p = b.blocks.p
         self.key = np.empty((p, p), dtype=np.int64)
         self.pos = np.empty((p, p), dtype=np.int64)
-        self.members: list[list[SubspaceBasis]] = []
-        self._cache: dict = {}
+        self.spans: list[SpanStack] = []
         ids: dict = {}
         for (i, j), f in sorted(b.fibres.items()):
             c = ids.setdefault((f.rows, f.cols, f.dim), len(ids))
-            if c == len(self.members):
-                self.members.append([])
+            if c == len(self.spans):
+                self.spans.append(SpanStack([]))
             self.key[i - 1, j - 1] = c
-            self.pos[i - 1, j - 1] = len(self.members[c])
-            self.members[c].append(f)
-        self.dim = np.array([f[0].dim for f in self.members])[self.key]
+            self.pos[i - 1, j - 1] = len(self.spans[c].bases)
+            self.spans[c].bases.append(f)
+        self.dim = np.array([dim for _, _, dim in ids])[self.key]
         self.sizes = np.array(b.blocks.sizes)
         self.full = self.dim == np.outer(self.sizes, self.sizes)
-
-    def stacked(self, c: int, name: str = "stack") -> np.ndarray:
-        """The ``(m, dim, n_i, n_j)`` stack of the ``stack`` (or the
-        ``units``) of the bases of class ``c``, formed once."""
-        if (c, name) not in self._cache:
-            self._cache[c, name] = np.stack(
-                [getattr(f, name) for f in self.members[c]])
-        return self._cache[c, name]
-
-    def span(self, c: int) -> SpanStack:
-        """The bases of class ``c`` as one :class:`SpanStack`, formed once,
-        so that each of its operands is stacked once."""
-        if (c, "span") not in self._cache:
-            self._cache[c, "span"] = SpanStack(self.members[c])
-        return self._cache[c, "span"]
 
 
 def _analytic(k: int, identity: str) -> AxiomCheck:
@@ -281,7 +266,7 @@ def check_fell_axioms(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
     (:func:`_involution_residuals`): adjoints must land in the reversed
     fibre.
     """
-    classes = _ShapeClasses(b)
+    classes = _ShapeClasses(b) if form is None else form.classes
     dim, full = classes.dim, classes.full
     # Pairs (i, j) x (j, k) of nonzero fibres, by target (i, k), then j.
     i, k, j = np.nonzero((dim[:, None, :] > 0) & (dim.T[None, :, :] > 0))
@@ -327,15 +312,15 @@ def _closure_residuals(tol: Tolerance, classes: _ShapeClasses, i: np.ndarray,
         return (f"basis {a} of {left} x basis {c} of {right} leaves fibre "
                 f"{(left[0], right[1])}")
 
-    counts, n = dim[i, j] * dim[j, k], classes.sizes
+    counts, n, spans = dim[i, j] * dim[j, k], classes.sizes, classes.spans
     row, g, h, gh = _Places(counts), pos[i, j], pos[j, k], pos[i, k]
     for (cg, ch, ct), t in runs((key[i, j], key[j, k], key[i, k]),
                                 counts * n[i] * n[k]):
-        x, y = classes.stacked(cg), classes.stacked(ch)
+        x, y = spans[cg].stacked("stack"), spans[ch].stacked("stack")
         (_, a, ni, _), (_, b, _, nk) = x.shape, y.shape
         flat = _basis_products(take(x, g[t]), take(y, h[t])).reshape(
             len(t), a * b, ni * nk)
-        row.put(t, classes.span(ct).residuals(flat, gh[t]),
+        row.put(t, spans[ct].residuals(flat, gh[t]),
                 row_norms(flat.reshape(-1, ni * nk)))
     return row.check(tol, "fell.axiom.2", describe,
                      "all basis products stay in their fibre")
@@ -356,11 +341,11 @@ def _involution_residuals(tol: Tolerance,
 
     row, g, r = _Places(dim[i, j]), pos[i, j], pos[j, i]
     for (cg, cr), t in runs((key[i, j], key[j, i]), dim[i, j] * n[i] * n[j]):
-        elems = take(classes.stacked(cg), g[t])
+        elems = take(classes.spans[cg].stacked("stack"), g[t])
         _, d, ni, nj = elems.shape
         adjoints = np.conj(elems.transpose(0, 1, 3, 2)).reshape(
             len(t), d, ni * nj)
-        row.put(t, classes.span(cr).residuals(adjoints, r[t]),
+        row.put(t, classes.spans[cr].residuals(adjoints, r[t]),
                 row_norms(elems.reshape(-1, ni * nj)))
     return row.check(tol, "fell.axiom.6", describe,
                      "adjoint of every basis element lies in the reversed "
@@ -414,7 +399,7 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
         return AxiomCheck("fell.saturated", True, 0.0,
                           "every product span is total")
     certify = max(_GRAM_FLOOR, 4.0 * tol.rel ** 2)
-    p, classes = b.blocks.p, _ShapeClasses(b)
+    p, classes = b.blocks.p, form.classes
     dim, pos, key = classes.dim, classes.pos, classes.key
     sizes = classes.sizes
     # A Gram matrix of a half-full fibre is at most twice its basis.
@@ -432,8 +417,8 @@ def check_saturated(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL,
                                 + (ni * nk) ** 2):
         for c in (cg, ch):
             if c not in grams:
-                grams[c] = _arranged_gram(classes.stacked(c, "units"))
-        target = None if classes.full[i[t[0]], k[t[0]]] else classes.span(ct)
+                grams[c] = _arranged_gram(classes.spans[c].stacked("units"))
+        target = None if classes.full[i[t[0]], k[t[0]]] else classes.spans[ct]
         lam[i[t], j[t], k[t]], trace[i[t], j[t], k[t]] = _gram_spectra(
             take(grams[cg], g[t]), take(grams[ch], h[t]), ni[t[0]],
             nk[t[0]], target, gh[t])
@@ -519,9 +504,10 @@ class NormalForm:
     found.  ``bound`` is a proven upper bound on the relative residual of
     every basis product that ``fell.axiom.2`` measures, ``inf`` unless it
     is within ``tol.rel``, and ``spans`` that every product span
-    ``fell.saturated`` ranks is total.
+    ``fell.saturated`` ranks is total; ``classes`` holds its shape classes.
     """
 
+    classes: _ShapeClasses = field(repr=False)
     k: np.ndarray | None = None
     m: tuple[int, ...] = ()
     bound: float = np.inf
@@ -533,7 +519,6 @@ class NormalForm:
                 f"product within {self.bound:.1e} of its fibre")
 
 
-_DECLINED = NormalForm()
 # Seed of the random elements that split A_11 in :func:`_split`: a fixed
 # choice makes the guess, and so the report, reproducible.
 _FORM_SEED = 20261021
@@ -573,16 +558,16 @@ def normal_form(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
     p, classes = b.blocks.p, _ShapeClasses(b)
     dim, sizes = classes.dim, classes.sizes
     if not dim.all() or (dim != dim.T).any():
-        return _DECLINED
+        return NormalForm(classes)
     try:
         guess = _frames(b, dim)
     except np.linalg.LinAlgError:  # a decomposition did not converge
         guess = None
     if guess is None:
-        return _DECLINED
+        return NormalForm(classes)
     frames, k, m = guess
     if (k @ k.T != dim).any():
-        return _DECLINED
+        return NormalForm(classes)
     h, rho, nu = _form_residuals(classes, frames, k, m)
     sig = np.array([b.fibres[g].unit_sigmas
                     for g in b.blocks.arrows()]).reshape(p, p, 2)
@@ -611,7 +596,8 @@ def normal_form(b: FellBundleFD, tol: Tolerance = DEFAULT_TOL) -> NormalForm:
         * np.sqrt(dg * dh)
     spans = bool((lo > 0).all() and (least - drift - rounding > tol.rel * (
         most + drift + rounding)).all())
-    return NormalForm(k, m, bound if bound <= tol.rel else np.inf, spans)
+    return NormalForm(classes, k, m, bound if bound <= tol.rel else np.inf,
+                      spans)
 
 
 def _frames(b: FellBundleFD, dim: np.ndarray):
@@ -764,8 +750,8 @@ def _form_residuals(classes: _ShapeClasses, frames, k: np.ndarray, m):
         ki, kj, ii, jj = key[:len(m)], key[len(m):], i[t], j[t]
         cl, at = classes.key[ii[0], jj[0]], classes.pos[ii, jj]
         d, ni, nj = dim[ii[0], jj[0]], sizes[ii[0]], sizes[jj[0]]
-        units = take(classes.stacked(cl, "units"), at)
-        raw = take(classes.stacked(cl), at)
+        units = take(classes.spans[cl].stacked("units"), at)
+        raw = take(classes.spans[cl].stacked("stack"), at)
         g = (np.stack([frames[i].conj().T for i in ii])[:, None]
              @ units @ np.stack([frames[j] for j in jj])[:, None])
         oi = np.cumsum([0] + [a * c for a, c in zip(ki, m)])

@@ -137,35 +137,34 @@ def row_norms(flat: np.ndarray) -> np.ndarray:
 
 class SubspaceBasis:
     """A linear subspace of ``rows x cols`` complex matrices, stored as an
-    explicit linearly independent basis.
+    explicit linearly independent basis: an iterable of matrices, each
+    checked by :func:`as_matrix`, or one finite ``(k, rows, cols)`` array,
+    checked at once.  Instances are immutable.
 
     The basis is validated for independence at construction (numerical rank
     of the flattened stack, each element scaled to unit norm, must equal
-    its length) and an orthonormal basis and its conjugate are precomputed
-    for fast membership tests.  ``units`` keeps the stack scaled to unit
-    rows (:func:`unit_rows`) and ``unit_sigmas`` the least and largest
-    singular values of those rows, from the same SVD, which bound how
-    far the basis is from orthonormal.  The row-major matrix units, bit
-    for bit, are recognised without an SVD: they are their own unit rows
-    and orthonormal basis, with singular values 1, which is what the SVD
-    returns for them.  The basis
-    is an iterable of matrices, each checked by :func:`as_matrix`, or one
-    finite ``(k, rows, cols)`` array, checked at once.  :meth:`batch`
+    its length), and keeps one factor of that SVD, ``vh``: its first ``k``
+    rows are an orthonormal basis of the span, and a basis that fills at
+    least half its space (``2k >= N``, ``N = rows * cols``) keeps all
+    ``N``, the last ``N - k`` spanning the complement.  It keeps no
+    conjugate; :class:`SpanStack` forms them.  ``units`` keeps the stack
+    scaled to unit rows (:func:`unit_rows`) and ``unit_sigmas`` the least
+    and largest singular values of those rows, which bound how far the
+    basis is from orthonormal.  The row-major matrix units, bit for bit,
+    are recognised without an SVD: they are their own unit rows and
+    ``vh``, with singular values 1, as the SVD returns.  :meth:`batch`
     decides many stacks at once, one vectorised pass per shape; a single
-    basis is a batch of one.  Instances are immutable.
+    basis is a batch of one.
 
     Distances to the span (:meth:`residuals`) are taken one of two ways,
-    chosen by ``k`` and ``N = rows * cols`` alone.  A basis that fills at
-    least half its space (``2k >= N``) keeps the orthonormal complement
-    ``W``, the last ``N - k`` rows of the same SVD taken with
-    ``full_matrices=True``, and the distance of ``p`` is ``‖W̄ p‖``: one
-    GEMM of width ``N - k``, exactly 0 for a full basis, whose ``W`` is
-    empty.  A thinner basis, whose complement would be up to ``N x N``,
-    projects: ``‖p - V̄ᵀ(V̄ p)‖`` for the orthonormal basis ``V``.
+    chosen by ``k`` and ``N`` alone: ``‖W̄ p‖`` for the complement rows
+    ``W`` of a basis at least half full, one GEMM of width ``N - k``,
+    exactly 0 for a full basis; for a thinner basis, whose complement
+    would be up to ``N x N``, what the projection leaves,
+    ``‖p - V̄ᵀ(V̄ p)‖`` for the orthonormal basis ``V``.
     """
 
-    __slots__ = ("rows", "cols", "stack", "units", "unit_sigmas", "_onb",
-                 "_onb_conj", "_perp")
+    __slots__ = ("rows", "cols", "stack", "units", "unit_sigmas", "_vh")
 
     def __init__(self, rows: int, cols: int, matrices: Iterable,
                  tol: Tolerance = DEFAULT_TOL, *, _parts=None):
@@ -174,13 +173,8 @@ class SubspaceBasis:
         if _parts is None:
             stack = _basis_stack(rows, cols, matrices)
             _parts = (stack, *_orthonormal_bases([stack], tol)[0])
-        stack, units, vh, vh_conj, self.unit_sigmas = _parts
-        k, self.rows, self.cols = stack.shape
-        self.stack = stack
-        self.units = units
-        self._onb = vh[:k]
-        self._onb_conj = vh_conj[:k]
-        self._perp = vh_conj[k:].T if 2 * k >= self.rows * self.cols else None
+        self.stack, self.units, self._vh, self.unit_sigmas = _parts
+        _, self.rows, self.cols = self.stack.shape
 
     @classmethod
     def batch(cls, stacks, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -206,7 +200,7 @@ class SubspaceBasis:
     @property
     def orthonormal(self) -> np.ndarray:
         """The ``(dim, rows, cols)`` orthonormal basis of the span."""
-        return self._onb.reshape(self.dim, self.rows, self.cols)
+        return self._vh[:self.dim].reshape(self.dim, self.rows, self.cols)
 
     @property
     def ambient_shape(self) -> tuple[int, int]:
@@ -220,31 +214,15 @@ class SubspaceBasis:
         x = as_matrix(x, "residual", (self.rows, self.cols))
         return float(self.residuals(x[None])[0])
 
-    def coordinates(self, stack: np.ndarray) -> np.ndarray:
-        """``(k, dim)`` coordinates, in the span's orthonormal basis, of
-        the projections of a ``(k, rows, cols)`` stack."""
-        return self._flat(stack, "coordinates") @ self._onb_conj.T
-
     def residuals(self, stack: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack:
-        the norm of each element's part in the complement, ``W̄ p``, or
-        of what its projection leaves for a thin basis."""
-        flat = self._flat(stack, "residuals")
-        return SpanStack((self,)).residuals(flat[None], [0])[0]
-
-    def _flat(self, stack: np.ndarray, label: str) -> np.ndarray:
-        """A ``(k, rows, cols)`` stack as ``(k, rows * cols)`` rows."""
+        """Vectorized :meth:`residual` for a ``(k, rows, cols)`` stack, by
+        a :class:`SpanStack` of one: the norm of each element's part in
+        the complement, ``W̄ p``, or of what its projection leaves."""
         if stack.ndim != 3 or stack.shape[1:] != (self.rows, self.cols):
-            raise ShapeError(f"{label}: stack shape {stack.shape}, "
+            raise ShapeError(f"residuals: stack shape {stack.shape}, "
                              f"expected (k, {self.rows}, {self.cols})")
-        return stack.reshape(stack.shape[0], self.rows * self.cols)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``x`` onto the span."""
-        x = as_matrix(x, "project", (self.rows, self.cols))
-        v = x.reshape(-1)
-        proj = self._onb.T @ (self._onb_conj @ v)
-        return proj.reshape(self.rows, self.cols)
+        flat = stack.reshape(1, len(stack), self.rows * self.cols)
+        return SpanStack((self,)).residuals(flat, [0])[0]
 
 
 def _basis_stack(rows: int, cols: int, matrices: Iterable) -> np.ndarray:
@@ -267,14 +245,16 @@ def _basis_stack(rows: int, cols: int, matrices: Iterable) -> np.ndarray:
 
 
 def _orthonormal_bases(stacks, tol: Tolerance) -> list:
-    """``(units, vh, conj(vh), (σ_min, σ_max))`` of each stack of a list:
-    its :func:`unit_rows`, ``vh`` of their SVD, all ``N = rows * cols``
-    rows of it for a stack of ``2k >= N`` elements, and the extreme
-    singular values.  The row-major matrix units, bit for bit, are their
-    own unit rows and ``vh``, with singular values 1.  Stacks of one
-    shape share each vectorised step, a run of :func:`runs` at a time;
-    a stack whose unit rows have numerical rank below ``k`` is refused,
-    the first in order."""
+    """``(units, vh, (σ_min, σ_max))`` of each stack of a list: its
+    :func:`unit_rows`, ``vh`` of their SVD, all ``N = rows * cols`` rows
+    of it for a stack of ``2k >= N`` elements, and the extreme singular
+    values.  The row-major matrix units, bit for bit, are their own unit
+    rows and ``vh``, with singular values 1.  Stacks of one shape share
+    each vectorised step, a run of :func:`runs` at a time; a stack whose
+    unit rows have numerical rank below ``k`` is refused, the first in
+    order."""
+    if not stacks:
+        return []
     out = [None] * len(stacks)
     shapes = np.array([s.shape for s in stacks], dtype=np.int64).reshape(-1, 3)
     refused = []
@@ -283,7 +263,7 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
         if not k:
             vh = np.zeros((0, n), dtype=complex)
             for idx in chunk:
-                out[idx] = (stacks[idx], vh, vh, (0.0, 0.0))
+                out[idx] = (stacks[idx], vh, (0.0, 0.0))
             continue
         flats = np.stack([stacks[idx] for idx in chunk]).reshape(-1, k, n)
         rest = np.arange(len(chunk))
@@ -296,8 +276,7 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
                 identity &= np.count_nonzero(words, axis=1) == k
             for pos in np.flatnonzero(identity).tolist():
                 stack = stacks[chunk[pos]]
-                flat = stack.reshape(k, n)
-                out[chunk[pos]] = (stack, flat, flat.conj(), (1.0, 1.0))
+                out[chunk[pos]] = (stack, stack.reshape(k, n), (1.0, 1.0))
             rest = rest[~identity]
         if not len(rest):
             continue
@@ -307,13 +286,12 @@ def _orthonormal_bases(stacks, tol: Tolerance) -> list:
             -1, k, rows, cols)
         _, s, vh = np.linalg.svd(units.reshape(-1, k, n),
                                  full_matrices=2 * k >= n)
-        vh_conj = vh.conj()
         ranks = np.count_nonzero(s > tol.rel * s[:, :1], axis=1).tolist()
         sigmas = s[:, [-1, 0]].tolist()
         for c, pos in enumerate(rest.tolist()):
             if ranks[c] != k:
                 refused.append((chunk[pos], ranks[c], k))
-            out[chunk[pos]] = (units[c], vh[c], vh_conj[c], tuple(sigmas[c]))
+            out[chunk[pos]] = (units[c], vh[c], tuple(sigmas[c]))
     if refused:
         _, rank, k = min(refused)
         raise InputError(f"SubspaceBasis: basis is linearly dependent "
@@ -351,47 +329,62 @@ def take(a: np.ndarray, which) -> np.ndarray:
 
 
 class SpanStack:
-    """Bases of one shape and dimension, each operand of theirs stacked on
-    first use, so that one stacked matmul measures or compresses a batch
-    of elements, element ``t`` against basis ``which[t]``.  The
-    complements are stacked by rows and passed as their transposes, the
-    layout :meth:`SubspaceBasis.residuals` of a single basis has always
-    used, so that a one-row batch takes the same BLAS path."""
+    """Bases of one shape and dimension, the one place where operands of
+    a class of bases are stacked, each on first use: ``stack``,
+    ``units``, the orthonormal rows ``onb`` of each ``vh``, their
+    conjugates ``onb_conj`` and the conjugated complement rows
+    ``perp_rows``, passed as their transposes.  One stacked matmul then
+    measures or compresses a batch of elements, element ``t`` against
+    basis ``which[t]``; a single basis is a stack of one."""
 
     __slots__ = ("bases", "_stacks")
 
-    _OPERANDS = {"onb": lambda b: b._onb, "onb_conj": lambda b: b._onb_conj,
-                 "perp_rows": lambda b: b._perp.T}
+    _OPERANDS = {
+        "stack": lambda s: np.stack([b.stack for b in s.bases]),
+        "units": lambda s: np.stack([b.units for b in s.bases]),
+        "onb": lambda s: np.stack([b._vh[:b.dim] for b in s.bases]),
+        "onb_conj": lambda s: s.stacked("onb").conj(),
+        "perp_rows": lambda s: _conj_stack([b._vh[b.dim:] for b in s.bases])}
 
     def __init__(self, bases):
         self.bases = bases
         self._stacks: dict = {}
 
-    def _take(self, name: str, which) -> np.ndarray:
-        """Operand ``name`` of basis ``which[t]`` for each ``t``."""
+    def stacked(self, name: str) -> np.ndarray:
+        """Operand ``name`` of every basis, stacked in order, formed
+        once."""
         if name not in self._stacks:
-            self._stacks[name] = np.stack(
-                [self._OPERANDS[name](b) for b in self.bases])
-        return take(self._stacks[name], which)
+            self._stacks[name] = self._OPERANDS[name](self)
+        return self._stacks[name]
 
     def residuals(self, flat: np.ndarray, which) -> np.ndarray:
         """:meth:`SubspaceBasis.residuals` of the rows ``flat[t]`` of an
         ``(m, c, rows * cols)`` array from basis ``which[t]``, as an
         ``(m, c)`` array."""
-        if self.bases[0]._perp is None:
-            conj = self._take("onb_conj", which).transpose(0, 2, 1)
-            part = flat - (flat @ conj) @ self._take("onb", which)
+        b = self.bases[0]
+        if 2 * b.dim < b.rows * b.cols:
+            conj = take(self.stacked("onb_conj"), which).transpose(0, 2, 1)
+            part = flat - (flat @ conj) @ take(self.stacked("onb"), which)
         else:
-            part = flat @ self._take("perp_rows", which).transpose(0, 2, 1)
+            part = flat @ take(self.stacked("perp_rows"),
+                               which).transpose(0, 2, 1)
         m, c, width = part.shape
         return row_norms(part.reshape(m * c, width)).reshape(m, c)
 
     def compress(self, grams: np.ndarray, which) -> np.ndarray:
         """``V G Vᴴ`` for each ``G = grams[t]``, ``V`` the orthonormal
-        basis ``which[t]``: ``CᴴC`` for the :meth:`SubspaceBasis.coordinates`
-        ``C`` of elements ``P`` whose flattened Gram matrix is ``G = PᴴP``."""
-        return (self._take("onb", which) @ grams
-                @ self._take("onb_conj", which).transpose(0, 2, 1))
+        basis ``which[t]``: ``CᴴC`` for the coordinates ``C = P V̄ᵀ`` of
+        elements ``P`` whose flattened Gram matrix is ``G = PᴴP``."""
+        return (take(self.stacked("onb"), which) @ grams
+                @ take(self.stacked("onb_conj"), which).transpose(0, 2, 1))
+
+
+def _conj_stack(arrays: list) -> np.ndarray:
+    """``np.stack(arrays).conj()``, written in one pass."""
+    out = np.empty((len(arrays), *arrays[0].shape), dtype=complex)
+    for a, part in zip(arrays, out):
+        np.conjugate(a, out=part)
+    return out
 
 
 # JSON numbers decode to exactly these types; ``bool`` is excluded.

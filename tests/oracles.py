@@ -85,9 +85,10 @@ import numpy as np
 
 from ncg.climit import LatticeConfig, flat_lattice_dirac, gauge_unitary
 from ncg.errors import InputError, ShapeError
-from ncg.fellbundle import (_DECLINED, Arrow, BlockStructure, FellBundleFD,
-                            _basis_products, _matrix_units, check_bundle,
-                            check_fell_axioms, check_saturated, check_unital)
+from ncg.fellbundle import (Arrow, BlockStructure, FellBundleFD, NormalForm,
+                            _basis_products, _matrix_units, _ShapeClasses,
+                            check_bundle, check_fell_axioms, check_saturated,
+                            check_unital)
 from ncg.matops import (DEFAULT_TOL, SubspaceBasis, Tolerance, adjoint,
                         as_matrix, frobenius, numerical_rank, require_unitary,
                         unit_rows)
@@ -152,8 +153,9 @@ def declined_report(b: FellBundleFD,
                     tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """:func:`check_bundle` with the normal-form certificate declined:
     closure and saturation measured by the battery on every bundle."""
-    return AxiomReport(check_fell_axioms(b, tol, _DECLINED).checks + (
-        check_saturated(b, tol, _DECLINED), check_unital(b, tol)))
+    declined = NormalForm(_ShapeClasses(b))
+    return AxiomReport(check_fell_axioms(b, tol, declined).checks + (
+        check_saturated(b, tol, declined), check_unital(b, tol)))
 
 
 def projection_residuals(basis: SubspaceBasis,
@@ -162,8 +164,9 @@ def projection_residuals(basis: SubspaceBasis,
     span of ``basis``: the norm of what its orthogonal projection on the
     orthonormal basis leaves, whatever the dimension of the span."""
     flat = stack.reshape(len(stack), basis.rows * basis.cols)
-    coords = flat @ basis._onb_conj.T
-    return np.linalg.norm(flat - coords @ basis._onb, axis=1)
+    onb = basis._vh[:basis.dim]
+    coords = flat @ onb.conj().T
+    return np.linalg.norm(flat - coords @ onb, axis=1)
 
 
 def exhaustive_rows(report: AxiomReport, b: FellBundleFD,
@@ -574,9 +577,9 @@ def nested_lists(obj):
 def svd_basis(rows: int, cols: int, stack,
               tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """A :class:`SubspaceBasis` of an independent ``(k, rows, cols)``
-    stack whose orthonormal basis is ``vh`` of the SVD of its unit rows,
-    whatever the stack, with the complement of that SVD where the basis
-    fills at least half its space."""
+    stack whose one factor is ``vh`` of the SVD of its unit rows, whatever
+    the stack, with the complement rows of that SVD where the basis fills
+    at least half its space."""
     stack = np.array(stack, dtype=complex)
     k, n = len(stack), rows * cols
     units = unit_rows(stack)
@@ -584,9 +587,7 @@ def svd_basis(rows: int, cols: int, stack,
     assert np.count_nonzero(s > tol.rel * s[0]) == k
     basis = object.__new__(SubspaceBasis)
     basis.rows, basis.cols, basis.stack, basis.units = rows, cols, stack, units
-    basis.unit_sigmas = (float(s[-1]), float(s[0]))
-    basis._onb, basis._onb_conj = vh[:k], vh[:k].conj()
-    basis._perp = vh[k:].conj().T if 2 * k >= n else None
+    basis.unit_sigmas, basis._vh = (float(s[-1]), float(s[0])), vh
     return basis
 
 

@@ -261,7 +261,8 @@ def test_svd_and_eigvalsh_calls_follow_the_shape_classes(monkeypatch):
     read = bundle_from_json(doc)
     assert check_bundle(read).all_passed
     assert (calls.count("svd"), calls.count("eigvalsh")) == (1, 0)
-    assert check_saturated(read, form=fellbundle._DECLINED).passed
+    declined = fellbundle.NormalForm(fellbundle._ShapeClasses(read))
+    assert check_saturated(read, form=declined).passed
     assert (calls.count("svd"), calls.count("eigvalsh")) == (1, 4)
 
 
@@ -392,8 +393,8 @@ def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
     # Closure forms no basis product whose target fibre is full, and still
     # projects the products of the bundle's other targets.  Saturation
     # contracts the fibres' Gram matrices instead: on a bundle whose spans
-    # all certify, with full and other targets, it forms no product and
-    # takes no coordinates at all.
+    # all certify, with full and other targets, it forms no product at
+    # all, so it takes no product's coordinates.
     rng = np.random.default_rng(20261116)
     # Closure batches pairs across targets, so the products it forms are
     # counted: exactly those of the pairs into fibres that are not full.
@@ -421,10 +422,9 @@ def test_full_targets_form_no_products_and_no_coordinates(monkeypatch):
     assert not declined_pairs(b, Tolerance())
 
     def forbidden(*args):
-        raise AssertionError("saturation formed products or coordinates")
+        raise AssertionError("saturation formed products")
 
     monkeypatch.setattr(fellbundle, "_basis_products", forbidden)
-    monkeypatch.setattr(SubspaceBasis, "coordinates", forbidden)
     assert check_saturated(b).passed
     assert sum(f.is_full for f in b.fibres.values()) == 6
 
@@ -506,3 +506,25 @@ def test_closure_is_analytic_when_every_target_is_full():
     empty = FellBundleFD(BlockStructure((2, 1)), {})
     assert check_fell_axioms(empty).find("fell.axiom.2").witness == \
         "all basis products stay in their fibre"
+
+
+def test_one_shape_class_table_per_check_bundle(monkeypatch):
+    # The normal form carries the table of shape classes to closure, the
+    # involution and saturation, whether it certifies the bundle or not.
+    rng = np.random.default_rng(20261220)
+    certified = conjugated_bundle(rng, (4, 4, 4), 2)
+    fibres = dict(certified.fibres)
+    fibres[(1, 2)] = SubspaceBasis(4, 4, np.concatenate(
+        [fibres[(1, 2)].stack, crandn(rng, 1, 4, 4)]))
+    declined = FellBundleFD(certified.blocks, fibres)
+    built = []
+    table = fellbundle._ShapeClasses
+    monkeypatch.setattr(fellbundle, "_ShapeClasses",
+                        lambda b: built.append(b) or table(b))
+    for b, spans in ((certified, True), (declined, False),
+                     (conjugated_bundle(rng, (3, 2)), True)):
+        built.clear()
+        assert fellbundle.normal_form(b).spans is spans
+        built.clear()
+        check_bundle(b)
+        assert built == [b]

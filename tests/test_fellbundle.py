@@ -12,6 +12,7 @@ from ncg import (BlockStructure, FellBundleFD, InputError, ShapeError,
                  SubspaceBasis, bundle_from_json, bundle_to_json,
                  check_bundle, check_fell_axioms, check_saturated,
                  check_unital, full_morita_bundle)
+import ncg.matops as matops
 from ncg.fellbundle import MAX_DIMENSION, blocks_from_json
 
 
@@ -333,3 +334,23 @@ class TestBundleJson:
             FellBundleFD(BlockStructure((1, 1)), {(1, 3): fibre})
         assert str(exc.value) == ("arrow (1, 3) is not in the pair groupoid "
                                   "on 2 objects")
+
+
+def test_missing_arrows_are_completed_by_one_batch(monkeypatch):
+    # The zero fibres of the omitted arrows are decided together, not one
+    # basis at a time; a bundle that omits none decides nothing.
+    blocks = BlockStructure((2, 3, 1))
+    given = SubspaceBasis(2, 2, [np.eye(2)])
+    full = full_morita_bundle(blocks).fibres
+    calls = []
+    decide = matops._orthonormal_bases
+    monkeypatch.setattr(matops, "_orthonormal_bases", lambda stacks, tol: (
+        calls.append(len(stacks)) or decide(stacks, tol)))
+    b = FellBundleFD(blocks, {(1, 1): given})
+    assert calls == [8]
+    assert b.fibres[(1, 1)] is given
+    assert [(f.ambient_shape, f.dim) for g, f in sorted(b.fibres.items())
+            if g != (1, 1)] == [((blocks.sizes[i - 1], blocks.sizes[j - 1]),
+                                 0) for i, j in blocks.arrows()[1:]]
+    assert FellBundleFD(blocks, full).fibres == full
+    assert calls == [8, 0]

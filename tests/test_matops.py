@@ -10,7 +10,7 @@ from oracles import (hermitian_spectrum, indented_json, nested_lists,
 
 from ncg import (DEFAULT_TOL, InputError, ShapeError, SubspaceBasis,
                  Tolerance, is_partial_isometry)
-from ncg.matops import ENTRY_BOUND, matrix_from_json
+from ncg.matops import ENTRY_BOUND, SpanStack, matrix_from_json
 
 
 def unit(n, r, c):
@@ -132,7 +132,10 @@ class TestSpanResidual:
         rng = np.random.default_rng(23)
         basis = SubspaceBasis(3, 2, [crandn(rng, 3, 2) for _ in range(3)])
         x = crandn(rng, 3, 2)
-        proj = basis.project(x)
+        # The projection on the orthonormal basis, the first rows of the
+        # basis's one SVD factor.
+        onb = basis.orthonormal.reshape(basis.dim, -1)
+        proj = (onb.T @ (onb.conj() @ x.reshape(-1))).reshape(3, 2)
         assert basis.residual(proj) <= DEFAULT_TOL.abs
 
     def test_shape_mismatch(self):
@@ -141,12 +144,10 @@ class TestSpanResidual:
             basis.residual(np.eye(3))
 
     @pytest.mark.parametrize("call,arg", [
-        ("project", np.ones((3, 2))),
+        ("residual", np.ones((3, 2))),
         ("residuals", np.ones((1, 3, 2))),
         ("residuals", np.ones((0, 3, 2))),
-        ("residuals", np.ones((6,))),
-        ("coordinates", np.ones((1, 3, 2))),
-        ("coordinates", np.ones((2, 6)))])
+        ("residuals", np.ones((6,)))])
     def test_transposed_or_flat_input_is_a_shape_error(self, call, arg):
         # Same size, other shape: before the shape test these reshaped
         # silently and answered for the wrong matrix.
@@ -155,22 +156,19 @@ class TestSpanResidual:
             getattr(basis, call)(arg)
 
     def test_residuals_and_coordinates_match_the_projection(self):
-        # Coordinates are the projection's, bit for bit.  Residuals are
-        # taken through the complement for a basis at least half full
-        # (dim 4 of 6), by the projection for a thinner one (dim 2); both
-        # agree with the projection to rounding.
+        # Residuals are taken through the complement for a basis at least
+        # half full (dim 4 of 6), by the projection for a thinner one
+        # (dim 2); both agree to rounding with what the projection on the
+        # coordinates in the orthonormal basis leaves.
         rng = np.random.default_rng(29)
         for dim in (4, 2):
             basis = SubspaceBasis(2, 3, crandn(rng, dim, 2, 3))
             stack = crandn(rng, 5, 2, 3)
             flat = stack.reshape(5, -1)
-            coords = flat @ basis._onb.conj().T
-            np.testing.assert_array_equal(basis.coordinates(stack), coords)
             np.testing.assert_allclose(
                 basis.residuals(stack), projection_residuals(basis, stack),
                 rtol=0, atol=1e-12 * np.linalg.norm(flat, axis=1).max())
             assert basis.residuals(np.zeros((0, 2, 3))).shape == (0,)
-            assert basis.coordinates(np.zeros((0, 2, 3))).shape == (0, dim)
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(InputError):
@@ -180,6 +178,62 @@ class TestSpanResidual:
         basis = SubspaceBasis(2, 2, [])
         assert basis.dim == 0
         assert basis.residual(np.eye(2)) == pytest.approx(np.sqrt(2))
+
+
+def arrays_held(basis):
+    """The arrays a basis holds, by slot name."""
+    return {name: getattr(basis, name) for name in SubspaceBasis.__slots__
+            if isinstance(getattr(basis, name), np.ndarray)}
+
+
+class TestOneFactor:
+    # A basis keeps its stack, its unit rows and one factor of its SVD;
+    # orthonormal rows, conjugates and complement rows are formed only
+    # where a class of bases is stacked (SpanStack).
+
+    def test_matrix_units_hold_no_array_beyond_their_stack(self):
+        basis = SubspaceBasis(3, 2, np.eye(6, dtype=complex).reshape(6, 3, 2))
+        assert basis.units is basis.stack
+        assert np.shares_memory(basis.orthonormal, basis.stack)
+        for name, a in arrays_held(basis).items():
+            assert np.shares_memory(a, basis.stack), name
+
+    @pytest.mark.parametrize("dim,rows", [(2, 2), (3, 6), (5, 6), (6, 6)])
+    def test_explicit_basis_holds_stack_units_and_one_factor(self, dim,
+                                                             rows):
+        # vh keeps k rows for a thin basis, all N rows when 2k >= N.
+        basis = SubspaceBasis(2, 3, crandn(np.random.default_rng(dim), dim,
+                                           2, 3))
+        held = arrays_held(basis)
+        assert list(held) == ["stack", "units", "_vh"]
+        assert held["_vh"].shape == (rows, 6)
+        assert not np.shares_memory(held["units"], held["stack"])
+        assert np.shares_memory(basis.orthonormal, held["_vh"])
+
+    @pytest.mark.parametrize("rows,cols,dim", [
+        (4, 4, 3), (4, 4, 7), (4, 4, 8), (4, 4, 12), (4, 4, 16), (4, 4, 0),
+        (3, 5, 15), (4, 4, None)])
+    def test_a_stack_of_bases_measures_as_each_basis_alone(self, rows, cols,
+                                                           dim):
+        # Thin (2k < N), half-full, full, zero and (dim None) matrix-unit
+        # bases: one kernel, bit for bit, for a class of bases and for each
+        # basis alone.
+        rng = np.random.default_rng(31)
+        if dim is None:
+            bases = [SubspaceBasis(rows, cols, np.eye(
+                rows * cols, dtype=complex).reshape(-1, rows, cols))] * 3
+        else:
+            bases = SubspaceBasis.batch(
+                [crandn(rng, dim, rows, cols) for _ in range(2)]) + [
+                SubspaceBasis(rows, cols, crandn(rng, dim, rows, cols))]
+        span = SpanStack(bases)
+        for which in ([2, 0, 1, 0, 2], [1]):
+            elems = crandn(rng, len(which), 5, rows, cols)
+            got = span.residuals(elems.reshape(len(which), 5, -1),
+                                 np.array(which))
+            for t, w in enumerate(which):
+                want = bases[w].residuals(elems[t])
+                assert got[t].tobytes() == want.tobytes()
 
 
 class TestTolerance:

@@ -53,10 +53,8 @@ def test_queries_equal_the_svd_path_bit_for_bit(shape, svd_calls):
         grams = a.conj().transpose(0, 2, 1) @ a
         assert same_bits(fast.residual(x), slow.residual(x))
         assert same_bits(fast.residuals(stack), slow.residuals(stack))
-        assert same_bits(fast.coordinates(stack), slow.coordinates(stack))
         assert same_bits(SpanStack((fast,)).compress(grams, [0]),
                          SpanStack((slow,)).compress(grams, [0]))
-        assert same_bits(fast.project(x), slow.project(x))
 
 
 def test_a_list_of_matrix_units_is_recognised(svd_calls):

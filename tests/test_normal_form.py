@@ -307,7 +307,8 @@ def test_declining_forms_nothing_and_keeps_the_report(monkeypatch):
     for b in (bundle(sizes, extra, Tolerance()),
               bundle(sizes5, dropped, Tolerance())):
         calls = spy(monkeypatch)
-        assert normal_form(b) is fellbundle._DECLINED
+        form = normal_form(b)
+        assert (form.k, form.bound, form.spans) == (None, np.inf, False)
         assert calls == []
         monkeypatch.undo()
         want = declined_report(b)
@@ -340,7 +341,8 @@ def test_unital_split_is_required():
     stacks[(1, 1)] = u @ model_basis([[1, 1, 1]], [1, 1, 1], 0, 0)[:2] \
         @ u.conj().T
     b = bundle(sizes, stacks, Tolerance())
-    assert normal_form(b) is fellbundle._DECLINED
+    form = normal_form(b)
+    assert (form.k, form.bound, form.spans) == (None, np.inf, False)
     assert_matches_oracles(b, Tolerance())
 
 

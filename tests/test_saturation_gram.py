@@ -37,7 +37,8 @@ def explicit_spectra(target, ug, uh):
     """``λ_min(CᴴC)`` and ``‖P‖_F²`` from the products themselves."""
     prods = _basis_products(ug, uh)
     flat = prods.reshape(len(prods), -1)
-    coords = flat if target.is_full else target.coordinates(prods)
+    onb = target.orthonormal.reshape(target.dim, -1)
+    coords = flat if target.is_full else flat @ onb.conj().T
     lam = np.linalg.eigvalsh(coords.conj().T @ coords)[0]
     return lam, np.vdot(flat, flat).real
 
